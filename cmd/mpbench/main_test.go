@@ -179,7 +179,11 @@ func checkEnv(t *testing.T, env benchEnv) {
 
 // The construct report must record the arena construction engine's
 // telemetry: allocation counts per build, the arena-vs-retained
-// comparison at n = 16, and the raised-GOMAXPROCS build sweep.
+// comparison at n = 16, and the raised-GOMAXPROCS build sweep. Only
+// the allocation side of that comparison is asserted here: whether the
+// arena build also reaches a verified embedding sooner is a wall-clock
+// question, answered by perfbench's construct.retained_ratio (the
+// traced certify run) against a measured noise band.
 func TestWriteConstructJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds n=16 embeddings repeatedly")
@@ -213,11 +217,8 @@ func TestWriteConstructJSON(t *testing.T) {
 			t.Errorf("%s: arena allocations (%d) not below retained (%d)",
 				s.Case, s.ArenaBuildAllocs, s.RetainedBuildAllocs)
 		}
-		// Wall-clock comparison only holds without race instrumentation,
-		// which inflates the arena path's pointer writes.
-		if !raceDetectorOn && s.ToVerifiedSpeedup <= 1 {
-			t.Errorf("%s: build-to-verified %.2fx not faster than retained (%.1fms vs %.1fms)",
-				s.Case, s.ToVerifiedSpeedup, s.ArenaToVerifiedMS, s.RetainedToVerifiedMS)
+		if s.ArenaToVerifiedMS <= 0 || s.RetainedToVerifiedMS <= 0 || s.ToVerifiedSpeedup <= 0 {
+			t.Errorf("%s: build-to-verified timings not recorded: %+v", s.Case, s)
 		}
 	}
 	if rep.MPGoMaxProcs < 2 || len(rep.MPBuilds) != len(names) {

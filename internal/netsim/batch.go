@@ -50,8 +50,8 @@ func SimulateBatch(jobs []BatchJob) ([]*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e := enginePool.Get().(*Engine)
-			defer enginePool.Put(e)
+			e := enginePool.get()
+			defer enginePool.put(e)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(jobs) {

@@ -3,7 +3,6 @@ package netsim
 import (
 	"fmt"
 	"slices"
-	"sync"
 )
 
 // Engine is the reusable high-throughput core behind Simulate. All
@@ -26,10 +25,14 @@ import (
 // first queued request with an available flit crosses; requests
 // enqueued on the same step are ordered by message id (then hop).
 //
-// An Engine is not safe for concurrent use. The package-level Simulate
-// and SimulateBatch draw Engines from a sync.Pool, which is the
-// recommended entry point; hold a private Engine only when a single
-// goroutine runs many simulations back to back.
+// An Engine is not safe for concurrent use. Every package-level entry
+// point — Simulate, SimulateFaults, SimulateWormhole, SimulateBatch,
+// SimulateOpenLoop and all the sharded variants — borrows its Engine
+// from one pool (enginePool, an idlePool the garbage collector never
+// empties) for the run and returns it after, so whichever entry point
+// runs next finds buffers already grown by the last; hold a private
+// Engine only when a single goroutine runs many simulations back to
+// back.
 type Engine struct {
 	// Link-id numbering. The dense table path is used for the common
 	// case of small non-negative external ids (hypercube EdgeIDs are
@@ -76,27 +79,39 @@ type Engine struct {
 	kill []int32
 	down []int32
 
-	// Open-loop slot arena (SimulateOpenLoop). Messages are numbered as
-	// route *templates*; each injected arrival occupies a slot whose
-	// position range is recycled through a per-template free list, so
-	// state is proportional to the in-flight window, not the injected
-	// total. These arrays grow by append (the generic grow() does not
-	// preserve contents) and are truncated, not cleared, between runs.
-	olSlotTmpl []int32   // slot → template index
-	olSlotOff  []int32   // slot → first position in the ol arrays
-	olSlotMsg  []int32   // slot → trace message id (-1 when free)
-	olSlotArr  []int     // slot → arrival step of the current occupant
-	olSlotFl   []int     // slot → flits (fixed per template)
-	olSlotDead []bool    // slot → killed this step, freed at step end
-	olFree     [][]int32 // template → free slot ids
-	olKilled   []int32   // per-step batch of slots killed by faults
-	olRoute    []int32   // position → dense link id (copied from template)
-	olPosSlot  []int32   // position → owning slot
-	olArrived  []int     // per-position state, as in the closed-loop arrays
+	// Open-loop slot arena (SimulateOpenLoop and its sharded form).
+	// Messages are numbered as route *templates*; each injected arrival
+	// occupies a slot whose position range is recycled through its
+	// template's free stack, so state is proportional to the in-flight
+	// window, not the injected total. The free stacks are intrusive:
+	// olFreeHead holds each template's top free slot and olFreeNext
+	// links a free slot to the next one below it, so pushing and
+	// popping never allocate. The arena arrays grow by append (the
+	// generic grow() does not preserve contents) and are truncated, not
+	// cleared, between runs; olClaim and olRecycle are the only code
+	// that takes or returns a slot.
+	olSlotTmpl []int32 // slot → template index
+	olSlotOff  []int32 // slot → first position in the ol arrays
+	olSlotMsg  []int32 // slot → trace message id (-1 when free)
+	olSlotArr  []int   // slot → arrival step of the current occupant
+	olSlotFl   []int   // slot → flits (fixed per template)
+	olSlotDead []bool  // slot → killed this step, freed at step end
+	olFreeNext []int32 // slot → next free slot of its template (-1: bottom)
+	olFreeHead []int32 // template → top free slot (-1: none free)
+	olLive     int     // slots in flight
+	olInFlight int     // their total flits, for the livelock bound
+	olKilled   []int32 // per-step batch of slots killed by faults
+	olRoute    []int32 // position → dense link id (copied from template)
+	olPosSlot  []int32 // position → owning slot
+	olArrived  []int   // per-position state, as in the closed-loop arrays
 	olCrossed  []int
 	olBuffer   []int
 	olQueued   []bool
 	olQNext    []int32
+	// olKeys is the scratch of the open loop's ordering sorts: packed
+	// msg<<32 | position (or slot) keys, sorted with slices.Sort so no
+	// comparator chases the slot table.
+	olKeys []uint64
 
 	// Wormhole scratch (SimulateWormhole shares the numbering pass and
 	// the crossed array; the channel-holding state below is its own).
@@ -123,7 +138,8 @@ func NewEngine() *Engine {
 	return &Engine{sparse: make(map[int]int32)}
 }
 
-var enginePool = sync.Pool{New: func() any { return NewEngine() }}
+// enginePool serves every entry point, the sharded runners included.
+var enginePool = idlePool[Engine]{new: NewEngine}
 
 // stepLimit bounds a legitimate run: once a message has fully crossed
 // hop j-1, its request at hop j is queued with available flits, so

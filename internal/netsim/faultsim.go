@@ -91,9 +91,9 @@ type FaultResult struct {
 // Like Simulate, this entry point borrows a pooled Engine and is safe
 // for concurrent use.
 func SimulateFaults(msgs []*Message, mode Mode, opts FaultOpts) (*FaultResult, error) {
-	e := enginePool.Get().(*Engine)
+	e := enginePool.get()
 	fr, err := e.SimulateFaults(msgs, mode, opts)
-	enginePool.Put(e)
+	enginePool.put(e)
 	return fr, err
 }
 

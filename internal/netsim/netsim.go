@@ -22,9 +22,12 @@
 //
 // The simulation core is a dense, worklist-driven Engine: a numbering
 // pass gives links contiguous ids, per-link FIFOs live in flat reusable
-// slices, and each step touches only links that can move a flit.
-// Simulate draws Engines from a sync.Pool; SimulateBatch fans
-// independent simulations out across GOMAXPROCS workers. The original
+// slices, and each step touches only links that can move a flit. Every
+// entry point — closed-loop, open-loop, wormhole, and their sharded
+// forms — borrows its Engine from one pool that the garbage collector
+// never empties, so a warm Engine's buffers serve whichever simulation
+// runs next; SimulateBatch fans independent simulations out across
+// GOMAXPROCS workers. The original
 // map-scanning simulator is retained as SimulateReference — the golden
 // model for equivalence tests and old-vs-new benchmarks.
 package netsim
@@ -92,9 +95,9 @@ type Result struct {
 // Simulate is safe for concurrent use: each call borrows a pooled
 // Engine, so scratch buffers are reused across calls without locking.
 func Simulate(msgs []*Message, mode Mode) (*Result, error) {
-	e := enginePool.Get().(*Engine)
+	e := enginePool.get()
 	res, err := e.Simulate(msgs, mode)
-	enginePool.Put(e)
+	enginePool.put(e)
 	return res, err
 }
 

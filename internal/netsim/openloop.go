@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 )
@@ -17,11 +16,18 @@ import (
 //     route, so a run injecting millions of messages pays the
 //     numbering pass once.
 //   - Message state lives in a slot arena recycled through
-//     per-template free lists: a delivered (or killed) message's
-//     position range is reset and reused by a later arrival, so memory
-//     is proportional to the peak in-flight window
-//     (OpenLoopResult.MaxInFlight), never the injected total, and a
-//     warm engine allocates nothing per message.
+//     per-template free stacks: a delivered (or killed) message's
+//     position range is reset and reused by a later arrival of the same
+//     template, so memory is proportional to the peak in-flight window
+//     (OpenLoopResult.MaxInFlight), never the injected total. The
+//     stacks are intrusive (a head per template, a next link per slot),
+//     so neither a message nor a template costs an allocation: a warm
+//     engine allocates nothing per run beyond its result, and a cold
+//     one only grows the arena arrays.
+//   - Same-step FIFO ties are ordered by sorting msg<<32 | position
+//     keys as plain integers. A slot's positions ascend with hop, so
+//     this is the (message id, hop) order whatever slots recycling has
+//     handed out; raw positions would not be.
 //   - A leap-step clock: whenever the network drains (no live
 //     messages), the clock jumps directly to the next arrival's step
 //     instead of iterating empty steps. In the synchronous model an
@@ -211,9 +217,9 @@ type OpenLoopResult struct {
 // OpenLoopOpts and the file comment for the contract. Like Simulate,
 // it is safe for concurrent use.
 func SimulateOpenLoop(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts) (*OpenLoopResult, error) {
-	e := enginePool.Get().(*Engine)
+	e := enginePool.get()
 	olr, err := e.SimulateOpenLoop(tmpls, src, opts)
-	enginePool.Put(e)
+	enginePool.put(e)
 	return olr, err
 }
 
@@ -260,8 +266,6 @@ func (e *Engine) SimulateOpenLoop(tmpls []*Message, src ArrivalSource, opts Open
 		e.probe = oldProbe
 	}()
 
-	live := 0     // slots currently in flight
-	inFlight := 0 // their total flits, for the livelock bound
 	nextMsg := int32(0)
 	lastStep := 0 // step of the last successful pull, for re-poll checks
 	pending, havePending := src.Next()
@@ -303,29 +307,8 @@ func (e *Engine) SimulateOpenLoop(tmpls []*Message, src ArrivalSource, opts Open
 			}
 			return -1, nil
 		}
-		var s int32
-		if fl := e.olFree[t]; len(fl) > 0 {
-			s = fl[len(fl)-1]
-			e.olFree[t] = fl[:len(fl)-1]
-			base, end := e.olSpan(s)
-			for p := base; p < end; p++ {
-				e.olArrived[p] = 0
-				e.olCrossed[p] = 0
-				e.olBuffer[p] = 0
-				e.olQueued[p] = false
-			}
-		} else {
-			s = e.olNewSlot(t, flits)
-		}
-		e.olSlotMsg[s] = msg
-		e.olSlotArr[s] = step
-		base := e.olSlotOff[s]
-		e.olArrived[base] = flits
-		live++
-		inFlight += flits
-		if live > olr.MaxInFlight {
-			olr.MaxInFlight = live
-		}
+		base := e.olClaim(t, msg, flits, step)
+		olr.MaxInFlight = max(olr.MaxInFlight, e.olLive)
 		return base, nil
 	}
 
@@ -364,29 +347,10 @@ func (e *Engine) SimulateOpenLoop(tmpls []*Message, src ArrivalSource, opts Open
 		return nil
 	}
 
-	// posCmp orders an enqueue batch by (message id, hop) — the
-	// documented FIFO tie-break. Closed-loop paths get this for free by
-	// sorting raw positions; with recycled slots position order is
-	// arrival-history-dependent, so the batch is sorted through the
-	// slot table instead.
-	posCmp := func(a, b int32) int {
-		sa, sb := e.olPosSlot[a], e.olPosSlot[b]
-		if ma, mb := e.olSlotMsg[sa], e.olSlotMsg[sb]; ma != mb {
-			if ma < mb {
-				return -1
-			}
-			return 1
-		}
-		if ha, hb := a-e.olSlotOff[sa], b-e.olSlotOff[sb]; ha < hb {
-			return -1
-		}
-		return 1
-	}
-
 	step := 0
 	lastProgress := 0
 	for {
-		if live == 0 {
+		if e.olLive == 0 {
 			if err := repoll(); err != nil {
 				return nil, err
 			}
@@ -405,23 +369,18 @@ func (e *Engine) SimulateOpenLoop(tmpls []*Message, src ArrivalSource, opts Open
 			}
 			// Leap landing: inject everything due now. Bases enqueue in
 			// trace order, which is (message id, hop=0) order already.
-			enq := e.enq[:0]
 			for havePending && pending.Step == step {
 				base, err := inject(step)
 				if err != nil {
 					return nil, err
 				}
 				if base >= 0 {
-					enq = append(enq, base)
+					e.olEnqueue(base)
 				}
 				if pending, havePending, err = advance(); err != nil {
 					return nil, err
 				}
 			}
-			for _, p := range enq {
-				e.olEnqueue(p)
-			}
-			e.enq = enq
 			lastProgress = step
 			continue
 		}
@@ -432,26 +391,15 @@ func (e *Engine) SimulateOpenLoop(tmpls []*Message, src ArrivalSource, opts Open
 			// Sweep in ascending message id order — the canonical
 			// failure order shared with the sharded engine and the
 			// reference model (slot order is arrival-history-dependent).
-			sweep := e.kill[:0]
-			for s := range e.olSlotMsg {
-				if e.olSlotMsg[s] >= 0 {
-					sweep = append(sweep, int32(s))
-				}
-			}
-			slices.SortFunc(sweep, func(a, b int32) int {
-				return cmp.Compare(e.olSlotMsg[a], e.olSlotMsg[b])
-			})
-			for _, s := range sweep {
+			for _, k := range e.olLiveKeys() {
+				s := int32(uint32(k))
 				e.olFailSlot(s, opts.StepLimit, -1, &opts, olr)
-				e.olSlotDead[s] = false
-				e.olSlotMsg[s] = -1
+				e.olRecycle(s)
 			}
-			e.kill = sweep[:0]
-			live, inFlight = 0, 0
 			break
 		}
 		if !graceful {
-			slack := stepLimit(inFlight, maxRoute, live)
+			slack := stepLimit(e.olInFlight, maxRoute, e.olLive)
 			if h := horizon - lastProgress; h > 0 {
 				slack += h
 			}
@@ -538,8 +486,11 @@ func (e *Engine) SimulateOpenLoop(tmpls []*Message, src ArrivalSource, opts Open
 			killed = len(e.olKilled) > 0
 		}
 		e.down = down
-		// Arrival phase.
-		enq := e.enq[:0]
+		// Arrival phase. New requests are collected as msg<<32 | position
+		// keys: a slot's positions ascend with hop, so ascending keys are
+		// the documented (message id, hop) FIFO tie-break, whatever slots
+		// recycling has handed out.
+		keys := e.olKeys[:0]
 		for _, p := range arr {
 			s := e.olPosSlot[p]
 			if e.olSlotDead[s] {
@@ -566,11 +517,8 @@ func (e *Engine) SimulateOpenLoop(tmpls []*Message, src ArrivalSource, opts Open
 					// Recycle. Safe immediately: a message delivering at
 					// this step moved no other flit this step (all its
 					// upstream hops finished on earlier steps), so no
-					// other arr entry or enq candidate can reach s.
-					live--
-					inFlight -= flits
-					e.olSlotMsg[s] = -1
-					e.olFree[e.olSlotTmpl[s]] = append(e.olFree[e.olSlotTmpl[s]], s)
+					// other arr entry or enqueue key can reach s.
+					e.olRecycle(s)
 				}
 				continue
 			}
@@ -590,23 +538,26 @@ func (e *Engine) SimulateOpenLoop(tmpls []*Message, src ArrivalSource, opts Open
 				}
 			}
 			if !e.olQueued[next] && e.olArrived[next] > 0 {
-				enq = append(enq, next)
+				keys = append(keys, uint64(msg)<<32|uint64(next))
 			}
 		}
+		slices.Sort(keys)
+		for _, k := range keys {
+			e.olEnqueue(int32(uint32(k)))
+		}
+		e.olKeys = keys
 		// Recycle slots killed this step (after the arrival phase so
 		// their dead flags were visible to it; before injections so a
 		// same-step arrival can reuse them).
 		for _, s := range e.olKilled {
-			e.olSlotDead[s] = false
-			live--
-			inFlight -= e.olSlotFl[s]
-			e.olSlotMsg[s] = -1
-			e.olFree[e.olSlotTmpl[s]] = append(e.olFree[e.olSlotTmpl[s]], s)
+			e.olRecycle(s)
 		}
 		e.olKilled = e.olKilled[:0]
-		// Injections due this step join the enqueue batch. A listener
-		// reacting to this step's kills may have scheduled reroutes, so
-		// re-check an exhausted source first.
+		// Injections due this step enqueue after the arrival phase's
+		// requests, in id order: their ids exceed every in-flight id, so
+		// this is the (message id, hop) order too. A listener reacting to
+		// this step's kills may have scheduled reroutes, so re-check an
+		// exhausted source first.
 		if err := repoll(); err != nil {
 			return nil, err
 		}
@@ -617,18 +568,13 @@ func (e *Engine) SimulateOpenLoop(tmpls []*Message, src ArrivalSource, opts Open
 				return nil, err
 			}
 			if base >= 0 {
-				enq = append(enq, base)
+				e.olEnqueue(base)
 			}
 			injected = true
 			if pending, havePending, err = advance(); err != nil {
 				return nil, err
 			}
 		}
-		slices.SortFunc(enq, posCmp)
-		for _, p := range enq {
-			e.olEnqueue(p)
-		}
-		e.enq = enq
 		e.arrivals = arr
 		e.scratch = cur[:0]
 		if e.probe != nil {
@@ -647,8 +593,8 @@ func (e *Engine) SimulateOpenLoop(tmpls []*Message, src ArrivalSource, opts Open
 }
 
 // olReset resets the slot arena for a run over ntmpl templates:
-// truncate (capacity survives across runs) and empty the per-template
-// free lists. Shared by the single-shard and sharded open-loop paths.
+// truncate (capacity survives across runs) and empty every template's
+// free stack. Shared by the single-shard and sharded open-loop paths.
 func (e *Engine) olReset(ntmpl int) {
 	e.olSlotTmpl = e.olSlotTmpl[:0]
 	e.olSlotOff = e.olSlotOff[:0]
@@ -656,6 +602,7 @@ func (e *Engine) olReset(ntmpl int) {
 	e.olSlotArr = e.olSlotArr[:0]
 	e.olSlotFl = e.olSlotFl[:0]
 	e.olSlotDead = e.olSlotDead[:0]
+	e.olFreeNext = e.olFreeNext[:0]
 	e.olKilled = e.olKilled[:0]
 	e.olRoute = e.olRoute[:0]
 	e.olPosSlot = e.olPosSlot[:0]
@@ -664,13 +611,68 @@ func (e *Engine) olReset(ntmpl int) {
 	e.olBuffer = e.olBuffer[:0]
 	e.olQueued = e.olQueued[:0]
 	e.olQNext = e.olQNext[:0]
-	if cap(e.olFree) < ntmpl {
-		e.olFree = append(e.olFree[:cap(e.olFree)], make([][]int32, ntmpl-cap(e.olFree))...)
+	e.olFreeHead = grow(e.olFreeHead, ntmpl)
+	for t := range e.olFreeHead {
+		e.olFreeHead[t] = -1
 	}
-	e.olFree = e.olFree[:ntmpl]
-	for i := range e.olFree {
-		e.olFree[i] = e.olFree[i][:0]
+	e.olLive, e.olInFlight = 0, 0
+}
+
+// olClaim puts message msg, arriving at step with the given flits, on
+// a slot of template t — the top of t's free stack, its per-position
+// state reset, or a fresh slot when the stack is empty — loads the
+// flits at its first hop and returns the base position to enqueue.
+// Popping the top reuses slots in LIFO order.
+func (e *Engine) olClaim(t, msg int32, flits, step int) int32 {
+	s := e.olFreeHead[t]
+	if s >= 0 {
+		e.olFreeHead[t] = e.olFreeNext[s]
+		base, end := e.olSpan(s)
+		for p := base; p < end; p++ {
+			e.olArrived[p] = 0
+			e.olCrossed[p] = 0
+			e.olBuffer[p] = 0
+			e.olQueued[p] = false
+		}
+	} else {
+		s = e.olNewSlot(t, flits)
 	}
+	e.olSlotMsg[s] = msg
+	e.olSlotArr[s] = step
+	base := e.olSlotOff[s]
+	e.olArrived[base] = flits
+	e.olLive++
+	e.olInFlight += flits
+	return base
+}
+
+// olRecycle frees slot s — delivered, killed (once the arrival phase
+// has seen its dead flag), or swept at a StepLimit — and pushes it on
+// its template's free stack.
+func (e *Engine) olRecycle(s int32) {
+	e.olSlotDead[s] = false
+	e.olSlotMsg[s] = -1
+	e.olLive--
+	e.olInFlight -= e.olSlotFl[s]
+	t := e.olSlotTmpl[s]
+	e.olFreeNext[s] = e.olFreeHead[t]
+	e.olFreeHead[t] = s
+}
+
+// olLiveKeys returns every live slot s as a msg<<32 | s key, ascending:
+// the StepLimit sweep's canonical message-id order, shared with the
+// sharded engine and the reference model (slot order is
+// arrival-history-dependent). The slice is the engine's olKeys scratch.
+func (e *Engine) olLiveKeys() []uint64 {
+	keys := e.olKeys[:0]
+	for s, msg := range e.olSlotMsg {
+		if msg >= 0 {
+			keys = append(keys, uint64(msg)<<32|uint64(s))
+		}
+	}
+	slices.Sort(keys)
+	e.olKeys = keys
+	return keys
 }
 
 // olSpan returns slot s's position range [base, end) in the arena.
@@ -692,6 +694,7 @@ func (e *Engine) olNewSlot(t int32, flits int) int32 {
 	e.olSlotArr = append(e.olSlotArr, 0)
 	e.olSlotFl = append(e.olSlotFl, flits)
 	e.olSlotDead = append(e.olSlotDead, false)
+	e.olFreeNext = append(e.olFreeNext, -1)
 	e.olRoute = append(e.olRoute, e.route[e.off[t]:e.off[t+1]]...)
 	for range e.olRoute[base:] {
 		e.olPosSlot = append(e.olPosSlot, s)

@@ -30,14 +30,21 @@ import (
 //     In the synchronous model an active network moves a flit every
 //     step, so global quiescence is exactly the single-shard leap
 //     condition.
-//   - Slot recycling: the arena stays a single Engine-owned structure;
-//     slots are allocated (injection) and recycled (delivery, kill,
-//     timeout) only inside barrier actions, so the per-template free
-//     lists need no synchronization and a warm run allocates nothing
-//     per message. Slot identity is unobservable — FIFO tie-breaks and
-//     all reported events are in message-id terms — so a single global
-//     arena is bit-identity-safe even though the single-shard engine
-//     recycles in a different within-step order.
+//   - Slot recycling: the arena stays a single Engine-owned structure,
+//     the same one the single-shard path uses (olClaim, olRecycle);
+//     slots are claimed (injection) and recycled (delivery, kill,
+//     timeout) only inside barrier actions, so the intrusive
+//     per-template free stacks need no synchronization and a warm run
+//     allocates nothing per message. Slot identity is unobservable —
+//     FIFO tie-breaks sort msg<<32 | position keys, deliveries fold in
+//     msg<<32 | slot key order, and all reported events are in
+//     message-id terms — so a single global arena is bit-identity-safe
+//     even though the single-shard engine recycles in a different
+//     within-step order.
+//
+// The Engine itself is borrowed from enginePool for the run, the pool
+// behind every other entry point, so a sharded run reuses an arena a
+// single-shard run already grew (and vice versa).
 //
 // Canonical merge order: within a step the barrier flushes probe moves
 // sorted by (link, message), then buffered kill events in the
@@ -49,12 +56,13 @@ import (
 // (single-shard order is worklist-dependent), which the equivalence
 // suite checks with order-insensitive stream comparisons.
 
-// olSharded bundles an Engine (template numbering and the slot arena)
-// with the partition, barrier, arrival stream, and per-shard states of
-// one open-loop run. Everything below the barrier is written only
-// during setup or inside barrier actions.
+// olSharded holds the partition, barrier, arrival stream, and
+// per-shard states of one open-loop run, and the Engine (template
+// numbering and the slot arena) it borrows for that run. Everything
+// below the barrier is written only during setup or inside barrier
+// actions.
 type olSharded struct {
-	e      *Engine
+	e      *Engine // lent by the entry point for one run
 	bar    stepBarrier
 	states []*shardState
 	owner  []uint8
@@ -73,8 +81,6 @@ type olSharded struct {
 
 	step         int
 	lastProgress int
-	live         int // slots currently in flight
-	inFlight     int // their total flits, for the livelock bound
 	nextMsg      int32
 	lastStep     int // step of the last successful pull, for re-poll checks
 	movedPrev    int // Σ st.moved at the previous step end
@@ -86,11 +92,24 @@ type olSharded struct {
 	killEv  []killEvent
 	mvBuf   []uint64
 	arBuf   []uint64
-	doneBuf []int32
-	sweep   []int32
+	doneBuf []uint64
 }
 
-var olShardedPool = sync.Pool{New: func() any { return &olSharded{e: NewEngine()} }}
+var olShardedPool = idlePool[olSharded]{new: func() *olSharded { return new(olSharded) }}
+
+// getOLSharded takes a runner from olShardedPool and lends it an
+// Engine from enginePool for one run; release returns both.
+func getOLSharded() *olSharded {
+	sh := olShardedPool.get()
+	sh.e = enginePool.get()
+	return sh
+}
+
+func (sh *olSharded) release() {
+	enginePool.put(sh.e)
+	sh.e = nil
+	olShardedPool.put(sh)
+}
 
 // SimulateOpenLoopSharded is SimulateOpenLoop partitioned across
 // shards worker goroutines: whole-cube steady-state runs at
@@ -107,9 +126,9 @@ func SimulateOpenLoopSharded(tmpls []*Message, src ArrivalSource, opts OpenLoopO
 	if shards <= 1 {
 		return SimulateOpenLoop(tmpls, src, opts)
 	}
-	sh := olShardedPool.Get().(*olSharded)
+	sh := getOLSharded()
 	olr, _, err := sh.run(tmpls, src, opts, shards, false)
-	olShardedPool.Put(sh)
+	sh.release()
 	return olr, err
 }
 
@@ -121,9 +140,9 @@ func SimulateOpenLoopShardedStats(tmpls []*Message, src ArrivalSource, opts Open
 	if shards < 0 {
 		return nil, nil, fmt.Errorf("netsim: negative shard count %d", shards)
 	}
-	sh := olShardedPool.Get().(*olSharded)
+	sh := getOLSharded()
 	olr, stats, err := sh.run(tmpls, src, opts, shards, true)
-	olShardedPool.Put(sh)
+	sh.release()
 	return olr, stats, err
 }
 
@@ -140,7 +159,7 @@ func (sh *olSharded) run(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts,
 	links := shape.links
 
 	// Fewer than two links cannot be partitioned; fall back to the
-	// single-shard path on this run's private engine.
+	// single-shard path on the borrowed engine.
 	if s := int(links); shards > s {
 		shards = s
 	}
@@ -189,11 +208,11 @@ func (sh *olSharded) run(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts,
 		st.work = st.work[:0]
 		st.scratch = st.scratch[:0]
 		st.arr = st.arr[:0]
-		st.enq = st.enq[:0]
+		st.enqKey = st.enqKey[:0]
 		st.down = st.down[:0]
 		st.pbMove = st.pbMove[:0]
 		st.pbArrv = st.pbArrv[:0]
-		st.doneSlots = st.doneSlots[:0]
+		st.done = st.done[:0]
 		st.moved, st.maxQ, st.deliveredStep = 0, 0, 0
 		st.injected, st.dropped, st.boundary = 0, 0, 0
 		for len(st.out) < shards {
@@ -218,8 +237,6 @@ func (sh *olSharded) run(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts,
 	sh.wantStats = wantStats
 	sh.step = 0
 	sh.lastProgress = 0
-	sh.live = 0
-	sh.inFlight = 0
 	sh.nextMsg = 0
 	sh.movedPrev = 0
 	sh.done = false
@@ -302,7 +319,7 @@ func (sh *olSharded) reset() {
 
 // runSingle handles runs whose link count (or requested shard count)
 // collapses to one shard: delegate to the single-shard open-loop path
-// on this run's private engine.
+// on the borrowed engine.
 func (sh *olSharded) runSingle(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts, wantStats bool) (*OpenLoopResult, []ShardStat, error) {
 	olr, err := sh.e.SimulateOpenLoop(tmpls, src, opts)
 	if err != nil {
@@ -338,7 +355,7 @@ func (sh *olSharded) fail(err error) {
 // or the next arrival lies beyond a graceful StepLimit. Runs
 // single-threaded (setup or a barrier action).
 func (sh *olSharded) advanceIdle() {
-	for sh.live == 0 && !sh.done {
+	for sh.e.olLive == 0 && !sh.done {
 		sh.repoll()
 		if sh.err != nil {
 			return
@@ -372,12 +389,11 @@ func (sh *olSharded) beginStep() {
 	if sh.graceful && sh.step > sh.opts.StepLimit {
 		sh.olr.TimedOut = true
 		sh.timeoutSweep()
-		sh.live, sh.inFlight = 0, 0
 		sh.done = true
 		return
 	}
 	if !sh.graceful {
-		slack := stepLimit(sh.inFlight, sh.maxRoute, sh.live)
+		slack := stepLimit(sh.e.olInFlight, sh.maxRoute, sh.e.olLive)
 		if h := sh.horizon - sh.lastProgress; h > 0 {
 			slack += h
 		}
@@ -394,21 +410,11 @@ func (sh *olSharded) beginStep() {
 func (sh *olSharded) timeoutSweep() {
 	e := sh.e
 	limit := sh.opts.StepLimit
-	sw := sh.sweep[:0]
-	for s := range e.olSlotMsg {
-		if e.olSlotMsg[s] >= 0 {
-			sw = append(sw, int32(s))
-		}
-	}
-	slices.SortFunc(sw, func(a, b int32) int {
-		return int(e.olSlotMsg[a] - e.olSlotMsg[b])
-	})
-	for _, s := range sw {
+	for _, k := range e.olLiveKeys() {
+		s := int32(uint32(k))
 		sh.olFailSlotSharded(s, limit, -1)
-		e.olSlotDead[s] = false
-		e.olSlotMsg[s] = -1
+		e.olRecycle(s)
 	}
-	sh.sweep = sw
 	if sh.opts.Probe != nil {
 		for _, ev := range sh.killEv {
 			sh.opts.Probe.FlitsDropped(limit, ev.msg, ev.dropped)
@@ -471,9 +477,8 @@ func (sh *olSharded) repoll() {
 
 // injectPending places the pending arrival at the current step:
 // empty-route templates deliver on the spot; everything else claims a
-// slot (recycled from the template's free list when possible) and
-// enqueues its base position on the owning shard. Mirrors the
-// single-shard inject closure. Runs single-threaded.
+// slot (olClaim) and enqueues its base position on the owning shard.
+// Mirrors the single-shard inject closure. Runs single-threaded.
 func (sh *olSharded) injectPending() bool {
 	e := sh.e
 	a := sh.pending
@@ -512,55 +517,19 @@ func (sh *olSharded) injectPending() bool {
 		}
 		return true
 	}
-	var s int32
-	if fl := e.olFree[t]; len(fl) > 0 {
-		s = fl[len(fl)-1]
-		e.olFree[t] = fl[:len(fl)-1]
-		base, end := e.olSpan(s)
-		for p := base; p < end; p++ {
-			e.olArrived[p] = 0
-			e.olCrossed[p] = 0
-			e.olBuffer[p] = 0
-			e.olQueued[p] = false
-		}
-	} else {
-		s = e.olNewSlot(t, flits)
-	}
-	e.olSlotMsg[s] = msg
-	e.olSlotArr[s] = step
-	base := e.olSlotOff[s]
-	e.olArrived[base] = flits
-	sh.live++
-	sh.inFlight += flits
-	if sh.live > olr.MaxInFlight {
-		olr.MaxInFlight = sh.live
-	}
+	base := e.olClaim(t, msg, flits, step)
+	olr.MaxInFlight = max(olr.MaxInFlight, e.olLive)
 	sh.olEnqueueShard(sh.states[sh.owner[e.olRoute[base]]], base)
 	return true
 }
 
 // worker is the per-shard step loop, structurally identical to the
-// closed-loop sharded worker. The posCmp closure is built once per
-// worker (not per step) so the steady state allocates nothing.
+// closed-loop sharded worker.
 func (sh *olSharded) worker(k int) {
-	e := sh.e
-	posCmp := func(a, b int32) int {
-		sa, sb := e.olPosSlot[a], e.olPosSlot[b]
-		if ma, mb := e.olSlotMsg[sa], e.olSlotMsg[sb]; ma != mb {
-			if ma < mb {
-				return -1
-			}
-			return 1
-		}
-		if ha, hb := a-e.olSlotOff[sa], b-e.olSlotOff[sb]; ha < hb {
-			return -1
-		}
-		return 1
-	}
 	for {
 		sh.transfer(k)
 		sh.bar.wait(sh.killAction)
-		sh.arrive(k, posCmp)
+		sh.arrive(k)
 		sh.bar.wait(sh.stepEndAction)
 		if sh.done {
 			return
@@ -736,13 +705,13 @@ func (sh *olSharded) olFailSlotSharded(s int32, step, blame int) bool {
 
 // arrive drains this shard's local arrivals, then every peer's ring
 // and spill batch destined here, applying the single-shard arrival
-// rules over the arena arrays. Same-step enqueues sort by (message id,
-// hop) through the slot table — recycled slots make raw position order
-// history-dependent — which equals the single-shard posCmp sort
+// rules over the arena arrays. Same-step enqueues sort by their
+// msg<<32 | position keys — (message id, hop) order, since a slot's
+// positions ascend with hop — which equals the single-shard key sort
 // restricted to this shard's links.
-func (sh *olSharded) arrive(k int, posCmp func(a, b int32) int) {
+func (sh *olSharded) arrive(k int) {
 	st := sh.states[k]
-	st.enq = st.enq[:0]
+	st.enqKey = st.enqKey[:0]
 	for _, p := range st.arr {
 		sh.process(st, p)
 	}
@@ -762,16 +731,16 @@ func (sh *olSharded) arrive(k int, posCmp func(a, b int32) int) {
 			sh.process(st, p)
 		}
 	}
-	slices.SortFunc(st.enq, posCmp)
-	for _, p := range st.enq {
-		sh.olEnqueueShard(st, p)
+	slices.Sort(st.enqKey)
+	for _, k := range st.enqKey {
+		sh.olEnqueueShard(st, int32(uint32(k)))
 	}
 }
 
 // process applies one arrived flit: delivery bookkeeping on the final
-// hop (completed slots are buffered for the step-end barrier, which
-// folds them in message order), otherwise buffering/credits at the
-// next hop, which this shard owns.
+// hop (completed slots are buffered as msg<<32 | slot keys for the
+// step-end barrier, which folds them in message order), otherwise
+// buffering/credits at the next hop, which this shard owns.
 func (sh *olSharded) process(st *shardState, p int32) {
 	e := sh.e
 	s := e.olPosSlot[p]
@@ -779,18 +748,19 @@ func (sh *olSharded) process(st *shardState, p int32) {
 		return // killed this step: crossing counted, arrival absorbed
 	}
 	flits := e.olSlotFl[s]
+	msg := e.olSlotMsg[s]
 	next := p + 1
 	if _, end := e.olSpan(s); next == end {
 		done := e.olCrossed[p] == flits
 		if sh.opts.Probe != nil {
-			v := uint64(uint32(e.olSlotMsg[s])) << 1
+			v := uint64(msg) << 1
 			if done {
 				v |= 1
 			}
 			st.pbArrv = append(st.pbArrv, v)
 		}
 		if done {
-			st.doneSlots = append(st.doneSlots, s)
+			st.done = append(st.done, uint64(msg)<<32|uint64(s))
 		}
 		return
 	}
@@ -810,7 +780,7 @@ func (sh *olSharded) process(st *shardState, p int32) {
 		}
 	}
 	if !e.olQueued[next] && e.olArrived[next] > 0 {
-		st.enq = append(st.enq, next)
+		st.enqKey = append(st.enqKey, uint64(msg)<<32|uint64(next))
 	}
 }
 
@@ -879,15 +849,13 @@ func (sh *olSharded) stepEndAction() {
 		sh.killEv = sh.killEv[:0]
 	}
 	// Deliveries in message-id order: fold the shards' completed-slot
-	// batches, emit FlitDelivered/MsgDone, observe latencies, recycle.
+	// keys, emit FlitDelivered/MsgDone, observe latencies, recycle.
 	db := sh.doneBuf[:0]
 	for _, st := range sh.states[:sh.bar.n] {
-		db = append(db, st.doneSlots...)
-		st.doneSlots = st.doneSlots[:0]
+		db = append(db, st.done...)
+		st.done = st.done[:0]
 	}
-	slices.SortFunc(db, func(a, b int32) int {
-		return int(e.olSlotMsg[a] - e.olSlotMsg[b])
-	})
+	slices.Sort(db)
 	if probe != nil {
 		ar := sh.arBuf[:0]
 		for _, st := range sh.states[:sh.bar.n] {
@@ -904,8 +872,8 @@ func (sh *olSharded) stepEndAction() {
 		}
 		sh.arBuf = ar
 	}
-	for _, s := range db {
-		msg := e.olSlotMsg[s]
+	for _, k := range db {
+		s, msg := int32(uint32(k)), int32(k>>32)
 		olr.DeliveredMsgs++
 		if sh.opts.Sink != nil && e.olSlotArr[s] >= sh.opts.MeasureAfter {
 			sh.opts.Sink.Observe(step - e.olSlotArr[s])
@@ -913,10 +881,7 @@ func (sh *olSharded) stepEndAction() {
 		if sh.opts.PerMessage != nil {
 			sh.opts.PerMessage(msg, e.olSlotArr[s], step, true)
 		}
-		sh.live--
-		sh.inFlight -= e.olSlotFl[s]
-		e.olSlotMsg[s] = -1
-		e.olFree[e.olSlotTmpl[s]] = append(e.olFree[e.olSlotTmpl[s]], s)
+		e.olRecycle(s)
 	}
 	sh.doneBuf = db
 	// Recycle slots killed this step (their dead flags were visible to
@@ -924,17 +889,13 @@ func (sh *olSharded) stepEndAction() {
 	// reuse them).
 	killed := len(e.olKilled) > 0
 	for _, s := range e.olKilled {
-		e.olSlotDead[s] = false
-		sh.live--
-		sh.inFlight -= e.olSlotFl[s]
-		e.olSlotMsg[s] = -1
-		e.olFree[e.olSlotTmpl[s]] = append(e.olFree[e.olSlotTmpl[s]], s)
+		e.olRecycle(s)
 	}
 	e.olKilled = e.olKilled[:0]
 	// Injections due this step enqueue after the arrival phase's
 	// (message id, hop)-sorted enqueues; injected ids exceed every
 	// in-flight id, so per-link FIFO order matches the single-shard
-	// global sort.
+	// engine, which enqueues them after its sorted keys the same way.
 	injected := sh.injectDue()
 	if sh.err != nil {
 		return
@@ -946,7 +907,7 @@ func (sh *olSharded) stepEndAction() {
 		sh.lastProgress = step
 	}
 	sh.movedPrev = movedNow
-	if sh.live == 0 {
+	if e.olLive == 0 {
 		sh.advanceIdle()
 		if sh.done {
 			return

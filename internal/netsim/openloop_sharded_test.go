@@ -397,3 +397,16 @@ func TestOpenLoopShardedAllocs(t *testing.T) {
 	}
 	t.Logf("warm sharded run: %.0f allocs for %d messages (%.5f per message)", allocs, n, allocs/n)
 }
+
+// TestOpenLoopShardedColdAllocs is TestOpenLoopColdAllocs for an
+// olSharded runner on a fresh engine: the sharded path claims and
+// recycles slots through the same free stacks.
+func TestOpenLoopShardedColdAllocs(t *testing.T) {
+	checkColdAllocs(t, func() func([]*Message, *Trace) error {
+		sh := &olSharded{e: NewEngine()}
+		return func(tmpls []*Message, tr *Trace) error {
+			_, _, err := sh.run(tmpls, tr.Source(), OpenLoopOpts{Mode: CutThrough}, 3, false)
+			return err
+		}
+	})
+}

@@ -1,8 +1,10 @@
 package netsim
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -525,4 +527,160 @@ func TestOpenLoopAllocs(t *testing.T) {
 			n, allocs, allocs/n)
 	}
 	t.Logf("warm run: %.0f allocs for %d messages (%.5f per message)", allocs, n, allocs/n)
+}
+
+// coldWorkload is n three-hop templates, consecutive pairs sharing
+// their middle link, and a trace that injects each template twice, n/16
+// steps apart — long enough for the first message to deliver, so the
+// second reuses its slot and the arena ends at one slot per template.
+func coldWorkload(n int) ([]*Message, *Trace) {
+	tmpls := make([]*Message, n)
+	for i := range tmpls {
+		tmpls[i] = &Message{Route: []int{i, n + i/2, 2*n + i}, Flits: 2}
+	}
+	tr := &Trace{}
+	for i := 0; i < 2*n; i++ {
+		tr.Arrivals = append(tr.Arrivals, Arrival{Step: i / 16, Tmpl: int32(i % n)})
+	}
+	return tmpls, tr
+}
+
+// coldGrowthAllocs bounds how many more allocations a fresh engine's
+// first run over 4096 templates may make than its first run over 256:
+// the arena's fourteen arrays each grow a few more times by append
+// (about 100 allocations in all), where a free list per template would
+// add one allocation per template used (about 3,900).
+const coldGrowthAllocs = 128
+
+// lastRunAllocs counts the allocations of the last of a sequence of
+// open-loop runs, over coldWorkload(n) for each n in sizes, made by one
+// runner fresh from newRunner. Like testing.AllocsPerRun it holds
+// GOMAXPROCS at 1; another goroutine can still allocate mid-count now
+// and then, which only ever adds, so the count is the least of three
+// sequences.
+func lastRunAllocs(t *testing.T, newRunner func() func([]*Message, *Trace) error, sizes ...int) uint64 {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		run := newRunner()
+		var ms runtime.MemStats
+		var before uint64
+		for _, n := range sizes {
+			tmpls, tr := coldWorkload(n)
+			runtime.ReadMemStats(&ms)
+			before = ms.Mallocs
+			if err := run(tmpls, tr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&ms)
+		least = min(least, ms.Mallocs-before)
+	}
+	return least
+}
+
+// checkColdAllocs pins what a warm-engine allocation test cannot see:
+// allocations that grow with the template count. A fresh engine's
+// first run pays for its buffers, but the slot arena's free stacks are
+// intrusive arrays, so 16x the templates costs only more growth steps
+// of the arena arrays, not a free list per template used. And a run
+// over many templates right after one over few finds every buffer
+// still grown: it allocates only the warm per-run constant.
+func checkColdAllocs(t *testing.T, newRunner func() func([]*Message, *Trace) error) {
+	t.Helper()
+	small := lastRunAllocs(t, newRunner, 256)
+	big := lastRunAllocs(t, newRunner, 4096)
+	t.Logf("fresh engine, first run: %d allocs over 256 templates, %d over 4096", small, big)
+	if big > small+coldGrowthAllocs {
+		t.Errorf("first run over 4096 templates allocated %d times, over 256 %d: more than %d apart",
+			big, small, coldGrowthAllocs)
+	}
+	warm := lastRunAllocs(t, newRunner, 4096, 4096)
+	again := lastRunAllocs(t, newRunner, 4096, 64, 4096)
+	t.Logf("4096-template run: %d allocs after another, %d after a 64-template run", warm, again)
+	if again > warm {
+		t.Errorf("4096-template run after a 64-template run allocated %d times, after another 4096 %d", again, warm)
+	}
+}
+
+func TestOpenLoopColdAllocs(t *testing.T) {
+	checkColdAllocs(t, func() func([]*Message, *Trace) error {
+		e := NewEngine()
+		return func(tmpls []*Message, tr *Trace) error {
+			_, err := e.SimulateOpenLoop(tmpls, tr.Source(), OpenLoopOpts{Mode: CutThrough})
+			return err
+		}
+	})
+}
+
+// TestOpenLoopRecycledSlotOrder pins the enqueue tie-break where slot
+// recycling inverts position order: message 2 reuses the slot message
+// 0 freed (positions 0–1) while message 1, injected just before it,
+// took a fresh slot (positions 2–3). Both reach the shared link B in
+// the same step, so a sort by raw position would queue message 2 ahead
+// of message 1; the (message id, hop) order queues message 1 first.
+// Template 2 crosses B twice, and messages 4 and 5 invert again on
+// recycled slots: message 4 requests B at position 5, message 5 at
+// position 1. Results and the PerMessage stream must equal the
+// reference model at 1 and 3 shards.
+func TestOpenLoopRecycledSlotOrder(t *testing.T) {
+	const A, B, C, D, E = 10, 20, 30, 40, 50
+	tmpls := []*Message{
+		{Route: []int{A, B}, Flits: 1},
+		{Route: []int{C, B}, Flits: 1},
+		{Route: []int{D, B, E, B}, Flits: 2},
+	}
+	tr := &Trace{Arrivals: []Arrival{
+		{Step: 0, Tmpl: 1},  // message 0: delivered at step 2, frees its slot
+		{Step: 3, Tmpl: 0},  // message 1: a fresh slot
+		{Step: 3, Tmpl: 1},  // message 2: message 0's slot
+		{Step: 3, Tmpl: 2},  // message 3: a fresh slot, delivered at step 10
+		{Step: 11, Tmpl: 2}, // message 4: message 3's slot
+		{Step: 11, Tmpl: 1}, // message 5: message 2's slot
+	}}
+	type perMsg struct {
+		msg           int32
+		arrival, done int
+		delivered     bool
+	}
+	run := func(shards int, sim func(OpenLoopOpts) (*OpenLoopResult, error)) (*OpenLoopResult, []perMsg) {
+		var stream []perMsg
+		res, err := sim(OpenLoopOpts{Mode: CutThrough, PerMessage: func(msg int32, arrival, done int, delivered bool) {
+			stream = append(stream, perMsg{msg, arrival, done, delivered})
+		}})
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		// Within one step the engines report completions in different
+		// (each deterministic) orders; the stream's content is the pin.
+		slices.SortFunc(stream, func(a, b perMsg) int {
+			if a.done != b.done {
+				return a.done - b.done
+			}
+			return int(a.msg - b.msg)
+		})
+		res.SkippedSteps = 0 // the reference never leaps
+		return res, stream
+	}
+	want, wantStream := run(0, func(o OpenLoopOpts) (*OpenLoopResult, error) {
+		return SimulateOpenLoopReference(tmpls, tr.Source(), o)
+	})
+	if got := wantStream[1:3]; got[0].msg != 1 || got[0].done != 5 || got[1].msg != 2 || got[1].done != 6 {
+		t.Fatalf("reference: messages 1 and 2 complete as %+v, want message 1 at step 5, then message 2 at 6", got)
+	}
+	if got := wantStream[3]; got.msg != 3 || got.done != 10 {
+		t.Fatalf("reference: message 3 completes as %+v, want step 10 (before message 4 reuses its slot)", got)
+	}
+	for _, shards := range []int{1, 3} {
+		got, stream := run(shards, func(o OpenLoopOpts) (*OpenLoopResult, error) {
+			return SimulateOpenLoopSharded(tmpls, tr.Source(), o, shards)
+		})
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("shards=%d: result %+v, reference %+v", shards, *got, *want)
+		}
+		if !reflect.DeepEqual(stream, wantStream) {
+			t.Errorf("shards=%d: PerMessage stream\n%+v\nreference\n%+v", shards, stream, wantStream)
+		}
+	}
 }

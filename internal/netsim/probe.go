@@ -74,22 +74,22 @@ func (e *Engine) SetProbe(p Probe) { e.probe = p }
 // SimulateProbed is Simulate with an observation probe attached for
 // the duration of the run. Results are bit-identical to Simulate.
 func SimulateProbed(msgs []*Message, mode Mode, p Probe) (*Result, error) {
-	e := enginePool.Get().(*Engine)
+	e := enginePool.get()
 	e.probe = p
 	res, err := e.Simulate(msgs, mode)
 	e.probe = nil
-	enginePool.Put(e)
+	enginePool.put(e)
 	return res, err
 }
 
 // SimulateWormholeProbed is SimulateWormhole with an observation probe
 // attached for the duration of the run.
 func SimulateWormholeProbed(msgs []*Message, p Probe) (*WormholeResult, error) {
-	e := enginePool.Get().(*Engine)
+	e := enginePool.get()
 	e.probe = p
 	res, err := e.simulateWormhole(msgs)
 	e.probe = nil
-	enginePool.Put(e)
+	enginePool.put(e)
 	return res, err
 }
 

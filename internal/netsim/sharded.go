@@ -97,6 +97,10 @@ type shardState struct {
 	enq     []int32 // positions to enqueue this step (own links only)
 	down    []int32 // permanently-down links found this transfer phase
 
+	// enqKey is the open loop's enq: msg<<32 | position keys, sorted
+	// as plain integers into (message id, hop) order.
+	enqKey []uint64
+
 	out   []*spscRing // boundary rings to each destination shard
 	spill [][]int32   // ring-overflow batches to each destination shard
 
@@ -106,11 +110,12 @@ type shardState struct {
 	pbMove []uint64
 	pbArrv []uint64
 
-	// doneSlots buffers the open-loop slots whose message completed on
-	// this shard's links this step; the step-end barrier folds them in
-	// message-id order (the canonical merge order for LatencySink and
-	// PerMessage) and recycles them. Unused by the closed-loop paths.
-	doneSlots []int32
+	// done buffers the open-loop slots whose message completed on this
+	// shard's links this step, as msg<<32 | slot keys; the step-end
+	// barrier sorts and folds them in message-id order (the canonical
+	// merge order for LatencySink and PerMessage) and recycles them.
+	// Unused by the closed-loop paths.
+	done []uint64
 
 	moved         int
 	maxQ          int
@@ -161,12 +166,12 @@ func (b *stepBarrier) wait(action func()) {
 	b.mu.Unlock()
 }
 
-// sharded bundles an Engine (numbering pass and flat state arrays)
-// with the partition, barrier, and per-shard states of one run. Run
-// globals below the barrier are written only during setup or inside
-// barrier actions.
+// sharded holds the partition, barrier, and per-shard states of one
+// run, and the Engine (numbering pass and flat state arrays) it
+// borrows for that run. Run globals below the barrier are written only
+// during setup or inside barrier actions.
 type sharded struct {
-	e      *Engine
+	e      *Engine // lent by the entry point for one run
 	bar    stepBarrier
 	states []*shardState
 	owner  []uint8
@@ -193,7 +198,28 @@ type sharded struct {
 	arBuf  []uint64
 }
 
-var shardedPool = sync.Pool{New: func() any { return &sharded{e: NewEngine()} }}
+// shardedPool keeps the runners — rings, worklists, owner tables — but
+// no Engine: each run borrows one from enginePool, the pool every
+// other entry point draws from, so a sharded run after a single-shard
+// one finds its buffers already grown.
+var shardedPool = idlePool[sharded]{new: func() *sharded { return new(sharded) }}
+
+// getSharded takes a runner from shardedPool and lends it an Engine
+// from enginePool for one run; release returns both, first dropping
+// the run's references to caller-owned objects so an idle runner
+// keeps none of them alive.
+func getSharded() *sharded {
+	sh := shardedPool.get()
+	sh.e = enginePool.get()
+	return sh
+}
+
+func (sh *sharded) release() {
+	enginePool.put(sh.e)
+	sh.e, sh.msgs, sh.faults, sh.res, sh.fr = nil, nil, nil, nil, nil
+	sh.probe, sh.probes, sh.err = nil, nil, nil
+	shardedPool.put(sh)
+}
 
 // SimulateSharded is Simulate partitioned across shards worker
 // goroutines. Results are bit-identical to Simulate for every shard
@@ -202,9 +228,9 @@ func SimulateSharded(msgs []*Message, mode Mode, shards int) (*Result, error) {
 	if shards <= 1 {
 		return Simulate(msgs, mode)
 	}
-	sh := shardedPool.Get().(*sharded)
+	sh := getSharded()
 	res, _, _, err := sh.run(msgs, mode, FaultOpts{}, false, nil, shards, false)
-	shardedPool.Put(sh)
+	sh.release()
 	return res, err
 }
 
@@ -216,9 +242,9 @@ func SimulateShardedProbed(msgs []*Message, mode Mode, shards int, p Probe) (*Re
 	if shards <= 1 {
 		return SimulateProbed(msgs, mode, p)
 	}
-	sh := shardedPool.Get().(*sharded)
+	sh := getSharded()
 	res, _, _, err := sh.run(msgs, mode, FaultOpts{Probe: p}, false, nil, shards, false)
-	shardedPool.Put(sh)
+	sh.release()
 	return res, err
 }
 
@@ -238,9 +264,9 @@ func SimulateShardedProbes(msgs []*Message, mode Mode, shards int, probes []Prob
 	if shards <= 1 {
 		return SimulateProbed(msgs, mode, probes[0])
 	}
-	sh := shardedPool.Get().(*sharded)
+	sh := getSharded()
 	res, _, _, err := sh.run(msgs, mode, FaultOpts{}, false, probes, shards, false)
-	shardedPool.Put(sh)
+	sh.release()
 	return res, err
 }
 
@@ -255,9 +281,9 @@ func SimulateFaultsSharded(msgs []*Message, mode Mode, opts FaultOpts, shards in
 	if shards <= 1 {
 		return SimulateFaults(msgs, mode, opts)
 	}
-	sh := shardedPool.Get().(*sharded)
+	sh := getSharded()
 	_, fr, _, err := sh.run(msgs, mode, opts, true, nil, shards, false)
-	shardedPool.Put(sh)
+	sh.release()
 	return fr, err
 }
 
@@ -267,9 +293,9 @@ func SimulateShardedStats(msgs []*Message, mode Mode, shards int) (*Result, []Sh
 	if shards <= 1 {
 		shards = 1
 	}
-	sh := shardedPool.Get().(*sharded)
+	sh := getSharded()
 	res, _, stats, err := sh.run(msgs, mode, FaultOpts{}, false, nil, shards, true)
-	shardedPool.Put(sh)
+	sh.release()
 	return res, stats, err
 }
 
@@ -285,7 +311,7 @@ func (sh *sharded) run(msgs []*Message, mode Mode, opts FaultOpts, faultPath boo
 	links := shape.links
 
 	// Fewer than two links cannot be partitioned; fall back to the
-	// single-shard paths on this run's private engine (numberAll runs
+	// single-shard paths on the borrowed engine (numberAll runs
 	// again in there — trivial at this size).
 	if s := int(links); shards > s {
 		shards = s

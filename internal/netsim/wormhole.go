@@ -51,9 +51,9 @@ func (e *ErrDeadlock) Error() string {
 // link-numbering pass and all per-run scratch are reused across calls,
 // so a warm call allocates nothing beyond the result.
 func SimulateWormhole(msgs []*Message) (*WormholeResult, error) {
-	e := enginePool.Get().(*Engine)
+	e := enginePool.get()
 	res, err := e.simulateWormhole(msgs)
-	enginePool.Put(e)
+	enginePool.put(e)
 	return res, err
 }
 
