@@ -241,12 +241,24 @@ func (s *Schedule) Links() []int {
 	if s == nil {
 		return nil
 	}
-	out := make([]int, 0, len(s.byLink))
-	for l := range s.byLink {
-		out = append(out, l)
-	}
+	out := s.AppendLinks(make([]int, 0, len(s.byLink)))
 	sort.Ints(out)
 	return out
+}
+
+// AppendLinks appends the id of every link with at least one outage
+// window to dst, each once and in no particular order, and returns the
+// extended slice. Status reports every unlisted link up at every step:
+// the optional fault-set contract of netsim.LinkFaults, which lets the
+// simulator ask Status only about listed links.
+func (s *Schedule) AppendLinks(dst []int) []int {
+	if s == nil {
+		return dst
+	}
+	for l := range s.byLink {
+		dst = append(dst, l)
+	}
+	return dst
 }
 
 // PerStep is the transient Bernoulli model: each (link, step) pair is

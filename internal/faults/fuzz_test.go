@@ -41,6 +41,8 @@ func decodeSchedule(data []byte) *Schedule {
 //     every later step,
 //   - horizon: after Horizon() no link changes state,
 //   - static view: EverDown(l) iff Status reports down at some step.
+//   - fault set: AppendLinks lists exactly the EverDown links, each
+//     once, after a non-empty dst prefix it leaves untouched.
 func FuzzScheduleInvariants(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 3, 10, 0})
@@ -85,6 +87,26 @@ func FuzzScheduleInvariants(f *testing.F) {
 			}
 			if everDown != s.EverDown(link) {
 				t.Fatalf("link %d: EverDown=%v but observed %v", link, s.EverDown(link), everDown)
+			}
+		}
+		prefix := []int{-3, 99}
+		got := s.AppendLinks(append([]int(nil), prefix...))
+		if len(got) < len(prefix) || got[0] != prefix[0] || got[1] != prefix[1] {
+			t.Fatalf("AppendLinks changed the dst prefix: %v", got)
+		}
+		listed := map[int]bool{}
+		for _, l := range got[len(prefix):] {
+			if listed[l] {
+				t.Fatalf("AppendLinks listed link %d twice: %v", l, got)
+			}
+			listed[l] = true
+			if !s.EverDown(l) {
+				t.Fatalf("AppendLinks listed link %d, which is never down", l)
+			}
+		}
+		for link := 0; link < 16; link++ {
+			if s.EverDown(link) && !listed[link] {
+				t.Fatalf("AppendLinks left out link %d, which goes down", link)
 			}
 		}
 	})

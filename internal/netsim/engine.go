@@ -41,6 +41,9 @@ type Engine struct {
 	stamp    []uint32
 	denseOf  []int32
 	sparse   map[int]int32
+	// bySparse records that the last numbering pass used the map, so
+	// the stamps left by an earlier table pass are stale (denseID).
+	bySparse bool
 
 	// Per-position state, flat across all messages' route hops.
 	// Position p of message i is off[i] + hop.
@@ -78,6 +81,11 @@ type Engine struct {
 	dead []bool
 	kill []int32
 	down []int32
+	// The run's resolved fault set (markFaults): mayFail flags the
+	// dense links whose Status the kernels ask, and faultIDs receives
+	// the external ids a listing oracle appends.
+	mayFail  []bool
+	faultIDs []int
 
 	// Open-loop slot arena (SimulateOpenLoop and its sharded form).
 	// Messages are numbered as route *templates*; each injected arrival
@@ -349,6 +357,7 @@ func (e *Engine) number(msgs []*Message, total, minID, maxID int) int32 {
 	e.flits = grow(e.flits, len(msgs))
 
 	useTable := maxID < 0 || (minID >= 0 && maxID < 4*total+1024)
+	e.bySparse = !useTable
 	if useTable {
 		e.stamp = grow(e.stamp, maxID+1)
 		e.denseOf = grow(e.denseOf, maxID+1)
@@ -395,6 +404,19 @@ func (e *Engine) number(msgs []*Message, total, minID, maxID int) int32 {
 	}
 	e.off[len(msgs)] = pos
 	return links
+}
+
+// denseID returns the dense id the last numbering pass gave external
+// link id, and false when that run's routes never cross it.
+func (e *Engine) denseID(id int) (int32, bool) {
+	if e.bySparse {
+		d, ok := e.sparse[id]
+		return d, ok
+	}
+	if id < 0 || id >= len(e.stamp) || e.stamp[id] != e.stampGen {
+		return 0, false
+	}
+	return e.denseOf[id], true
 }
 
 // growState sizes and resets the per-position, per-link, and worklist

@@ -9,6 +9,18 @@ import (
 // satisfied by internal/faults.Schedule and internal/faults.PerStep;
 // netsim only depends on the shape, not the package, so the fault
 // models stay swappable.
+//
+// An oracle may also list its fault set with the optional method
+//
+//	AppendLinks(dst []int) []int
+//
+// which appends, in any order, the external id of every link Status
+// can ever report down; Status must report every unlisted link up at
+// every step. The engines then resolve the list once per run and ask
+// Status only about listed links (faults.Schedule lists its links).
+// Oracles without the method, such as faults.PerStep, are asked about
+// every active link at every step, and the reference models ask every
+// link whatever the oracle: they are the golden model for the skip.
 type LinkFaults interface {
 	// Status reports whether the directed link (external id, the same
 	// numbering Message.Route uses) is down at the 1-based step, and —
@@ -19,6 +31,33 @@ type LinkFaults interface {
 	// Horizon returns a step after which no link changes state, or -1
 	// for unbounded models (which then require an explicit StepLimit).
 	Horizon() int
+}
+
+// faultLister is the optional fault-set method of LinkFaults.
+type faultLister interface {
+	AppendLinks(dst []int) []int
+}
+
+// markFaults resolves f's fault set against the run's numbering, once
+// per run: mayFail[l] reports whether dense link l can ever be down,
+// and the kernels ask Status only about marked links. An oracle that
+// cannot list its fault set gets every link marked.
+func (e *Engine) markFaults(f LinkFaults, links int32) {
+	e.mayFail = grow(e.mayFail, int(links))
+	fl, ok := f.(faultLister)
+	if !ok {
+		for l := range e.mayFail {
+			e.mayFail[l] = true
+		}
+		return
+	}
+	clear(e.mayFail)
+	e.faultIDs = fl.AppendLinks(e.faultIDs[:0])
+	for _, id := range e.faultIDs {
+		if d, ok := e.denseID(id); ok {
+			e.mayFail[d] = true
+		}
+	}
 }
 
 // FaultOpts configures a fault-aware simulation run.
@@ -139,6 +178,9 @@ func (e *Engine) SimulateFaults(msgs []*Message, mode Mode, opts FaultOpts) (*Fa
 	// by one extra pass over the routes so the fault-free numbering
 	// pass stays untouched.
 	e.fillExt(msgs, links)
+	if opts.Faults != nil {
+		e.markFaults(opts.Faults, links)
+	}
 	oldProbe := e.probe
 	if opts.Probe != nil {
 		e.probe = opts.Probe
@@ -194,7 +236,7 @@ func (e *Engine) SimulateFaults(msgs []*Message, mode Mode, opts FaultOpts) (*Fa
 				e.inWork[l] = false
 				continue
 			}
-			if opts.Faults != nil {
+			if opts.Faults != nil && e.mayFail[l] {
 				if dn, perm := opts.Faults.Status(e.ext[l], opts.StepOffset+step); dn {
 					if !perm {
 						// Transient outage: hold the link in the

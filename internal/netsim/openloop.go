@@ -253,6 +253,9 @@ func (e *Engine) SimulateOpenLoop(tmpls []*Message, src ArrivalSource, opts Open
 	if e.probe != nil || opts.Faults != nil {
 		e.fillExt(tmpls, links)
 	}
+	if opts.Faults != nil {
+		e.markFaults(opts.Faults, links)
+	}
 	if e.probe != nil {
 		e.probe.BeginRun(RunInfo{Messages: -1, Links: int(links), LinkExt: e.ext[:links], Mode: opts.Mode})
 	}
@@ -420,7 +423,7 @@ func (e *Engine) SimulateOpenLoop(tmpls []*Message, src ArrivalSource, opts Open
 				e.inWork[l] = false
 				continue
 			}
-			if opts.Faults != nil {
+			if opts.Faults != nil && e.mayFail[l] {
 				if dn, perm := opts.Faults.Status(e.ext[l], step); dn {
 					if !perm {
 						e.work = append(e.work, l)

@@ -183,6 +183,9 @@ func (sh *olSharded) run(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts,
 	if opts.Probe != nil || opts.Faults != nil {
 		e.fillExt(tmpls, links)
 	}
+	if opts.Faults != nil {
+		e.markFaults(opts.Faults, links)
+	}
 	if opts.Probe != nil {
 		opts.Probe.BeginRun(RunInfo{Messages: -1, Links: int(links), LinkExt: e.ext[:links], Mode: opts.Mode})
 	}
@@ -560,7 +563,7 @@ func (sh *olSharded) transfer(k int) {
 			e.inWork[l] = false
 			continue
 		}
-		if faults != nil {
+		if faults != nil && e.mayFail[l] {
 			if dn, perm := faults.Status(e.ext[l], step); dn {
 				if !perm {
 					st.work = append(st.work, l)

@@ -413,6 +413,9 @@ func (sh *sharded) run(msgs []*Message, mode Mode, opts FaultOpts, faultPath boo
 	if faultPath || sh.probe != nil || sh.probes != nil {
 		e.fillExt(msgs, links)
 	}
+	if sh.faults != nil {
+		e.markFaults(sh.faults, links)
+	}
 	if sh.probe != nil {
 		sh.probe.BeginRun(RunInfo{
 			Messages: len(msgs), Links: int(links), LinkExt: e.ext[:links], Mode: mode,
@@ -590,7 +593,7 @@ func (sh *sharded) transfer(k int) {
 			e.inWork[l] = false
 			continue
 		}
-		if sh.faults != nil {
+		if sh.faults != nil && e.mayFail[l] {
 			if dn, perm := sh.faults.Status(e.ext[l], sh.offset+step); dn {
 				if !perm {
 					st.work = append(st.work, l)

@@ -123,11 +123,7 @@ func (r *Recorder) Merge(o *Recorder) error {
 	// Per-link queue-depth accumulators are counting stats: elementwise
 	// summation is exact whether the link sets are disjoint (per-shard
 	// recorders) or overlapping (sequential runs of the same links).
-	if len(o.lqSum) > len(r.lqSum) {
-		r.lqSum = append(r.lqSum, make([]uint64, len(o.lqSum)-len(r.lqSum))...)
-		r.lqN = append(r.lqN, make([]uint64, len(o.lqN)-len(r.lqN))...)
-		r.lqMax = append(r.lqMax, make([]int, len(o.lqMax)-len(r.lqMax))...)
-	}
+	r.growLinkQueues(len(o.lqSum))
 	for id := range o.lqSum {
 		r.lqSum[id] += o.lqSum[id]
 		r.lqN[id] += o.lqN[id]

@@ -62,6 +62,20 @@ func (h *Histogram) Observe(v int) {
 	}
 }
 
+// observeZeros records n zero values: exactly n calls of Observe(0).
+func (h *Histogram) observeZeros(n int) {
+	if n <= 0 {
+		return
+	}
+	h.N += uint64(n)
+	h.Max = max(h.Max, 0)
+	if len(h.Counts) > 0 {
+		h.Counts[0] += uint64(n)
+	} else {
+		h.Over += uint64(n)
+	}
+}
+
 // Mean returns the mean observed value, or 0 for an empty histogram.
 func (h *Histogram) Mean() float64 {
 	if h.N == 0 {

@@ -363,3 +363,24 @@ func TestRecorderLinkQueueDepth(t *testing.T) {
 		t.Fatalf("Reset left link %d visible", link)
 	})
 }
+
+// netsim numbers negative route ids through its sparse map; a
+// LinkQueues Recorder must skip them instead of indexing its per-link
+// slices with them, and still count the run's other links.
+func TestRecorderLinkQueuesNegativeIDs(t *testing.T) {
+	msgs := []*netsim.Message{
+		{Route: []int{-5, 7}, Flits: 2},
+		{Route: []int{-5}, Flits: 1},
+	}
+	rec := NewRecorderOpts(RecorderOpts{LinkQueues: true})
+	res, err := netsim.SimulateProbed(msgs, netsim.CutThrough, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, ok := rec.LinkQueueDepth(7); !ok || s.N != uint64(res.Steps) {
+		t.Fatalf("link 7: got %+v ok=%v, want one sample per step (%d)", s, ok, res.Steps)
+	}
+	if s, ok := rec.LinkQueueDepth(-5); ok {
+		t.Fatalf("link -5 reported observed: %+v", s)
+	}
+}

@@ -26,9 +26,11 @@ type RecorderOpts struct {
 	// strategy re-plans on between measurement windows. Queue depth is
 	// not utilization: a link can be fully busy with a short queue or
 	// idle behind a long one, so this is a separate opt-in. Stats are
-	// kept in flat slices indexed by external link id (memory O(max
-	// external id seen) — exact and cheap for the dense hypercube ids,
-	// the intended use).
+	// kept in flat slices indexed by external link id, grown once per
+	// run in BeginRun (memory O(max external id seen) — exact and cheap
+	// for the dense hypercube ids, the intended use). Links with a
+	// negative external id, which netsim accepts, are not accumulated:
+	// LinkQueueDepth reports them unobserved.
 	LinkQueues bool
 }
 
@@ -135,16 +137,47 @@ func (r *Recorder) BeginRun(info netsim.RunInfo) {
 	for i := range r.moved {
 		r.moved[i] = 0
 	}
+	if r.opts.LinkQueues {
+		top := -1
+		for _, id := range r.ext {
+			top = max(top, id)
+		}
+		r.growLinkQueues(top + 1)
+	}
+}
+
+// growLinkQueues extends the per-link queue-depth accumulators to cover
+// every external id below n.
+func (r *Recorder) growLinkQueues(n int) {
+	if k := n - len(r.lqSum); k > 0 {
+		r.lqSum = append(r.lqSum, make([]uint64, k)...)
+		r.lqN = append(r.lqN, make([]uint64, k)...)
+		r.lqMax = append(r.lqMax, make([]int, k)...)
+	}
 }
 
 // StepEnd implements netsim.Probe: it samples every link's queue depth
-// and closes the step's utilization window.
+// and closes the step's utilization window. It costs one sequential
+// scan of queueLen plus per-link work for busy links only: without
+// LinkUtil, a link with an empty queue that moved no flit this step
+// adds nothing but its zero sample, and those samples enter
+// QueueDepth in one bulk count.
 func (r *Recorder) StepEnd(step int, queueLen []int) {
 	r.Steps++
-	busy := 0
+	busy, idle := 0, 0
+	bulk := r.util == nil
 	for l, q := range queueLen {
-		r.QueueDepth.Observe(q)
 		m := r.moved[l]
+		if bulk && q == 0 && m == 0 {
+			idle++
+			if r.opts.LinkQueues {
+				if id := r.ext[l]; id >= 0 {
+					r.lqN[id]++
+				}
+			}
+			continue
+		}
+		r.QueueDepth.Observe(q)
 		if m > 0 {
 			busy++
 		}
@@ -157,20 +190,17 @@ func (r *Recorder) StepEnd(step int, queueLen []int) {
 			s.Add(float64(m))
 		}
 		if r.opts.LinkQueues {
-			id := r.ext[l]
-			if id >= len(r.lqSum) {
-				r.lqSum = append(r.lqSum, make([]uint64, id+1-len(r.lqSum))...)
-				r.lqN = append(r.lqN, make([]uint64, id+1-len(r.lqN))...)
-				r.lqMax = append(r.lqMax, make([]int, id+1-len(r.lqMax))...)
-			}
-			r.lqSum[id] += uint64(q)
-			r.lqN[id]++
-			if q > r.lqMax[id] {
-				r.lqMax[id] = q
+			if id := r.ext[l]; id >= 0 {
+				r.lqSum[id] += uint64(q)
+				r.lqN[id]++
+				if q > r.lqMax[id] {
+					r.lqMax[id] = q
+				}
 			}
 		}
 		r.moved[l] = 0
 	}
+	r.QueueDepth.observeZeros(idle)
 	if len(queueLen) > 0 {
 		r.BusyFraction.Add(float64(busy) / float64(len(queueLen)))
 	}
