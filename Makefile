@@ -40,12 +40,10 @@ test-short:
 race:
 	$(GO) test -race ./...
 
-# Go benchmarks, then a full mpbench run to refresh all five perf
-# records (BENCH_netsim.json, BENCH_construct.json, BENCH_faults.json,
-# BENCH_obsv.json, BENCH_traffic.json).
+# Go benchmarks. End-to-end timing lives in perfbench/ (see
+# BENCHMARK.json).
 bench:
 	$(GO) test -bench=. -benchmem ./...
-	$(GO) run ./cmd/mpbench > /dev/null
 
 # Short coverage-guided fuzz smoke: every fuzz target for a bounded
 # wall-clock slice (go test -fuzz takes exactly one target per run).
@@ -70,7 +68,8 @@ fuzz-short:
 	$(GO) test -run=^$$ -fuzz=FuzzSelfHealOpenLoop -fuzztime=$(FUZZTIME) ./internal/selfheal
 	$(GO) test -run=^$$ -fuzz=FuzzStrategyRoutes -fuzztime=$(FUZZTIME) ./internal/routing
 
-# Regenerate the paper-vs-measured tables (EXPERIMENTS.md content).
+# Regenerate every paper-vs-measured table and fail if any differs
+# from EXPERIMENTS.md. Run from the repository root.
 experiments:
 	$(GO) run ./cmd/mpbench
 

@@ -1,11 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sync"
-	"time"
 
 	"multipath/internal/core"
 	"multipath/internal/cycles"
@@ -14,50 +11,32 @@ import (
 	"multipath/internal/transport"
 )
 
-// BENCH_faults.json: measured fault tolerance of the retry/IDA
-// transport over the Theorem 1 and Theorem 2 embeddings — delivered
-// fraction and end-to-end latency versus link-fault probability, single
-// path versus width-d IDA dispersal. The same sweep backs the E23
-// table.
+// E23: measured fault tolerance of the retry/IDA transport over the
+// Theorem 1 and Theorem 2 embeddings — delivered fraction and
+// end-to-end latency versus link-fault probability, single path versus
+// width-d IDA dispersal.
 
 type faultPoint struct {
-	P                 float64 `json:"p"`
-	DeliveredFraction float64 `json:"delivered_fraction"`
+	P                 float64
+	DeliveredFraction float64
 	// MeanLatency averages the per-edge k-th-piece arrival step over
 	// delivered edges and seeds; -1 means "no data" (nothing was
 	// delivered at this point), matching transport.Report.MeanLatency.
-	MeanLatency     float64 `json:"mean_latency"`
-	MeanRounds      float64 `json:"mean_rounds"`
-	PiecesSent      int     `json:"pieces_sent"`
-	PiecesDelivered int     `json:"pieces_delivered"`
+	MeanLatency float64
+	MeanRounds  float64
 	// Retries/Reroutes/DeadlineMisses sum transport.Report's healing
 	// accounting over the seeds (the deadline is faultDeadline steps).
-	Retries        int `json:"retries"`
-	Reroutes       int `json:"reroutes"`
-	DeadlineMisses int `json:"deadline_misses"`
+	Retries        int
+	Reroutes       int
+	DeadlineMisses int
 }
 
 type faultSeries struct {
-	Embedding  string       `json:"embedding"`
-	Strategy   string       `json:"strategy"`
-	Width      int          `json:"width"`
-	K          int          `json:"k"`
-	MaxRetries int          `json:"max_retries"`
-	Points     []faultPoint `json:"points"`
-}
-
-type faultReport struct {
-	GeneratedAt string        `json:"generated_at"`
-	Env         benchEnv      `json:"env"`
-	Mode        string        `json:"mode"`
-	Flits       int           `json:"flits"`
-	Seeds       int           `json:"seeds"`
-	WallMS      float64       `json:"wall_ms"`
-	Series      []faultSeries `json:"series"`
-	// SelfHeal is the E28 open-loop self-healing sweep, run over the
-	// same embedding and coupled fault draws as the closed-loop series
-	// above so the degradation curves are comparable point by point.
-	SelfHeal *selfHealReport `json:"self_heal"`
+	Embedding string
+	Strategy  string
+	Width     int
+	K         int
+	Points    []faultPoint
 }
 
 // Sweep parameters. Probabilities are per directed link; seeds are
@@ -88,19 +67,14 @@ func faultEmbeddings() ([]string, []*core.Embedding, error) {
 	return []string{"Theorem 1 (n=8)", "Theorem 2 (n=8)"}, []*core.Embedding{e1, e2}, nil
 }
 
-// measureFaultSweep runs the whole sweep once per process; the E23
-// table and the JSON report both read the cached result.
-var measureFaultSweep = sync.OnceValues(func() (*faultReport, error) {
-	start := time.Now()
+// measureFaultSweep runs the whole sweep once per process; E23 and
+// E28's baseline column both read the cached result.
+var measureFaultSweep = sync.OnceValues(func() ([]faultSeries, error) {
 	names, embs, err := faultEmbeddings()
 	if err != nil {
 		return nil, err
 	}
-	rep := &faultReport{
-		Mode:  netsim.CutThrough.String(),
-		Flits: faultFlits,
-		Seeds: faultSeeds,
-	}
+	var sweep []faultSeries
 	for ei, e := range embs {
 		width := len(e.Paths[0])
 		k := width - 1
@@ -109,11 +83,10 @@ var measureFaultSweep = sync.OnceValues(func() (*faultReport, error) {
 		}
 		for _, strat := range []transport.Strategy{transport.SinglePath, transport.IDA} {
 			series := faultSeries{
-				Embedding:  names[ei],
-				Strategy:   strat.String(),
-				Width:      width,
-				K:          k,
-				MaxRetries: faultRetries,
+				Embedding: names[ei],
+				Strategy:  strat.String(),
+				Width:     width,
+				K:         k,
 			}
 			if strat == transport.SinglePath {
 				series.K = 1
@@ -144,8 +117,6 @@ var measureFaultSweep = sync.OnceValues(func() (*faultReport, error) {
 						latEdges += r.DeliveredEdges
 					}
 					roundSum += float64(r.Rounds)
-					pt.PiecesSent += r.PiecesSent
-					pt.PiecesDelivered += r.PiecesDelivered
 					pt.Retries += r.Retries
 					pt.Reroutes += r.Reroutes
 					pt.DeadlineMisses += r.DeadlineMisses
@@ -159,11 +130,10 @@ var measureFaultSweep = sync.OnceValues(func() (*faultReport, error) {
 				pt.MeanRounds = roundSum / float64(faultSeeds)
 				series.Points = append(series.Points, pt)
 			}
-			rep.Series = append(rep.Series, series)
+			sweep = append(sweep, series)
 		}
 	}
-	rep.WallMS = float64(time.Since(start)) / float64(time.Millisecond)
-	return rep, nil
+	return sweep, nil
 })
 
 // runE23 renders the sweep as the paper-vs-measured table: the §1
@@ -171,14 +141,14 @@ var measureFaultSweep = sync.OnceValues(func() (*faultReport, error) {
 // a single path cannot, now measured through the fault-aware simulator
 // with latency attached.
 func runE23() (*table, error) {
-	rep, err := measureFaultSweep()
+	sweep, err := measureFaultSweep()
 	if err != nil {
 		return nil, err
 	}
 	tab := &table{headers: []string{
 		"embedding", "strategy", "p(link fault)", "delivered", "mean latency", "mean rounds",
 	}}
-	for _, s := range rep.Series {
+	for _, s := range sweep {
 		for _, pt := range s.Points {
 			tab.addRow(
 				s.Embedding,
@@ -193,26 +163,6 @@ func runE23() (*table, error) {
 	tab.note("%d seeds per point, %d-flit payloads, cut-through, %d retry round(s); "+
 		"per seed the fault sets are nested across p, so delivered fraction is "+
 		"monotone non-increasing (asserted in internal/transport tests).",
-		rep.Seeds, rep.Flits, faultRetries)
+		faultSeeds, faultFlits, faultRetries)
 	return tab, nil
-}
-
-func writeFaultsJSON(path string) error {
-	rep, err := measureFaultSweep()
-	if err != nil {
-		return err
-	}
-	heal, err := measureSelfHealSweep()
-	if err != nil {
-		return err
-	}
-	out := *rep
-	out.SelfHeal = heal
-	out.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
-	out.Env = currentEnv()
-	data, err := json.MarshalIndent(&out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

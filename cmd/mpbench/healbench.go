@@ -18,52 +18,49 @@ import (
 // percentiles versus link-fault rate × offered load, under the same
 // coupled Bernoulli draws as the E23 closed-loop baseline (so the two
 // are comparable point by point) and under a burst schedule that adds
-// a correlated transient outage epoch on top. The sweep is appended to
-// BENCH_faults.json next to the closed-loop series.
+// a correlated transient outage epoch on top.
 
 type healPoint struct {
-	P    float64 `json:"p"`
-	Rate int     `json:"rate"`
+	P    float64
+	Rate int
 	// DeliveredFraction and DeadlineMissFraction average the per-seed
 	// selfheal.Report fractions.
-	DeliveredFraction    float64 `json:"delivered_fraction"`
-	DeadlineMissFraction float64 `json:"deadline_miss_fraction"`
-	// Retries/Reroutes/Abandoned/DeadLinks sum over the seeds.
-	Retries   int `json:"retries"`
-	Reroutes  int `json:"reroutes"`
-	Abandoned int `json:"abandoned"`
-	DeadLinks int `json:"dead_links"`
+	DeliveredFraction    float64
+	DeadlineMissFraction float64
+	// Retries/Reroutes/Abandoned sum over the seeds.
+	Retries   int
+	Reroutes  int
+	Abandoned int
 	// Latency digests completion−arrival over all delivered transfers
 	// of all seeds; Repaired restricts to transfers that needed at
 	// least one retry (empty at p=0).
-	Latency  obsv.Summary `json:"latency"`
-	Repaired obsv.Summary `json:"repaired_latency"`
+	Latency  obsv.Summary
+	Repaired obsv.Summary
 }
 
 type healSeries struct {
 	// Schedule is "bernoulli" (permanent coupled draws, exactly the
 	// E23 fault sets) or "bernoulli+burst" (the same plus a transient
 	// window drawn at the same rate).
-	Schedule string      `json:"schedule"`
-	Backoff  string      `json:"backoff"`
-	Points   []healPoint `json:"points"`
+	Schedule string
+	Backoff  string
+	Points   []healPoint
 }
 
 type selfHealReport struct {
-	Embedding  string `json:"embedding"`
-	Strategy   string `json:"strategy"`
-	Width      int    `json:"width"`
-	Flits      int    `json:"flits"`
-	MaxRetries int    `json:"max_retries"`
-	Deadline   int    `json:"deadline"`
-	Seeds      int    `json:"seeds"`
-	Rates      []int  `json:"rates"`
+	Embedding  string
+	Width      int
+	Flits      int
+	MaxRetries int
+	Deadline   int
+	Seeds      int
+	Rates      []int
 	// VerifiedShards records the bit-identity check that ran before
 	// any point was measured: listener-off sharded runs at this shard
 	// count matched the single-shard engine exactly, and the healing
 	// session's Report was identical at shards 1 and VerifiedShards.
-	VerifiedShards int          `json:"verified_shards"`
-	Series         []healSeries `json:"series"`
+	VerifiedShards int
+	Series         []healSeries
 }
 
 // Sweep parameters. Rates are transfer arrivals per step; each run
@@ -180,7 +177,6 @@ var measureSelfHealSweep = sync.OnceValues(func() (*selfHealReport, error) {
 
 	rep := &selfHealReport{
 		Embedding:      "Theorem 1 (n=8)",
-		Strategy:       selfheal.Reroute.String(),
 		Width:          len(e.Paths[0]),
 		Flits:          healFlits,
 		MaxRetries:     healMaxRetries,
@@ -219,7 +215,6 @@ var measureSelfHealSweep = sync.OnceValues(func() (*selfHealReport, error) {
 						pt.Retries += r.Retries
 						pt.Reroutes += r.Reroutes
 						pt.Abandoned += r.Abandoned
-						pt.DeadLinks += r.DeadLinks
 					}
 					pt.DeliveredFraction = fracSum / float64(faultSeeds)
 					pt.DeadlineMissFraction = missSum / float64(faultSeeds)
@@ -248,7 +243,7 @@ func runE28() (*table, error) {
 		return nil, err
 	}
 	baseline := map[float64]float64{}
-	for _, s := range base.Series {
+	for _, s := range base {
 		if s.Embedding == rep.Embedding && s.Strategy == "single-path" {
 			for _, pt := range s.Points {
 				baseline[pt.P] = pt.DeliveredFraction

@@ -1,56 +1,35 @@
-// Command mpbench regenerates every experiment table in EXPERIMENTS.md:
-// for each quantitative claim of Greenberg & Bhatt it prints the
-// paper's predicted value next to the value measured on this build.
+// Command mpbench regenerates every experiment table in EXPERIMENTS.md
+// and checks it against the file: for each quantitative claim of
+// Greenberg & Bhatt it prints the paper's predicted value next to the
+// value measured on this build, then exits 1 if any printed table
+// differs from its section of EXPERIMENTS.md in the working directory.
 //
-// The suites run concurrently across GOMAXPROCS workers (each
-// experiment's simulations are deterministic, so the tables are
-// identical to a serial run — only wall-clock cells vary) and the
-// output order is fixed regardless of scheduling. Alongside the
-// markdown tables, four machine-readable records are written:
-// BENCH_netsim.json (per-experiment wall-clock plus the dense netsim
-// engine's speedup over the retained seed simulator),
-// BENCH_construct.json (the dense metric engine in internal/core:
-// build/verify wall-clock per construction and the warm speedup over
-// the map-based reference verifiers at n = 16), and BENCH_faults.json
-// (the E23 fault sweep: delivered fraction and end-to-end latency
-// versus link-fault probability for single-path versus IDA transport),
-// and BENCH_obsv.json (the observability layer: flit/message latency
-// and per-link queue-depth distributions with p50/p95/p99 summaries
-// for the Theorem 1/2 workloads at n = 16 and the E23 sweep), and
-// BENCH_traffic.json (the E26 open-loop sweep: steady-state latency
-// percentiles versus offered load with saturation throughput, plus the
-// open-loop engine's measured speedup over the naive per-step
-// baseline, and the E27 shard_sweep: whole-cube saturation curves with
-// the sharded open-loop engine's per-shard-count speedups), giving
-// future changes a perf trajectory to compare against.
+// Every table is deterministic: the suites run concurrently across
+// GOMAXPROCS workers, but each experiment's simulations are seeded and
+// the output order is fixed, so a parallel run prints exactly what a
+// serial one does. To change a table on purpose, paste the printed
+// block into EXPERIMENTS.md and rerun.
 //
 // Usage:
 //
-//	mpbench                  # run all experiments, write both JSON reports
-//	mpbench -run E2          # run one experiment by id
+//	mpbench                  # run every experiment and check EXPERIMENTS.md
+//	mpbench -run E2          # run and check one experiment by id
 //	mpbench -list            # list experiment ids
 //	mpbench -parallel=false  # force serial execution
-//	mpbench -json ""         # skip the netsim JSON report
-//	mpbench -construct-json "" # skip the metric-engine JSON report
-//	mpbench -faults-json ""  # skip the fault-tolerance sweep report
-//	mpbench -obs-json ""     # skip the observability distribution report
 //	mpbench -trace t.jsonl   # export a JSONL event trace of a reference run
-//	mpbench -shards 8 -shard-dims 16,20  # size the E25 partitioned-engine sweep
-//	mpbench -load 0.1,0.5,1.0 -arrival mmpp  # shape the E26 offered-load sweep
-//	mpbench -traffic-json ""  # skip the open-loop sweep report
 //	mpbench -cpuprofile cpu.prof -memprofile mem.prof  # pprof the run
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // table is one experiment's output.
@@ -70,8 +49,11 @@ func (t *table) note(format string, args ...interface{}) {
 	t.notes = append(t.notes, fmt.Sprintf(format, args...))
 }
 
-func (t *table) print() {
-	fmt.Printf("\n### %s — %s\n\n", t.id, t.title)
+// render returns the table's lines as EXPERIMENTS.md holds them,
+// without the blank lines between: the "### id — title" heading, the
+// padded `|` lines, then one `>` line per note. print and the
+// EXPERIMENTS.md check both read this one rendering.
+func (t *table) render() []string {
 	widths := make([]int, len(t.headers))
 	for i, h := range t.headers {
 		widths[i] = len(h)
@@ -83,41 +65,38 @@ func (t *table) print() {
 			}
 		}
 	}
-	line := func(cells []string) {
+	line := func(cells []string) string {
 		parts := make([]string, len(cells))
 		for i, c := range cells {
 			parts[i] = fmt.Sprintf("%-*s", widths[i], c)
 		}
-		fmt.Println("| " + strings.Join(parts, " | ") + " |")
+		return "| " + strings.Join(parts, " | ") + " |"
 	}
-	line(t.headers)
+	lines := []string{fmt.Sprintf("### %s — %s", t.id, t.title), line(t.headers)}
 	seps := make([]string, len(t.headers))
 	for i := range seps {
 		seps[i] = strings.Repeat("-", widths[i])
 	}
-	line(seps)
+	lines = append(lines, line(seps))
 	for _, r := range t.rows {
-		line(r)
+		lines = append(lines, line(r))
 	}
 	for _, n := range t.notes {
-		fmt.Println("\n> " + n)
+		lines = append(lines, "> "+n)
 	}
+	return lines
 }
 
-// parseDims parses the -shard-dims flag ("16,20" → [16 20]).
-func parseDims(s string) ([]int, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	var dims []int
-	for _, part := range strings.Split(s, ",") {
-		var n int
-		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &n); err != nil || n < 1 {
-			return nil, fmt.Errorf("bad dimension %q", part)
+// print writes the table as it appears in EXPERIMENTS.md.
+func (t *table) print(w io.Writer) {
+	lines := t.render()
+	fmt.Fprintf(w, "\n%s\n\n", lines[0])
+	for _, l := range lines[1:] {
+		if strings.HasPrefix(l, ">") {
+			fmt.Fprintln(w)
 		}
-		dims = append(dims, n)
+		fmt.Fprintln(w, l)
 	}
-	return dims, nil
 }
 
 type experiment struct {
@@ -128,10 +107,9 @@ type experiment struct {
 
 // outcome is one experiment's completed run.
 type outcome struct {
-	exp  experiment
-	tab  *table
-	err  error
-	wall time.Duration
+	exp experiment
+	tab *table
+	err error
 }
 
 func experimentList() []experiment {
@@ -155,7 +133,7 @@ func experimentList() []experiment {
 		{"E17", "Switching modes: store-and-forward vs cut-through vs wormhole", runE17},
 		{"E18", "Adversarial permutations: e-cube vs Valiant random intermediate", runE18},
 		{"E19", "Broadcast over Lemma 1's Hamiltonian cycles", runE19},
-		{"E20", "Scalability: build+verify wall time at large n", runE20},
+		{"E20", "Scalability: build+verify at large n", runE20},
 		{"E21", "§1 constant-pinout model: wide grid vs narrow hypercube", runE21},
 		{"E22", "Naive per-edge widening vs Theorem 1's coordination", runE22},
 		{"E23", "Measured fault tolerance: single path vs IDA under link faults", runE23},
@@ -164,24 +142,23 @@ func experimentList() []experiment {
 		{"E26", "Open-loop steady state: latency vs offered load, saturation throughput", runE26},
 		{"E27", "Sharded open loop: whole-cube saturation sweeps at million-node scale", runE27},
 		{"E28", "Self-healing transport: degradation curves under live faults", runE28},
-		{"E29", "Strategy race: dimorder/Valiant/minimal/adaptive vs paper multipath", runE29},
+		{"E29", "Strategy race: the routing zoo vs the paper's multipath construction", runE29},
 	}
 }
 
-// parseLoads parses the -load flag ("0.1,0.5" → [0.1 0.5]).
-func parseLoads(s string) ([]float64, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
+// selectExperiments returns every experiment when id is empty, else the
+// one whose id matches case-insensitively; an id that matches nothing
+// is an error, so a typo cannot pass the check by checking nothing.
+func selectExperiments(exps []experiment, id string) ([]experiment, error) {
+	if id == "" {
+		return exps, nil
 	}
-	var loads []float64
-	for _, part := range strings.Split(s, ",") {
-		var v float64
-		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%g", &v); err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad load %q", part)
+	for _, e := range exps {
+		if strings.EqualFold(id, e.id) {
+			return []experiment{e}, nil
 		}
-		loads = append(loads, v)
 	}
-	return loads, nil
+	return nil, fmt.Errorf("no experiment %q (mpbench -list shows the ids)", id)
 }
 
 // runExperiments executes the given suites — serially in order, or
@@ -210,12 +187,11 @@ func runExperiments(exps []experiment, parallel bool) []outcome {
 				if i >= len(exps) {
 					return
 				}
-				start := time.Now()
 				tab, err := exps[i].run()
 				if tab != nil {
 					tab.id, tab.title = exps[i].id, exps[i].title
 				}
-				outs[i] = outcome{exp: exps[i], tab: tab, err: err, wall: time.Since(start)}
+				outs[i] = outcome{exp: exps[i], tab: tab, err: err}
 			}
 		}()
 	}
@@ -223,64 +199,104 @@ func runExperiments(exps []experiment, parallel bool) []outcome {
 	return outs
 }
 
+// section is one "### En — title" block of EXPERIMENTS.md: its
+// heading and the `|` and `>` lines under it, with their line numbers.
+// Every other line — prose above, between or below the table — is
+// ignored.
+type section struct {
+	lines []string
+	nums  []int
+}
+
+// parseSections indexes doc's "### " sections by their first word, the
+// experiment id. A section runs to the next markdown heading.
+func parseSections(doc string) map[string]*section {
+	secs := map[string]*section{}
+	var cur *section
+	for i, l := range strings.Split(doc, "\n") {
+		if strings.HasPrefix(l, "#") {
+			cur = nil
+			if f := strings.Fields(l); len(f) > 1 && f[0] == "###" && secs[f[1]] == nil {
+				cur = &section{}
+				secs[f[1]] = cur
+			}
+		}
+		if cur != nil && (strings.HasPrefix(l, "#") || strings.HasPrefix(l, "|") || strings.HasPrefix(l, ">")) {
+			cur.lines = append(cur.lines, l)
+			cur.nums = append(cur.nums, i+1)
+		}
+	}
+	return secs
+}
+
+// diffTables compares each table with its section of doc and returns
+// one message per differing table, naming the first differing line.
+func diffTables(doc string, tabs []*table) []string {
+	secs := parseSections(doc)
+	var diffs []string
+	for _, t := range tabs {
+		want := t.render()
+		s := secs[t.id]
+		if s == nil {
+			diffs = append(diffs, fmt.Sprintf("%s: EXPERIMENTS.md has no %q section", t.id, "### "+t.id))
+			continue
+		}
+		i := 0
+		for i < len(want) && i < len(s.lines) && want[i] == s.lines[i] {
+			i++
+		}
+		switch {
+		case i == len(want) && i == len(s.lines):
+		case i == len(s.lines):
+			diffs = append(diffs, fmt.Sprintf("%s: EXPERIMENTS.md:%d: file has no more lines after this one, mpbench printed %q",
+				t.id, s.nums[i-1], want[i]))
+		case i == len(want):
+			diffs = append(diffs, fmt.Sprintf("%s: EXPERIMENTS.md:%d: file has %q, mpbench printed no more lines",
+				t.id, s.nums[i], s.lines[i]))
+		default:
+			diffs = append(diffs, fmt.Sprintf("%s: EXPERIMENTS.md:%d: file has %q, mpbench printed %q",
+				t.id, s.nums[i], s.lines[i], want[i]))
+		}
+	}
+	return diffs
+}
+
 func main() {
+	os.Exit(run())
+}
+
+func run() int {
 	runID := flag.String("run", "", "run only the experiment with this id (e.g. E2)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	parallel := flag.Bool("parallel", true, "run experiment suites concurrently (output order is unchanged)")
-	jsonPath := flag.String("json", "BENCH_netsim.json", "write per-experiment wall-clock + metrics JSON here (empty to disable)")
-	constructPath := flag.String("construct-json", "BENCH_construct.json", "write the dense metric-engine benchmark JSON here (empty to disable)")
-	faultsPath := flag.String("faults-json", "BENCH_faults.json", "write the fault-tolerance sweep JSON here (empty to disable)")
-	obsPath := flag.String("obs-json", "BENCH_obsv.json", "write the observability (latency/queue-depth distribution) JSON here (empty to disable)")
 	tracePath := flag.String("trace", "", "write a JSONL event trace of the Theorem 1 (n=8) width-path run here")
-	shardsFlag := flag.Int("shards", shardMax, "largest shard count for the E25 partitioned-engine sweep")
-	shardDimsFlag := flag.String("shard-dims", "16,20", "comma-separated host dimensions for the E25 sweep")
-	trafficPath := flag.String("traffic-json", "BENCH_traffic.json", "write the E26 open-loop latency-vs-load sweep JSON here (empty to disable)")
-	loadFlag := flag.String("load", "", "comma-separated offered loads for the E26 sweep (fractions of window capacity, e.g. 0.1,0.5,1.0)")
-	arrivalFlag := flag.String("arrival", trafficArrival, "E26 arrival process: poisson or mmpp")
-	trafficDimsFlag := flag.String("traffic-dims", "", "comma-separated host dimensions for the E26/E27/E29 open-loop sweeps (defaults 12,16 / 16,20 / 12,16)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run here")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (taken at exit) here")
 	flag.Parse()
 
-	if *shardsFlag >= 1 {
-		shardMax = *shardsFlag
+	exps := experimentList()
+	if *list {
+		for _, e := range exps {
+			fmt.Printf("%-4s %s\n", e.id, e.title)
+		}
+		return 0
 	}
-	if dims, err := parseDims(*shardDimsFlag); err != nil {
-		fmt.Fprintf(os.Stderr, "shard-dims: %v\n", err)
-		os.Exit(1)
-	} else if len(dims) > 0 {
-		shardDims = dims
-	}
-	if loads, err := parseLoads(*loadFlag); err != nil {
-		fmt.Fprintf(os.Stderr, "load: %v\n", err)
-		os.Exit(1)
-	} else if len(loads) > 0 {
-		trafficLoads = loads
-	}
-	if *arrivalFlag != "poisson" && *arrivalFlag != "mmpp" {
-		fmt.Fprintf(os.Stderr, "arrival: unknown process %q (want poisson or mmpp)\n", *arrivalFlag)
-		os.Exit(1)
-	}
-	trafficArrival = *arrivalFlag
-	if dims, err := parseDims(*trafficDimsFlag); err != nil {
-		fmt.Fprintf(os.Stderr, "traffic-dims: %v\n", err)
-		os.Exit(1)
-	} else if len(dims) > 0 {
-		trafficDims = dims
-		olDims = dims
-		raceDims = dims
+	selected, err := selectExperiments(exps, *runID)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
 	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -299,80 +315,42 @@ func main() {
 		}()
 	}
 
-	exps := experimentList()
-	if *list {
-		for _, e := range exps {
-			fmt.Printf("%-4s %s\n", e.id, e.title)
-		}
-		return
-	}
-
-	selected := exps[:0:0]
-	for _, e := range exps {
-		if *runID == "" || strings.EqualFold(*runID, e.id) {
-			selected = append(selected, e)
-		}
-	}
-
 	outs := runExperiments(selected, *parallel)
 	fmt.Println("# mpbench — paper-vs-measured experiment tables")
 	failed := 0
+	var tabs []*table
 	for _, o := range outs {
 		if o.err != nil {
 			fmt.Fprintf(os.Stderr, "%s failed: %v\n", o.exp.id, o.err)
 			failed++
 			continue
 		}
-		o.tab.print()
-	}
-	if *jsonPath != "" {
-		sp := measureEngineSpeedup()
-		if err := writeBenchJSON(*jsonPath, outs, sp, *parallel); err != nil {
-			fmt.Fprintf(os.Stderr, "bench json: %v\n", err)
-			failed++
-		} else {
-			fmt.Printf("\nwrote %s (netsim engine %.1fx over seed simulator on the E17 sweep)\n", *jsonPath, sp.Speedup)
-		}
-	}
-	if *constructPath != "" {
-		if err := writeConstructJSON(*constructPath); err != nil {
-			fmt.Fprintf(os.Stderr, "construct json: %v\n", err)
-			failed++
-		}
-	}
-	if *faultsPath != "" {
-		if err := writeFaultsJSON(*faultsPath); err != nil {
-			fmt.Fprintf(os.Stderr, "faults json: %v\n", err)
-			failed++
-		} else {
-			fmt.Printf("wrote %s (fault sweep: delivered fraction and latency vs link-fault probability)\n", *faultsPath)
-		}
-	}
-	if *obsPath != "" {
-		if err := writeObsvJSON(*obsPath); err != nil {
-			fmt.Fprintf(os.Stderr, "obsv json: %v\n", err)
-			failed++
-		} else {
-			fmt.Printf("wrote %s (observability: latency and queue-depth distributions)\n", *obsPath)
-		}
-	}
-	if *trafficPath != "" {
-		if err := writeTrafficJSON(*trafficPath); err != nil {
-			fmt.Fprintf(os.Stderr, "traffic json: %v\n", err)
-			failed++
-		} else {
-			fmt.Printf("wrote %s (open-loop latency-vs-load sweep with saturation throughput)\n", *trafficPath)
-		}
+		o.tab.print(os.Stdout)
+		tabs = append(tabs, o.tab)
 	}
 	if *tracePath != "" {
 		if err := writeTrace(*tracePath); err != nil {
 			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
 			failed++
 		} else {
-			fmt.Printf("wrote %s (JSONL event trace of the Theorem 1 n=8 width-path run)\n", *tracePath)
+			fmt.Printf("\nwrote %s (JSONL event trace of the Theorem 1 n=8 width-path run)\n", *tracePath)
 		}
 	}
-	if failed > 0 {
-		os.Exit(1)
+	doc, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "check: %v (run mpbench from the repository root)\n", err)
+		return 1
 	}
+	if diffs := diffTables(string(doc), tabs); len(diffs) > 0 {
+		for _, d := range diffs {
+			fmt.Fprintln(os.Stderr, d)
+		}
+		fmt.Fprintf(os.Stderr, "%d of %d tables differ from EXPERIMENTS.md; to change one on purpose, paste its printed block into the file and rerun\n",
+			len(diffs), len(tabs))
+		failed++
+	}
+	if failed > 0 {
+		return 1
+	}
+	return 0
 }

@@ -1,11 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"sync"
-	"time"
 
 	"multipath/internal/core"
 	"multipath/internal/cycles"
@@ -16,53 +14,36 @@ import (
 	"multipath/internal/transport"
 )
 
-// BENCH_obsv.json: the observability layer's view of the headline
-// workloads — flit/message latency distributions (p50/p95/p99) and
-// per-link queue-depth histograms for the Theorem 1 and Theorem 2
-// embeddings at n = 16, plus the E23 fault sweep observed through the
-// transport's per-round probe. The same data backs the E24 table.
+// E24: the observability layer's view of the headline workloads —
+// flit/message latency distributions (p50/p95/p99) and per-link
+// queue-depth histograms for the Theorem 1 and Theorem 2 embeddings at
+// n = 16, plus the E23 fault sweep observed through the transport's
+// per-round probe.
 
 type obsvCase struct {
-	Name string `json:"name"`
-	// Runs/Steps/Delivered/Failed/FlitsMoved/DroppedFlits aggregate the
-	// probe's counters over every simulation run folded into this case.
-	Runs         int    `json:"runs"`
-	Steps        int    `json:"steps"`
-	Delivered    int    `json:"delivered"`
-	Failed       int    `json:"failed"`
-	FlitsMoved   uint64 `json:"flits_moved"`
-	DroppedFlits uint64 `json:"dropped_flits"`
+	Name string
+	// Runs/Delivered/Failed/DroppedFlits aggregate the probe's counters
+	// over every simulation run folded into this case.
+	Runs         int
+	Delivered    int
+	Failed       int
+	DroppedFlits uint64
 	// FlitLatency is the per-flit arrival-step distribution; MsgLatency
 	// the per-message completion-step distribution. Steps are
 	// run-relative, so for the transport cases these read as per-round
 	// latencies.
-	FlitLatency obsv.Summary `json:"flit_latency"`
-	MsgLatency  obsv.Summary `json:"msg_latency"`
+	FlitLatency obsv.Summary
+	MsgLatency  obsv.Summary
 	// QueueDepth samples every link's queue length at every step; its
 	// buckets are the per-link queue-depth histogram.
-	QueueDepth        obsv.Summary  `json:"queue_depth"`
-	QueueDepthBuckets []obsv.Bucket `json:"queue_depth_buckets"`
+	QueueDepth        obsv.Summary
+	QueueDepthBuckets []obsv.Bucket
 	// MaxLinkQueue is the engine's own peak-queue metric for the same
 	// runs (sampled at enqueue time, so ≥ the StepEnd-derived max).
-	MaxLinkQueue int `json:"max_link_queue"`
+	MaxLinkQueue int
 	// MeanBusyFraction averages the per-step fraction of links that
 	// moved a flit.
-	MeanBusyFraction float64 `json:"mean_busy_fraction"`
-}
-
-type obsvReport struct {
-	GeneratedAt string   `json:"generated_at"`
-	Env         benchEnv `json:"env"`
-	Mode        string   `json:"mode"`
-	Flits       int    `json:"flits"`
-	// ProbeOnOverheadPct is the measured cost of *attaching* a Recorder
-	// (probe-on vs bare) on the Theorem 1 n=16 workload — the price of
-	// observation when you ask for it. The probe-off overhead contract
-	// (≤2% vs the pre-probe engine) is asserted separately in
-	// internal/netsim's TestProbeOffOverhead.
-	ProbeOnOverheadPct float64    `json:"probe_on_overhead_pct"`
-	WallMS             float64    `json:"wall_ms"`
-	Cases              []obsvCase `json:"cases"`
+	MeanBusyFraction float64
 }
 
 const (
@@ -74,10 +55,8 @@ func recorderCase(name string, r *obsv.Recorder, maxQueue int) obsvCase {
 	c := obsvCase{
 		Name:              name,
 		Runs:              r.Runs,
-		Steps:             r.Steps,
 		Delivered:         r.Delivered,
 		Failed:            r.Failed,
-		FlitsMoved:        r.Moved,
 		DroppedFlits:      r.Dropped,
 		FlitLatency:       r.FlitLatency.Summarize(),
 		MsgLatency:        r.MsgLatency.Summarize(),
@@ -114,63 +93,18 @@ func theoremCase(name string, build func(int) (*core.Embedding, error)) (obsvCas
 	return recorderCase(name, rec, res.MaxLinkQueue), nil
 }
 
-// probeOnOverhead times the Theorem 1 n=16 workload bare and with a
-// Recorder attached — best of a few interleaved runs each.
-func probeOnOverhead() (float64, error) {
-	e, err := cycles.Theorem1(obsN)
-	if err != nil {
-		return 0, err
-	}
-	msgs, err := traffic.WidthPathMessages(e, obsFlits)
-	if err != nil {
-		return 0, err
-	}
-	best := func(probe netsim.Probe) (time.Duration, error) {
-		min := time.Duration(1 << 62)
-		for i := 0; i < 3; i++ {
-			start := time.Now()
-			var err error
-			if probe != nil {
-				_, err = netsim.SimulateProbed(msgs, netsim.CutThrough, probe)
-			} else {
-				_, err = netsim.Simulate(msgs, netsim.CutThrough)
-			}
-			if err != nil {
-				return 0, err
-			}
-			if d := time.Since(start); d < min {
-				min = d
-			}
-		}
-		return min, nil
-	}
-	bare, err := best(nil)
-	if err != nil {
-		return 0, err
-	}
-	probed, err := best(obsv.NewRecorder())
-	if err != nil {
-		return 0, err
-	}
-	return (float64(probed)/float64(bare) - 1) * 100, nil
-}
-
-// measureObsSweep runs the observability suite once per process; the
-// E24 table and BENCH_obsv.json both read the cached result.
-var measureObsSweep = sync.OnceValues(func() (*obsvReport, error) {
-	start := time.Now()
-	rep := &obsvReport{Mode: netsim.CutThrough.String(), Flits: obsFlits}
-
+// measureObsSweep runs the observability suite once per process and
+// caches it.
+var measureObsSweep = sync.OnceValues(func() ([]obsvCase, error) {
 	c1, err := theoremCase(fmt.Sprintf("theorem1-n%d", obsN), cycles.Theorem1)
 	if err != nil {
 		return nil, fmt.Errorf("theorem1: %w", err)
 	}
-	rep.Cases = append(rep.Cases, c1)
 	c2, err := theoremCase(fmt.Sprintf("theorem2-n%d", obsN), cycles.Theorem2)
 	if err != nil {
 		return nil, fmt.Errorf("theorem2: %w", err)
 	}
-	rep.Cases = append(rep.Cases, c2)
+	cases := []obsvCase{c1, c2}
 
 	// The E23 fault sweep, observed: one Recorder per strategy attached
 	// through transport.Config.Probe accumulates across every embedding,
@@ -192,7 +126,7 @@ var measureObsSweep = sync.OnceValues(func() (*obsvReport, error) {
 			for _, p := range faultProbs {
 				for seed := 1; seed <= faultSeeds; seed++ {
 					sched := faults.Bernoulli(e.Host.DirectedEdges(), p, int64(seed))
-					r, err := transport.SendAll(e, transport.Config{
+					_, err := transport.SendAll(e, transport.Config{
 						Strategy:   strat,
 						Mode:       netsim.CutThrough,
 						Flits:      faultFlits,
@@ -205,28 +139,22 @@ var measureObsSweep = sync.OnceValues(func() (*obsvReport, error) {
 						return nil, fmt.Errorf("%s/%v/p=%g/seed=%d: %w",
 							names[ei], strat, p, seed, err)
 					}
-					_ = r // per-round series live in r.RoundStats; the recorder aggregates
 				}
 			}
 		}
 		// The transport does not surface the engine's enqueue-time peak;
 		// the StepEnd-derived max is the observed stand-in here.
-		rep.Cases = append(rep.Cases,
+		cases = append(cases,
 			recorderCase("e23-fault-sweep/"+strat.String(), rec, rec.QueueDepth.Max))
 	}
-
-	if rep.ProbeOnOverheadPct, err = probeOnOverhead(); err != nil {
-		return nil, err
-	}
-	rep.WallMS = float64(time.Since(start)) / float64(time.Millisecond)
-	return rep, nil
+	return cases, nil
 })
 
 // runE24 renders the observability sweep: where the aggregate tables
 // report means, this one reports the distributions the paper's
 // congestion claims are really about.
 func runE24() (*table, error) {
-	rep, err := measureObsSweep()
+	cases, err := measureObsSweep()
 	if err != nil {
 		return nil, err
 	}
@@ -234,7 +162,7 @@ func runE24() (*table, error) {
 		"case", "runs", "delivered/failed", "flit lat p50/p95/p99",
 		"msg lat p50/p95/p99", "queue p95/max", "busy",
 	}}
-	for _, c := range rep.Cases {
+	for _, c := range cases {
 		tab.addRow(
 			c.Name,
 			fmt.Sprintf("%d", c.Runs),
@@ -247,25 +175,9 @@ func runE24() (*table, error) {
 	}
 	tab.note("theorem cases: width-path traffic, %d flits per guest edge, cut-through, n=%d; "+
 		"fault-sweep cases: the E23 configuration observed per round through transport.Config.Probe "+
-		"(steps are round-relative). Attaching the Recorder cost %.1f%% on the Theorem 1 workload; "+
-		"the probe-OFF overhead contract (≤2%%) is asserted in internal/netsim.",
-		rep.Flits, obsN, rep.ProbeOnOverheadPct)
+		"(steps are round-relative). The probe-OFF overhead contract (≤2%%) is asserted in internal/netsim.",
+		obsFlits, obsN)
 	return tab, nil
-}
-
-func writeObsvJSON(path string) error {
-	rep, err := measureObsSweep()
-	if err != nil {
-		return err
-	}
-	out := *rep
-	out.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
-	out.Env = currentEnv()
-	data, err := json.MarshalIndent(&out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // writeTrace exports one representative run as a JSONL event trace:

@@ -3,18 +3,17 @@ package main
 import (
 	"fmt"
 	"reflect"
-	"slices"
+	"runtime"
 	"sync"
-	"time"
 
+	"multipath/internal/core"
 	"multipath/internal/cycles"
 	"multipath/internal/netsim"
 	"multipath/internal/obsv"
 	"multipath/internal/traffic"
 )
 
-// E27 / the shard_sweep section of BENCH_traffic.json: whole-cube
-// open-loop saturation sweeps through the sharded engine
+// E27: whole-cube open-loop saturation sweeps through the sharded engine
 // (netsim.SimulateOpenLoopSharded) on the Theorem 1 and Theorem 2
 // embeddings at Q_16/Q_20. Unlike E26's hotspot window, the templates
 // here cover every guest edge of the cube, so the arrival stream
@@ -22,17 +21,16 @@ import (
 // and each load point is sized to cover olWindow simulated steps at
 // its arrival rate. Whole-cube capacity grows with the cube, so the
 // arrival budget is capped at olNMax; capped points cover fewer steps
-// than olWindow and are flagged in the record (a high-load Q_20 point
-// describes the loaded transient, not a long steady state — no silent
-// caps). Every sharded run that feeds a speedup column is first
+// than olWindow and are flagged in a table note (a high-load Q_20
+// point describes the loaded transient, not a long steady state — no
+// silent caps). At each case's middle load every shard count is
 // verified bit-identical to the single-shard engine — same
 // OpenLoopResult including SkippedSteps, same latency distribution —
 // and per-shard conservation (FlitsMoved + DroppedFlits ==
 // InjectedHops) is checked through the stats entry point.
 
-// Sweep parameters, overridable with -traffic-dims (host dimensions,
-// shared with E26) and -shards (largest shard count, shared with E25).
-// The test package shrinks them so the regression gate stays fast.
+// Sweep parameters; the shard counts are E25's. The test package
+// shrinks them so the regression gate stays fast.
 var (
 	olDims   = []int{16, 20}
 	olLoads  = []float64{0.5, 0.9, 1.3}
@@ -54,51 +52,49 @@ func olArrivalCount(lambda float64) (count int, capped bool) {
 
 // trafficShardCurve is one arrival process's whole-cube load curve.
 type trafficShardCurve struct {
-	Arrival string         `json:"arrival_process"`
-	Points  []trafficPoint `json:"points"`
+	Arrival string
+	Points  []trafficPoint
 	// CappedLoads lists the swept loads whose arrival count hit the
 	// olNMax budget (their windows are shorter than olWindow steps).
-	CappedLoads []float64 `json:"capped_loads,omitempty"`
-	// Saturation detection as in the E26 cases: the largest load whose
-	// mean latency stays within 3x the lowest-load mean.
-	SaturationLoad       float64 `json:"saturation_load"`
-	SaturationThroughput float64 `json:"saturation_throughput"`
+	CappedLoads []float64
+	// SaturationLoad is found as in the E26 cases: the largest load
+	// whose mean latency stays within 3x the lowest-load mean.
+	SaturationLoad float64
 }
 
 // trafficShardCase is one embedding×dimension of the E27 sweep:
-// whole-cube load curves per arrival process plus the shard-count
-// speedup columns measured at ShardLoad under Poisson arrivals.
+// whole-cube load curves per arrival process plus the shard counts
+// verified at ShardLoad under Poisson arrivals.
 type trafficShardCase struct {
-	Embedding string `json:"embedding"`
-	Dims      int    `json:"dims"`
-	Nodes     int    `json:"nodes"`
-	Links     int    `json:"links"`
-	Templates int    `json:"templates"`
+	Embedding string
+	Dims      int
+	Links     int
+	Templates int
 	// Capacity is the whole cube's closed-loop drain rate (flit-hops
 	// per step with every template injected at step 0).
-	Capacity     float64             `json:"capacity_flits_per_step"`
-	MeanFlitHops float64             `json:"mean_flit_hops_per_msg"`
-	Curves       []trafficShardCurve `json:"curves"`
-	ShardLoad    float64             `json:"shard_load"`
-	Lambda       float64             `json:"lambda_msgs_per_step"`
-	Arrivals     int                 `json:"arrivals"`
-	Steps        int                 `json:"steps"`
-	// BaselineMS is the single-shard engine's wall on the ShardLoad
-	// trace; Points hold each shard count's wall and speedup over it.
-	BaselineMS float64      `json:"baseline_ms"`
-	Points     []shardPoint `json:"points"`
+	Capacity     float64
+	MeanFlitHops float64
+	Curves       []trafficShardCurve
+	ShardLoad    float64
+	Lambda       float64
+	Arrivals     int
+	Steps        int
+	// Shards lists the shard counts verified against the single-shard
+	// run of the ShardLoad trace.
+	Shards []int
 }
 
-// olRun is one single-shard or sharded open-loop run with the standard
-// measurement harness attached.
-func olRun(tmpls []*netsim.Message, tr *netsim.Trace, after, shards int) (*netsim.OpenLoopResult, *obsv.Histogram, error) {
+// olRun is one single-shard open-loop run with the standard
+// measurement harness attached. Like olVerifySharded it first collects
+// the previous run's garbage: in a full mpbench run the live heap at
+// Q_20 is near 4 GB (E27's cube plus the Q_20 engines netsim's pools
+// keep from E25), and the collector's default 2x headroom alone let
+// the run outgrow an 8 GB host.
+func olRun(tmpls []*netsim.Message, tr *netsim.Trace, after int) (*netsim.OpenLoopResult, *obsv.Histogram, error) {
+	runtime.GC()
 	h := obsv.NewHistogram(1, 1<<14)
-	opts := netsim.OpenLoopOpts{Mode: netsim.CutThrough, MeasureAfter: after, Sink: h}
-	if shards <= 1 {
-		r, err := netsim.SimulateOpenLoop(tmpls, tr.Source(), opts)
-		return r, h, err
-	}
-	r, err := netsim.SimulateOpenLoopSharded(tmpls, tr.Source(), opts, shards)
+	r, err := netsim.SimulateOpenLoop(tmpls, tr.Source(),
+		netsim.OpenLoopOpts{Mode: netsim.CutThrough, MeasureAfter: after, Sink: h})
 	return r, h, err
 }
 
@@ -107,6 +103,7 @@ func olRun(tmpls []*netsim.Message, tr *netsim.Trace, after, shards int) (*netsi
 // histogram — and conservation per shard and globally.
 func olVerifySharded(name string, tmpls []*netsim.Message, tr *netsim.Trace, after, shards int,
 	want *netsim.OpenLoopResult, wantHist *obsv.Histogram) error {
+	runtime.GC()
 	h := obsv.NewHistogram(1, 1<<14)
 	got, stats, err := netsim.SimulateOpenLoopShardedStats(tmpls, tr.Source(),
 		netsim.OpenLoopOpts{Mode: netsim.CutThrough, MeasureAfter: after, Sink: h}, shards)
@@ -116,8 +113,7 @@ func olVerifySharded(name string, tmpls []*netsim.Message, tr *netsim.Trace, aft
 	if !reflect.DeepEqual(got, want) {
 		return fmt.Errorf("%s shards=%d: result diverged from single-shard: %+v vs %+v", name, shards, got, want)
 	}
-	if h.N != wantHist.N || h.Sum != wantHist.Sum || h.Max != wantHist.Max ||
-		h.Over != wantHist.Over || !slices.Equal(h.Counts, wantHist.Counts) {
+	if !sameHistogram(h, wantHist) {
 		return fmt.Errorf("%s shards=%d: latency distributions diverged (N %d vs %d)", name, shards, h.N, wantHist.N)
 	}
 	sumMoved, sumDropped, sumInj := 0, 0, 0
@@ -136,34 +132,24 @@ func olVerifySharded(name string, tmpls []*netsim.Message, tr *netsim.Trace, aft
 	return nil
 }
 
-// measureWholeCubeSweep runs the E27 sweep once per process; the table
-// and BENCH_traffic.json's shard_sweep section both read the cache.
+// measureWholeCubeSweep runs the E27 sweep once per process and caches
+// it.
 var measureWholeCubeSweep = sync.OnceValues(func() ([]trafficShardCase, error) {
 	var cases []trafficShardCase
 	builders := []struct {
 		name  string
-		build func(int) ([]*netsim.Message, int, int, error)
+		build func(int) (*core.Embedding, error)
 	}{
-		{"theorem1", func(n int) ([]*netsim.Message, int, int, error) {
-			emb, err := cycles.Theorem1(n)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			tmpls, err := traffic.WidthPathMessages(emb, olFlits)
-			return tmpls, emb.Host.Nodes(), emb.Host.DirectedEdges(), err
-		}},
-		{"theorem2", func(n int) ([]*netsim.Message, int, int, error) {
-			emb, err := cycles.Theorem2(n)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			tmpls, err := traffic.WidthPathMessages(emb, olFlits)
-			return tmpls, emb.Host.Nodes(), emb.Host.DirectedEdges(), err
-		}},
+		{"theorem1", cycles.Theorem1},
+		{"theorem2", cycles.Theorem2},
 	}
 	for _, n := range olDims {
 		for _, b := range builders {
-			tmpls, nodes, links, err := b.build(n)
+			emb, err := b.build(n)
+			if err != nil {
+				return nil, fmt.Errorf("%s n=%d: %w", b.name, n, err)
+			}
+			tmpls, err := traffic.WidthPathMessages(emb, olFlits)
 			if err != nil {
 				return nil, fmt.Errorf("%s n=%d: %w", b.name, n, err)
 			}
@@ -180,8 +166,7 @@ var measureWholeCubeSweep = sync.OnceValues(func() ([]trafficShardCase, error) {
 			c := trafficShardCase{
 				Embedding:    b.name,
 				Dims:         n,
-				Nodes:        nodes,
-				Links:        links,
+				Links:        emb.Host.DirectedEdges(),
 				Templates:    len(tmpls),
 				Capacity:     capacity,
 				MeanFlitHops: meanWork,
@@ -198,7 +183,7 @@ var measureWholeCubeSweep = sync.OnceValues(func() ([]trafficShardCase, error) {
 					if err != nil {
 						return nil, fmt.Errorf("%s n=%d %s load=%g: %w", b.name, n, process, load, err)
 					}
-					res, h, err := olRun(tmpls, tr, warmupCutoff(tr), 1)
+					res, h, err := olRun(tmpls, tr, warmupCutoff(tr))
 					if err != nil {
 						return nil, fmt.Errorf("%s n=%d %s load=%g: %w", b.name, n, process, load, err)
 					}
@@ -208,10 +193,8 @@ var measureWholeCubeSweep = sync.OnceValues(func() ([]trafficShardCase, error) {
 						Lambda:      lambda,
 						Arrivals:    count,
 						Steps:       res.Steps,
-						Skipped:     res.SkippedSteps,
 						SkippedFrac: float64(res.SkippedSteps) / float64(steps),
 						Delivered:   res.DeliveredMsgs,
-						MaxInFlight: res.MaxInFlight,
 						Throughput:  float64(res.FlitsMoved) / float64(steps),
 						Latency:     h.Summarize(),
 					})
@@ -220,13 +203,12 @@ var measureWholeCubeSweep = sync.OnceValues(func() ([]trafficShardCase, error) {
 				for _, pt := range curve.Points {
 					if pt.Latency.Mean <= 3*base {
 						curve.SaturationLoad = pt.Load
-						curve.SaturationThroughput = pt.Throughput
 					}
 				}
 				c.Curves = append(c.Curves, curve)
 			}
-			// Shard-count speedups at the middle load under Poisson
-			// arrivals, against the single-shard engine on the same trace.
+			// Every shard count at the middle load under Poisson arrivals,
+			// against the single-shard engine on the same trace.
 			c.ShardLoad = olLoads[len(olLoads)/2]
 			c.Lambda = c.ShardLoad * capacity / meanWork
 			c.Arrivals, _ = olArrivalCount(c.Lambda)
@@ -235,37 +217,17 @@ var measureWholeCubeSweep = sync.OnceValues(func() ([]trafficShardCase, error) {
 				return nil, fmt.Errorf("%s n=%d shard sweep: %w", b.name, n, err)
 			}
 			after := warmupCutoff(tr)
-			golden, goldenHist, err := olRun(tmpls, tr, after, 1)
+			golden, goldenHist, err := olRun(tmpls, tr, after)
 			if err != nil {
 				return nil, fmt.Errorf("%s n=%d shard sweep: %w", b.name, n, err)
 			}
 			c.Steps = golden.Steps
-			baseWall, _, err := timeOpenLoop(func() (*netsim.OpenLoopResult, error) {
-				r, _, err := olRun(tmpls, tr, after, 1)
-				return r, err
-			})
-			if err != nil {
-				return nil, fmt.Errorf("%s n=%d baseline: %w", b.name, n, err)
-			}
-			c.BaselineMS = float64(baseWall) / float64(time.Millisecond)
 			name := fmt.Sprintf("%s-q%d", b.name, n)
-			for _, s := range shardCountSweep() {
-				shards := s
+			for _, shards := range shardCountSweep() {
 				if err := olVerifySharded(name, tmpls, tr, after, shards, golden, goldenHist); err != nil {
 					return nil, err
 				}
-				wall, _, err := timeOpenLoop(func() (*netsim.OpenLoopResult, error) {
-					r, _, err := olRun(tmpls, tr, after, shards)
-					return r, err
-				})
-				if err != nil {
-					return nil, fmt.Errorf("%s shards=%d: %w", name, shards, err)
-				}
-				c.Points = append(c.Points, shardPoint{
-					Shards:  shards,
-					WallMS:  float64(wall) / float64(time.Millisecond),
-					Speedup: float64(baseWall) / float64(wall),
-				})
+				c.Shards = append(c.Shards, shards)
 			}
 			cases = append(cases, c)
 		}
@@ -274,14 +236,13 @@ var measureWholeCubeSweep = sync.OnceValues(func() ([]trafficShardCase, error) {
 })
 
 // runE27 renders the whole-cube sharded open-loop sweep: steady-state
-// latency versus offered load per arrival process, with the sharded
-// engine's per-shard-count speedup over the single-shard engine.
+// latency versus offered load per arrival process, with the shard
+// counts verified against the single-shard engine.
 func runE27() (*table, error) {
 	cases, err := measureWholeCubeSweep()
 	if err != nil {
 		return nil, err
 	}
-	env := currentEnv()
 	tab := &table{headers: []string{
 		"embedding", "host", "process", "load", "arrivals", "steps", "p50", "p95", "p99", "mean", "flits/step",
 	}}
@@ -308,21 +269,12 @@ func runE27() (*table, error) {
 					c.Embedding, host, curve.Arrival, curve.CappedLoads, olNMax, olWindow)
 			}
 		}
-		speed := ""
-		for i, pt := range c.Points {
-			if i > 0 {
-				speed += ", "
-			}
-			speed += fmt.Sprintf("%d→%.2fx", pt.Shards, pt.Speedup)
-		}
-		tab.note("%s %s: %d whole-cube templates over %d links; shard speedups at load %.2f (poisson, %d arrivals): %s — every sharded run verified bit-identical (result + latency distribution + per-shard conservation) before timing.",
-			c.Embedding, host, c.Templates, c.Links, c.ShardLoad, c.Arrivals, speed)
+		tab.note("%s %s: %d whole-cube templates over %d links; at load %.2f (poisson, %d arrivals) shard counts %v each ran bit-identical to the single-shard engine (result + latency distribution + per-shard conservation).",
+			c.Embedding, host, c.Templates, c.Links, c.ShardLoad, c.Arrivals, c.Shards)
 	}
 	tab.note("Whole-cube width-path templates, %d flits per guest edge, cut-through; load is offered flit-hops "+
 		"as a fraction of the cube's closed-loop drain capacity, latency excludes the first 20%% of arrivals "+
-		"(warm-up). Measured at GOMAXPROCS=%d on %d CPU(s): sharding buys wall-clock only from parallel "+
-		"hardware, so on a single-CPU host the honest speedup is ~1x (barrier + boundary-ring overhead) — "+
-		"see EXPERIMENTS.md E27.",
-		olFlits, env.GoMaxProcs, env.NumCPU)
+		"(warm-up).",
+		olFlits)
 	return tab, nil
 }

@@ -2,53 +2,27 @@ package main
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
-	"time"
 
 	"multipath/internal/cycles"
 	"multipath/internal/netsim"
 	"multipath/internal/traffic"
 )
 
-// E25 / the shard_sweep section of BENCH_netsim.json: wall-clock of
-// the partitioned netsim engine (netsim.SimulateSharded) against the
-// single-shard engine on Theorem 1 width-path traffic at large n.
-// Every sharded run is checked bit-identical to the baseline before
-// its timing is recorded — a speedup from a diverged simulation would
-// be meaningless.
+// E25: the partitioned netsim engine (netsim.SimulateSharded) against
+// the single-shard engine on Theorem 1 width-path traffic at large n.
+// Every sharded run must be bit-identical to the single-shard result;
+// a divergence aborts the experiment.
 
-// benchEnv records the execution environment in every BENCH_*.json
-// report. Shard-count speedups cannot be read without it: on a host
-// pinned to one CPU the honest speedup of any sharding is ~1x
-// (barrier and boundary-ring overhead with no parallel hardware), and
-// the env block is what distinguishes that from a regression.
-type benchEnv struct {
-	GoMaxProcs int `json:"gomaxprocs"`
-	NumCPU     int `json:"num_cpu"`
-	// Shards is the largest shard count the E25 sweep measured (the
-	// -shards flag).
-	Shards int `json:"shards"`
-}
-
-func currentEnv() benchEnv {
-	return benchEnv{
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Shards:     shardMax,
-	}
-}
-
-// Sweep parameters, overridable with -shards / -shard-dims. The test
-// package shrinks them so the full-suite regression gate stays fast.
+// Sweep parameters. The test package shrinks them so the full-suite
+// regression gate stays fast.
 var (
 	shardMax   = 8             // sweep shard counts 1, 2, 4, ..., shardMax
 	shardDims  = []int{16, 20} // host dimensions; Q_20 is the million-node target
 	shardFlits = 4
-	shardReps  = 2 // best-of repetitions per timed point
 )
 
-// shardCountSweep returns the measured shard counts: powers of two
+// shardCountSweep returns the verified shard counts: powers of two
 // from 1 through shardMax (shardMax itself included even when not a
 // power of two).
 func shardCountSweep() []int {
@@ -62,65 +36,20 @@ func shardCountSweep() []int {
 	return counts
 }
 
-type shardPoint struct {
-	Shards int     `json:"shards"`
-	WallMS float64 `json:"wall_ms"`
-	// Speedup is single-shard-engine wall over this point's wall.
-	Speedup float64 `json:"speedup"`
-}
-
 type shardCase struct {
-	Dims       int          `json:"dims"`
-	Nodes      int          `json:"nodes"`
-	Links      int          `json:"links"`
-	Messages   int          `json:"messages"`
-	Steps      int          `json:"steps"`
-	FlitsMoved int          `json:"flits_moved"`
-	BaselineMS float64      `json:"baseline_ms"` // plain netsim.Simulate
-	Points     []shardPoint `json:"points"`
+	Dims       int
+	Links      int
+	Messages   int
+	Steps      int
+	FlitsMoved int
+	// Shards lists the shard counts whose result matched the
+	// single-shard engine's.
+	Shards []int
 }
 
-type shardSweepReport struct {
-	Mode   string      `json:"mode"`
-	Flits  int         `json:"flits"`
-	WallMS float64     `json:"wall_ms"`
-	Cases  []shardCase `json:"cases"`
-}
-
-// timeBest runs sim once untimed — the first run at a new host size
-// pays pooled-engine state growth (hundreds of MB of page faults at
-// Q_20), which is setup cost, not simulation cost — then shardReps
-// timed repetitions, returning the best wall-clock with the
-// (deterministic, hence identical) result.
-func timeBest(sim func() (*netsim.Result, error)) (time.Duration, *netsim.Result, error) {
-	res, err := sim()
-	if err != nil {
-		return 0, nil, err
-	}
-	// Settle the heap before timing: in a full-suite run the preceding
-	// experiments leave GC debt that would otherwise be charged to
-	// whichever configuration happens to run next.
-	runtime.GC()
-	var best time.Duration
-	for rep := 0; rep < shardReps; rep++ {
-		start := time.Now()
-		r, err := sim()
-		if err != nil {
-			return 0, nil, err
-		}
-		if d := time.Since(start); rep == 0 || d < best {
-			best = d
-		}
-		res = r
-	}
-	return best, res, nil
-}
-
-// measureShardSweep runs the sweep once per process; the E25 table and
-// BENCH_netsim.json's shard_sweep section both read the cached result.
-var measureShardSweep = sync.OnceValues(func() (*shardSweepReport, error) {
-	start := time.Now()
-	rep := &shardSweepReport{Mode: netsim.CutThrough.String(), Flits: shardFlits}
+// measureShardSweep runs the sweep once per process and caches it.
+var measureShardSweep = sync.OnceValues(func() ([]shardCase, error) {
+	var cases []shardCase
 	for _, n := range shardDims {
 		e, err := cycles.Theorem1(n)
 		if err != nil {
@@ -130,26 +59,19 @@ var measureShardSweep = sync.OnceValues(func() (*shardSweepReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("traffic n=%d: %w", n, err)
 		}
-		baseWall, base, err := timeBest(func() (*netsim.Result, error) {
-			return netsim.Simulate(msgs, netsim.CutThrough)
-		})
+		base, err := netsim.Simulate(msgs, netsim.CutThrough)
 		if err != nil {
 			return nil, fmt.Errorf("baseline n=%d: %w", n, err)
 		}
 		c := shardCase{
 			Dims:       n,
-			Nodes:      e.Host.Nodes(),
 			Links:      e.Host.DirectedEdges(),
 			Messages:   len(msgs),
 			Steps:      base.Steps,
 			FlitsMoved: base.FlitsMoved,
-			BaselineMS: float64(baseWall) / float64(time.Millisecond),
 		}
-		for _, s := range shardCountSweep() {
-			shards := s
-			wall, got, err := timeBest(func() (*netsim.Result, error) {
-				return netsim.SimulateSharded(msgs, netsim.CutThrough, shards)
-			})
+		for _, shards := range shardCountSweep() {
+			got, err := netsim.SimulateSharded(msgs, netsim.CutThrough, shards)
 			if err != nil {
 				return nil, fmt.Errorf("n=%d shards=%d: %w", n, shards, err)
 			}
@@ -157,50 +79,37 @@ var measureShardSweep = sync.OnceValues(func() (*shardSweepReport, error) {
 				return nil, fmt.Errorf("n=%d shards=%d: result diverged from baseline: %+v vs %+v",
 					n, shards, got, base)
 			}
-			c.Points = append(c.Points, shardPoint{
-				Shards:  shards,
-				WallMS:  float64(wall) / float64(time.Millisecond),
-				Speedup: float64(baseWall) / float64(wall),
-			})
+			c.Shards = append(c.Shards, shards)
 		}
-		rep.Cases = append(rep.Cases, c)
+		cases = append(cases, c)
 	}
-	rep.WallMS = float64(time.Since(start)) / float64(time.Millisecond)
-	return rep, nil
+	return cases, nil
 })
 
-// runE25 renders the shard sweep: the partitioned engine's wall-clock
-// versus the single-shard engine on the paper's own Theorem 1 traffic,
-// at host sizes where the dense link space reaches the millions.
+// runE25 renders the shard sweep: the partitioned engine against the
+// single-shard engine on the paper's own Theorem 1 traffic, at host
+// sizes where the dense link space reaches the millions.
 func runE25() (*table, error) {
-	rep, err := measureShardSweep()
+	cases, err := measureShardSweep()
 	if err != nil {
 		return nil, err
 	}
-	env := currentEnv()
 	tab := &table{headers: []string{
-		"host", "links", "messages", "steps", "shards", "wall ms", "speedup", "identical",
+		"host", "links", "messages", "steps", "shards", "identical",
 	}}
-	for _, c := range rep.Cases {
-		host := fmt.Sprintf("Q_%d", c.Dims)
-		for _, pt := range c.Points {
+	for _, c := range cases {
+		for _, shards := range c.Shards {
 			tab.addRow(
-				host,
+				fmt.Sprintf("Q_%d", c.Dims),
 				fmt.Sprintf("%d", c.Links),
 				fmt.Sprintf("%d", c.Messages),
 				fmt.Sprintf("%d", c.Steps),
-				fmt.Sprintf("%d", pt.Shards),
-				fmt.Sprintf("%.1f", pt.WallMS),
-				fmt.Sprintf("%.2fx", pt.Speedup),
+				fmt.Sprintf("%d", shards),
 				"yes", // measureShardSweep errors out on any divergence
 			)
 		}
 	}
-	tab.note("Theorem 1 width-path traffic, %d flits per guest edge, cut-through, best of %d; "+
-		"speedup is single-shard engine wall over sharded wall, and every sharded result was "+
-		"verified bit-identical before timing was recorded. Measured at GOMAXPROCS=%d on %d CPU(s): "+
-		"sharding buys wall-clock only from parallel hardware, so on a single-CPU host the honest "+
-		"speedup is ~1x (barrier + boundary-ring overhead, no parallel win) — see EXPERIMENTS.md E25.",
-		rep.Flits, shardReps, env.GoMaxProcs, env.NumCPU)
+	tab.note("Theorem 1 width-path traffic, %d flits per guest edge, cut-through; every sharded "+
+		"result was verified bit-identical to the single-shard engine's.", shardFlits)
 	return tab, nil
 }

@@ -2,9 +2,7 @@ package main
 
 import (
 	"fmt"
-	"slices"
 	"sync"
-	"time"
 
 	"multipath/internal/faults"
 	"multipath/internal/hypercube"
@@ -14,8 +12,7 @@ import (
 	"multipath/internal/traffic"
 )
 
-// E29 / BENCH_traffic.json strategy_race: the routing strategy zoo
-// raced against the paper's disjoint-path construction. Five
+// E29: the routing strategy zoo raced against the paper's disjoint-path construction. Five
 // contenders — deterministic dimension-order (e-cube), Valiant's
 // two-phase randomized routing, minimal-oblivious with per-link load
 // accounting, feedback-adaptive re-planning between measurement
@@ -27,15 +24,15 @@ import (
 // capacity, so one load axis compares all five contenders. Every
 // point is conservation-checked (flits moved + dropped == injected
 // hops) and the first point of every curve is re-run from its seed and
-// required to reproduce bit-identically before the report is emitted.
+// required to reproduce bit-identically before the table is printed.
 //
 // All contenders see the identical window slicing (routing.SplitTrace
 // into raceWindows windows); only the adaptive strategy uses the
 // inter-window gap to re-plan on queue-depth feedback, and only it
 // listens for dead links on the faulty fabric.
 
-// Sweep parameters, overridable with -traffic-dims. The test package
-// shrinks them so the regression gate stays fast.
+// Sweep parameters. The test package shrinks them so the regression
+// gate stays fast.
 var (
 	raceDims    = []int{12, 16}
 	raceFlits   = 16
@@ -51,68 +48,56 @@ var (
 var raceStrategyNames = []string{"dimorder", "valiant", "minimal", "adaptive", "multipath"}
 
 type racePoint struct {
-	Load     float64 `json:"load"`
-	Lambda   float64 `json:"lambda_msgs_per_step"`
-	Arrivals int     `json:"arrivals"`
-	Steps    int     `json:"steps"`
+	Load     float64
+	Arrivals int
+	Steps    int
 	// Delivered and Failed count logical messages: for multipath a
 	// message is delivered only when all its pieces are.
-	Delivered int `json:"delivered"`
-	Failed    int `json:"failed"`
+	Delivered int
+	Failed    int
 	// Throughput is delivered flit-hops per model step over the run.
-	Throughput float64 `json:"throughput_flits_per_step"`
+	Throughput float64
 	// Latency is steady-state (first 20% of each window's arrivals
 	// excluded); multipath latency is per logical message, last piece in.
-	Latency obsv.Summary `json:"latency"`
+	Latency obsv.Summary
 	// Conserved records the per-point flit-conservation check; a
 	// violation aborts the whole measurement instead of reporting false.
-	Conserved bool `json:"conserved"`
+	Conserved bool
 }
 
 type raceCurve struct {
-	Strategy string      `json:"strategy"`
-	Points   []racePoint `json:"points"`
+	Strategy string
+	Points   []racePoint
 	// SaturationLoad is the largest swept load whose mean latency stays
 	// within 3x the lowest-load mean; SaturationThroughput is that
 	// point's delivered flit-hops per step.
-	SaturationLoad       float64 `json:"saturation_load"`
-	SaturationThroughput float64 `json:"saturation_throughput"`
+	SaturationLoad       float64
+	SaturationThroughput float64
 	// Replayed records that the curve's first point was re-run from its
 	// seed and reproduced bit-identically (a mismatch aborts the bench).
-	Replayed bool `json:"replayed"`
+	Replayed bool
 }
 
 type raceFabric struct {
-	Fabric string  `json:"fabric"` // "clean" or "faulty"
-	FaultP float64 `json:"fault_p,omitempty"`
+	Fabric string // "clean" or "faulty"
 	// DeadLinks is the Bernoulli draw's actual failed-link count.
-	DeadLinks int         `json:"dead_links,omitempty"`
-	Curves    []raceCurve `json:"curves"`
+	DeadLinks int
+	Curves    []raceCurve
 }
 
 type raceCase struct {
-	Pattern string `json:"pattern"`
-	Dims    int    `json:"dims"`
-	Nodes   int    `json:"nodes"`
-	Pairs   int    `json:"pairs"`
+	Pattern string
+	Dims    int
+	Pairs   int
 	// PairsFrom is the pattern's full pair count before the
 	// deterministic stride subsample down to racePairs (equal to Pairs
 	// when no subsampling happened).
-	PairsFrom int `json:"pairs_from"`
+	PairsFrom int
 	// Capacity is the dimension-order clean closed-loop drain rate —
 	// the shared normalizer behind every contender's load axis.
-	Capacity     float64      `json:"capacity_flits_per_step"`
-	MeanFlitHops float64      `json:"mean_flit_hops_per_msg"`
-	Fabrics      []raceFabric `json:"fabrics"`
-}
-
-type raceReport struct {
-	Flits   int        `json:"flits"`
-	Seed    int64      `json:"seed"`
-	Windows int        `json:"windows"`
-	Loads   []float64  `json:"loads"`
-	WallMS  float64    `json:"wall_ms"`
-	Cases   []raceCase `json:"cases"`
+	Capacity     float64
+	MeanFlitHops float64
+	Fabrics      []raceFabric
 }
 
 // newRaceStrategy builds a fresh instance per point so stateful
@@ -223,9 +208,9 @@ func runMultipathWindows(q *hypercube.Q, pairs []routing.Pair, tr *netsim.Trace,
 
 // raceRunPoint measures one (strategy, load) point, enforcing the
 // conservation invariant before anything is reported.
-func raceRunPoint(q *hypercube.Q, name string, pairs []routing.Pair, tr *netsim.Trace, sched netsim.LinkFaults, load, lambda float64) (racePoint, error) {
+func raceRunPoint(q *hypercube.Q, name string, pairs []routing.Pair, tr *netsim.Trace, sched netsim.LinkFaults, load float64) (racePoint, error) {
 	h := obsv.NewHistogram(1, 1<<14)
-	pt := racePoint{Load: load, Lambda: lambda, Arrivals: len(tr.Arrivals)}
+	pt := racePoint{Load: load, Arrivals: len(tr.Arrivals)}
 	var (
 		steps, moved, dropped, hops int
 	)
@@ -263,16 +248,10 @@ func raceRunPoint(q *hypercube.Q, name string, pairs []routing.Pair, tr *netsim.
 	return pt, nil
 }
 
-// measureStrategyRace runs the E29 race once; the table and
-// BENCH_traffic.json both read the cached result.
-var measureStrategyRace = sync.OnceValues(func() (*raceReport, error) {
-	start := time.Now()
-	rep := &raceReport{
-		Flits:   raceFlits,
-		Seed:    raceSeed,
-		Windows: raceWindows,
-		Loads:   slices.Clone(raceLoads),
-	}
+// measureStrategyRace runs the E29 race once per process and caches
+// it.
+var measureStrategyRace = sync.OnceValues(func() ([]raceCase, error) {
+	var cases []raceCase
 	for _, n := range raceDims {
 		q := hypercube.New(n)
 		numLinks := q.DirectedEdges()
@@ -301,7 +280,6 @@ var measureStrategyRace = sync.OnceValues(func() (*raceReport, error) {
 			c := raceCase{
 				Pattern:      pattern,
 				Dims:         n,
-				Nodes:        q.Nodes(),
 				Pairs:        len(pairs),
 				PairsFrom:    len(full),
 				Capacity:     capacity,
@@ -310,7 +288,7 @@ var measureStrategyRace = sync.OnceValues(func() (*raceReport, error) {
 			sched := faults.Bernoulli(numLinks, raceFaultP, raceSeed)
 			fabrics := []raceFabric{
 				{Fabric: "clean"},
-				{Fabric: "faulty", FaultP: raceFaultP, DeadLinks: sched.FaultyLinks()},
+				{Fabric: "faulty", DeadLinks: sched.FaultyLinks()},
 			}
 			for fi := range fabrics {
 				fab := &fabrics[fi]
@@ -326,7 +304,7 @@ var measureStrategyRace = sync.OnceValues(func() (*raceReport, error) {
 						if err != nil {
 							return nil, err
 						}
-						pt, err := raceRunPoint(q, name, pairs, tr, lf, load, lambda)
+						pt, err := raceRunPoint(q, name, pairs, tr, lf, load)
 						if err != nil {
 							return nil, fmt.Errorf("%s Q_%d %s: %w", pattern, n, fab.Fabric, err)
 						}
@@ -338,7 +316,7 @@ var measureStrategyRace = sync.OnceValues(func() (*raceReport, error) {
 					if err != nil {
 						return nil, err
 					}
-					again, err := raceRunPoint(q, name, pairs, tr0, lf, raceLoads[0], lambda0)
+					again, err := raceRunPoint(q, name, pairs, tr0, lf, raceLoads[0])
 					if err != nil {
 						return nil, err
 					}
@@ -358,17 +336,16 @@ var measureStrategyRace = sync.OnceValues(func() (*raceReport, error) {
 				}
 			}
 			c.Fabrics = fabrics
-			rep.Cases = append(rep.Cases, c)
+			cases = append(cases, c)
 		}
 	}
-	rep.WallMS = float64(time.Since(start)) / float64(time.Millisecond)
-	return rep, nil
+	return cases, nil
 })
 
 // runE29 renders the race: one row per curve with its saturation point
 // and the tail latency at the middle and top swept loads.
 func runE29() (*table, error) {
-	rep, err := measureStrategyRace()
+	cases, err := measureStrategyRace()
 	if err != nil {
 		return nil, err
 	}
@@ -377,7 +354,7 @@ func runE29() (*table, error) {
 		"pattern", "host", "fabric", "strategy", "sat.load", "sat.thpt",
 		fmt.Sprintf("p99@%.1f", raceLoads[mid]), fmt.Sprintf("p99@%.1f", raceLoads[top]), "delivered",
 	}}
-	for _, c := range rep.Cases {
+	for _, c := range cases {
 		host := fmt.Sprintf("Q_%d", c.Dims)
 		for _, fab := range c.Fabrics {
 			for _, cv := range fab.Curves {

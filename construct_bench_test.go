@@ -6,9 +6,7 @@ package multipath
 // cycle decomposition at base a ∈ {4, 8} (whose X(G) lands in
 // Q_8 / Q_16). Each benchmark builds the embedding once and
 // measures warm verification — the route cache is hot, so these track
-// the pooled parallel passes, not construction. cmd/mpbench's
-// BENCH_construct.json records the same metrics against the map-based
-// reference implementations.
+// the pooled parallel passes, not construction.
 
 import (
 	"fmt"
@@ -51,9 +49,9 @@ func constructCases(b *testing.B) map[string]*core.Embedding {
 	return out
 }
 
-// theorem4Embedding builds Theorem 4's embedding of the induced cross
-// product of Q_a's Hamiltonian cycle decomposition, hosted in Q_2a.
-func theorem4Embedding(a int) (*core.Embedding, error) {
+// theorem4Copies embeds each directed cycle of Q_a's Hamiltonian
+// decomposition in Q_a: the copies Theorem 4 crosses.
+func theorem4Copies(a int) ([]*core.Embedding, error) {
 	dec, err := hamdecomp.Decompose(a)
 	if err != nil {
 		return nil, err
@@ -66,6 +64,16 @@ func theorem4Embedding(a int) (*core.Embedding, error) {
 			return nil, err
 		}
 		copies = append(copies, e)
+	}
+	return copies, nil
+}
+
+// theorem4Embedding builds Theorem 4's embedding of the induced cross
+// product of Q_a's Hamiltonian cycle decomposition, hosted in Q_2a.
+func theorem4Embedding(a int) (*core.Embedding, error) {
+	copies, err := theorem4Copies(a)
+	if err != nil {
+		return nil, err
 	}
 	_, xe, err := xproduct.Theorem4(copies)
 	return xe, err
@@ -97,7 +105,7 @@ func benchMetric(b *testing.B, fn func(e *core.Embedding) error) {
 // retained slice-of-slices reference builders at n = 16. The arena
 // path also adopts the dense route cache (the reference leaves it to
 // the first metric call), so allocs/op is the headline number here;
-// BENCH_construct.json records the build-to-first-verify comparison.
+// TestArenaBuildersAllocateLess asserts it at n = 8.
 func BenchmarkBuild(b *testing.B) {
 	for _, c := range []struct {
 		name     string
@@ -123,6 +131,40 @@ func BenchmarkBuild(b *testing.B) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// The arena-backed constructors must allocate less than their retained
+// slice-of-slices golden models, which allocate per path and per hop.
+func TestArenaBuildersAllocateLess(t *testing.T) {
+	copies, err := theorem4Copies(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name            string
+		arena, retained func() (*core.Embedding, error)
+	}{
+		{"theorem1/n=8",
+			func() (*core.Embedding, error) { return cycles.Theorem1(8) },
+			func() (*core.Embedding, error) { return cycles.Theorem1Reference(8) }},
+		{"theorem2/n=8",
+			func() (*core.Embedding, error) { return cycles.Theorem2(8) },
+			func() (*core.Embedding, error) { return cycles.Theorem2Reference(8) }},
+		{"theorem4/n=8",
+			func() (*core.Embedding, error) { _, e, err := xproduct.Theorem4(copies); return e, err },
+			func() (*core.Embedding, error) { _, e, err := xproduct.Theorem4Reference(copies); return e, err }},
+	} {
+		allocs := func(build func() (*core.Embedding, error)) float64 {
+			return testing.AllocsPerRun(3, func() {
+				if _, err := build(); err != nil {
+					t.Fatalf("%s: %v", c.name, err)
+				}
+			})
+		}
+		if arena, retained := allocs(c.arena), allocs(c.retained); arena >= retained {
+			t.Errorf("%s: arena build allocates %.0f times, retained %.0f", c.name, arena, retained)
 		}
 	}
 }

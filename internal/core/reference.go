@@ -2,14 +2,14 @@ package core
 
 import "fmt"
 
-// Reference implementations of the metric verifiers, preserved verbatim
-// from the original map-based code. They are the golden models for the
-// dense engine's equivalence tests, the baseline the BENCH_construct
-// speedup is measured against, and — because they scan paths in the
-// original (guest edge, path, step) order — the source of exact error
-// messages when a dense pass detects a violation: the fast paths below
-// delegate to them whenever something is wrong, so error text and
-// ordering are bit-identical to the pre-dense behaviour.
+// Reference implementations of the metric verifiers, preserved
+// verbatim from the original map-based code. They are the golden
+// models for the dense engine's equivalence tests and — because they
+// scan paths in the original (guest edge, path, step) order — the
+// source of exact error messages when a dense pass detects a
+// violation: the fast paths below delegate to them whenever something
+// is wrong, so error text and ordering are bit-identical to the
+// pre-dense behaviour.
 
 // validateReference is the original serial Validate.
 func (e *Embedding) validateReference() error {

@@ -13,8 +13,7 @@ import (
 // seed simulator (per-step full-map scan); "engine" runs the dense
 // worklist core. Store-and-forward uses Q_10 to keep the reference's
 // O(steps × links) runtime tolerable; the engine handles Q_12
-// store-and-forward easily (see BENCH_netsim.json for recorded
-// speedups).
+// store-and-forward easily.
 func BenchmarkNetsimEngine(b *testing.B) {
 	q12 := hypercube.New(12)
 	rng := rand.New(rand.NewSource(7))

@@ -2,7 +2,7 @@
 
 package netsim
 
-// raceDetectorOn mirrors cmd/mpbench's build-tag pair: the probe
-// overhead assertion is meaningless under the race detector's
-// instrumentation and is skipped there.
+// raceDetectorOn is set by this file and race_on_test.go through
+// their build tags: the probe overhead assertion is meaningless under
+// the race detector's instrumentation and is skipped there.
 const raceDetectorOn = false
