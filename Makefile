@@ -3,23 +3,33 @@
 
 GO ?= go
 
-.PHONY: all check build vet staticcheck test test-short race bench experiments examples fuzz-short cover clean
+.PHONY: all check build vet fmt staticcheck test test-short race bench experiments examples fuzz-short cover clean
 
 all: check
 
-# The default verification path: build, vet, staticcheck (when
-# installed), tests, and the race detector (the netsim batch runner,
-# the mpbench worker pool, and the core arena builders' per-worker
-# fan-out are concurrent, so -race is part of the gate, not an extra;
-# the core package's parallel-build tests force multiple workers
-# regardless of host core count).
-check: build vet staticcheck test race
+# The default verification path: build, vet, the gofmt gate,
+# staticcheck (when installed), tests, and the race detector (the
+# netsim batch runner, the mpbench worker pool, and the core arena
+# builders' per-worker fan-out are concurrent, so -race is part of the
+# gate, not an extra; the core package's parallel-build tests force
+# multiple workers regardless of host core count).
+check: build vet fmt staticcheck test race
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# gofmt -l lists every file whose formatting differs from gofmt's;
+# any listed file fails the gate, and the list names them.
+fmt:
+	@out=$$(gofmt -l .); \
+	if [ -n "$$out" ]; then \
+		echo "gofmt -l . lists files that need formatting:"; \
+		echo "$$out"; \
+		exit 1; \
+	fi
 
 # staticcheck is optional tooling: run it when the binary is on PATH
 # (CI installs it), skip quietly when it is not — the offline gate

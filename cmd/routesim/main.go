@@ -381,8 +381,8 @@ func runOpenLoop(entries []strategyEntry, ol openLoopCfg, seed int64, obs bool, 
 		numLinks := e.links
 		for _, m := range e.msgs {
 			for _, l := range m.Route {
-				if l >= numLinks {
-					numLinks = l + 1
+				if int(l) >= numLinks {
+					numLinks = int(l) + 1
 				}
 			}
 		}

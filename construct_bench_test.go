@@ -10,11 +10,15 @@ package multipath
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"multipath/internal/core"
 	"multipath/internal/cycles"
 	"multipath/internal/hamdecomp"
+	"multipath/internal/netsim"
+	"multipath/internal/routing"
+	"multipath/internal/traffic"
 	"multipath/internal/xproduct"
 )
 
@@ -165,6 +169,51 @@ func TestArenaBuildersAllocateLess(t *testing.T) {
 		}
 		if arena, retained := allocs(c.arena), allocs(c.retained); arena >= retained {
 			t.Errorf("%s: arena build allocates %.0f times, retained %.0f", c.name, arena, retained)
+		}
+	}
+}
+
+// The template builders allocate a fixed number of times whatever the
+// workload's size: routes are capped spans of one id arena (for an
+// embedding's templates, its warm route cache) and the headers share
+// one array. Each builder's count must match at n = 8 and n = 12 and
+// stay small.
+func TestTemplateBuildersAllocateO1(t *testing.T) {
+	const limit = 16
+	counts := func(n int) map[string]float64 {
+		e, err := cycles.Theorem1(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Width(); err != nil { // warm the route cache
+			t.Fatal(err)
+		}
+		q := e.Host
+		pairs := routing.PermutationPairs(netsim.RandomPermutation(rand.New(rand.NewSource(1)), q.Nodes()))
+		out := map[string]float64{}
+		measure := func(name string, build func() error) {
+			out[name] = testing.AllocsPerRun(4, func() {
+				if err := build(); err != nil {
+					t.Fatalf("n=%d %s: %v", n, name, err)
+				}
+			})
+		}
+		measure("WidthPathMessages", func() error { _, err := traffic.WidthPathMessages(e, 16); return err })
+		measure("PathTemplates", func() error { _, _, err := traffic.PathTemplates(e, nil, 1); return err })
+		measure("PPacketCosts", func() error { _, err := e.PPacketCosts([]int{1, 2}); return err })
+		for _, s := range []routing.Strategy{
+			routing.NewDimOrder(q), routing.NewValiant(q), routing.NewMinimalOblivious(q), routing.NewAdaptive(q),
+		} {
+			measure("Templates/"+s.Name(), func() error { _, err := routing.Templates(s, q, pairs, 4, 1); return err })
+		}
+		return out
+	}
+	small, large := counts(8), counts(12)
+	for name, a := range small {
+		if b := large[name]; a != b || a > limit {
+			t.Errorf("%s: %v allocations at n = 8, %v at n = 12; want equal and at most %d", name, a, b, limit)
+		} else {
+			t.Logf("%s: %v allocations", name, a)
 		}
 	}
 }

@@ -72,7 +72,7 @@ func ExampleDisperse() {
 // The simulator reproduces the paper's cost model: one flit per
 // directed link per step.
 func ExampleSimulate() {
-	msgs := []*multipath.Message{{Route: []int{1, 2, 3}, Flits: 5}}
+	msgs := []*multipath.Message{{Route: []int32{1, 2, 3}, Flits: 5}}
 	res, err := multipath.Simulate(msgs, multipath.CutThrough)
 	if err != nil {
 		panic(err)

@@ -105,8 +105,11 @@ func phaseMessages(g *multipath.GridMultiPath, axis int, forward bool, flits int
 			if j < flits%w {
 				f++
 			}
-			ids, err := g.Host.PathEdgeIDs(p)
-			if err != nil || len(ids) == 0 || f == 0 {
+			if f == 0 || len(p) < 2 {
+				continue
+			}
+			ids := make([]int32, len(p)-1)
+			if err := g.Host.FillPathEdgeIDs32(ids, p); err != nil {
 				continue
 			}
 			msgs = append(msgs, &netsim.Message{Route: ids, Flits: f})

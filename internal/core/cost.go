@@ -121,15 +121,15 @@ func (e *Embedding) PPacketCosts(ps []int) ([]int, error) {
 // one-flit messages spread round-robin over the edge's paths in path
 // order, skipping zero-length routes (co-located endpoints deliver at
 // cost 0). Message order is injection order, which is what the engine
-// uses to break same-step ties. Routes alias one shared arena so the
-// whole workload costs two allocations beyond the message headers.
+// uses to break same-step ties. Routes alias the route cache's id
+// arena, so the whole workload costs two allocations: the message
+// headers and the pointers to them.
 func (e *Embedding) packetMessages(p int) ([]*netsim.Message, error) {
 	rc, err := e.routes()
 	if err != nil {
 		return nil, err
 	}
-	// Count messages and route ints first so the arena is exact.
-	nMsgs, nInts := 0, 0
+	nMsgs := 0
 	for i := range e.Paths {
 		first, past := rc.edgeOff[i], rc.edgeOff[i+1]
 		if first == past {
@@ -137,16 +137,13 @@ func (e *Embedding) packetMessages(p int) ([]*netsim.Message, error) {
 		}
 		for k := 0; k < p; k++ {
 			pi := first + int32(k)%(past-first)
-			if l := int(rc.pathOff[pi+1] - rc.pathOff[pi]); l > 0 {
+			if rc.pathOff[pi+1] > rc.pathOff[pi] {
 				nMsgs++
-				nInts += l
 			}
 		}
 	}
-	arena := make([]int, nInts)
 	msgs := make([]*netsim.Message, 0, nMsgs)
 	hdrs := make([]netsim.Message, nMsgs)
-	at := 0
 	for i := range e.Paths {
 		first, past := rc.edgeOff[i], rc.edgeOff[i+1]
 		if first == past {
@@ -158,12 +155,7 @@ func (e *Embedding) packetMessages(p int) ([]*netsim.Message, error) {
 			if len(ids) == 0 {
 				continue
 			}
-			route := arena[at : at+len(ids)]
-			for x, id := range ids {
-				route[x] = int(id)
-			}
-			at += len(ids)
-			hdrs[len(msgs)] = netsim.Message{Route: route, Flits: 1}
+			hdrs[len(msgs)] = netsim.Message{Route: ids, Flits: 1}
 			msgs = append(msgs, &hdrs[len(msgs)])
 		}
 	}

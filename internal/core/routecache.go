@@ -158,14 +158,32 @@ func flatPath(e *Embedding, edgeOff []int32, p int) Path {
 	return e.Paths[i][p-int(edgeOff[i])]
 }
 
+// RouteArena exposes the route cache behind every metric, for builders
+// that turn an embedding's paths into netsim routes without copying:
+// ids holds every path's dense directed host-edge ids back to back;
+// flattened path p (all paths of guest edge 0, then of guest edge 1,
+// ...) is ids[pathOff[p]:pathOff[p+1]], and guest edge i owns the
+// flattened paths edgeOff[i] to edgeOff[i+1]-1. The slices are
+// read-only. A change to e.Paths makes the next call build a fresh
+// arena, so slices handed out earlier keep their contents. Errors name
+// the first bad path, as Width's do.
+func (e *Embedding) RouteArena() (ids, pathOff, edgeOff []int32, err error) {
+	rc, err := e.routes()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return rc.ids, rc.pathOff, rc.edgeOff, nil
+}
+
 // edgeIDs returns the contiguous ids of guest edge i's paths.
 func (rc *routeCache) edgeIDs(i int) []int32 {
 	return rc.ids[rc.pathOff[rc.edgeOff[i]]:rc.pathOff[rc.edgeOff[i+1]]]
 }
 
-// pathIDs returns the ids of flattened path p.
+// pathIDs returns the ids of flattened path p, capped so an append
+// to a route built on them copies instead of overwriting path p+1.
 func (rc *routeCache) pathIDs(p int32) []int32 {
-	return rc.ids[rc.pathOff[p]:rc.pathOff[p+1]]
+	return rc.ids[rc.pathOff[p]:rc.pathOff[p+1]:rc.pathOff[p+1]]
 }
 
 // parallelFor runs fn over [0,n) split into one contiguous chunk per

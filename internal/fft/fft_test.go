@@ -96,8 +96,8 @@ func TestFFTCommunicationOnLargeCopyEmbedding(t *testing.T) {
 	// One message per cross edge (a value exchange), one flit each.
 	var msgs []*netsim.Message
 	for _, ps := range e.Paths {
-		ids, err := e.Host.PathEdgeIDs(ps[0])
-		if err != nil {
+		ids := make([]int32, len(ps[0])-1)
+		if err := e.Host.FillPathEdgeIDs32(ids, ps[0]); err != nil {
 			t.Fatal(err)
 		}
 		if len(ids) == 0 {

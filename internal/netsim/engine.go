@@ -136,8 +136,9 @@ type Engine struct {
 	res *Result
 
 	// probe, when non-nil, receives observation events (see probe.go).
-	// Every call site is guarded by a nil-check on this one field so a
-	// probe-less run is bit-identical to the pre-probe engine.
+	// Every call site is guarded by a nil-check on this one field (or,
+	// in Simulate's step loop, on a local copy of it) so a probe-less
+	// run is bit-identical to the pre-probe engine.
 	probe Probe
 }
 
@@ -189,7 +190,8 @@ func (e *Engine) numberAll(msgs []*Message) (routeShape, error) {
 		if len(m.Route) > sh.maxRoute {
 			sh.maxRoute = len(m.Route)
 		}
-		for _, id := range m.Route {
+		for _, id32 := range m.Route {
+			id := int(id32)
 			if !seen || id < minID {
 				minID = id
 			}
@@ -215,7 +217,11 @@ func (e *Engine) Simulate(msgs []*Message, mode Mode) (*Result, error) {
 	links := shape.links
 	totalFlits, maxRoute := shape.totalFlits, shape.maxRoute
 	e.growState(len(msgs), shape.total, int(links))
-	if e.probe != nil {
+	// The step loop tests this local, not the field: nothing below
+	// reassigns e.probe, and the probe-off loop then reloads nothing
+	// at its four guarded sites.
+	probe := e.probe
+	if probe != nil {
 		e.fillExt(msgs, links)
 		e.beginProbe(msgs, links, mode, false)
 	}
@@ -264,8 +270,8 @@ func (e *Engine) Simulate(msgs []*Message, mode Mode) (*Result, error) {
 			e.crossed[p]++
 			e.credit[l]--
 			res.FlitsMoved++
-			if e.probe != nil {
-				e.probe.FlitMoved(step, e.posMsg[p], l)
+			if probe != nil {
+				probe.FlitMoved(step, e.posMsg[p], l)
 			}
 			arr = append(arr, p)
 			if e.crossed[p] == e.flits[e.posMsg[p]] {
@@ -300,14 +306,14 @@ func (e *Engine) Simulate(msgs []*Message, mode Mode) (*Result, error) {
 			mi := e.posMsg[p]
 			next := p + 1
 			if next == e.off[mi+1] {
-				if e.probe != nil {
-					e.probe.FlitDelivered(step, mi)
+				if probe != nil {
+					probe.FlitDelivered(step, mi)
 				}
 				if e.crossed[p] == e.flits[mi] {
 					remaining--
 					res.DeliveredMsgs++
-					if e.probe != nil {
-						e.probe.MsgDone(step, mi, true)
+					if probe != nil {
+						probe.MsgDone(step, mi, true)
 					}
 				}
 				continue
@@ -338,8 +344,8 @@ func (e *Engine) Simulate(msgs []*Message, mode Mode) (*Result, error) {
 		e.enq = enq
 		e.arrivals = arr
 		e.scratch = cur[:0]
-		if e.probe != nil {
-			e.probe.StepEnd(step, e.qlen[:links])
+		if probe != nil {
+			probe.StepEnd(step, e.qlen[:links])
 		}
 	}
 	res.Steps = step
@@ -388,13 +394,13 @@ func (e *Engine) number(msgs []*Message, total, minID, maxID int) int32 {
 					e.denseOf[id] = d
 				}
 			} else {
-				v, ok := e.sparse[id]
+				v, ok := e.sparse[int(id)]
 				if ok {
 					d = v
 				} else {
 					d = links
 					links++
-					e.sparse[id] = d
+					e.sparse[int(id)] = d
 				}
 			}
 			e.route[pos] = d

@@ -20,18 +20,18 @@ func TestEngineMatchesReference(t *testing.T) {
 	var loads []load
 
 	loads = append(loads,
-		load{"single", []*Message{{Route: []int{10, 20, 30}, Flits: 5}}},
+		load{"single", []*Message{{Route: []int32{10, 20, 30}, Flits: 5}}},
 		load{"contention", []*Message{
-			{Route: []int{1}, Flits: 2},
-			{Route: []int{1}, Flits: 2},
+			{Route: []int32{1}, Flits: 2},
+			{Route: []int32{1}, Flits: 2},
 		}},
 		load{"empty-and-routed", []*Message{
 			{Route: nil, Flits: 3},
-			{Route: []int{7}, Flits: 1},
+			{Route: []int32{7}, Flits: 1},
 		}},
 		load{"repeat-link", []*Message{
-			{Route: []int{4, 4}, Flits: 3},
-			{Route: []int{4}, Flits: 2},
+			{Route: []int32{4, 4}, Flits: 3},
+			{Route: []int32{4}, Flits: 2},
 		}},
 	)
 
@@ -56,9 +56,9 @@ func TestEngineMatchesReference(t *testing.T) {
 		count := 1 + r.Intn(14)
 		msgs := make([]*Message, count)
 		for i := range msgs {
-			route := make([]int, r.Intn(6))
+			route := make([]int32, r.Intn(6))
 			for h := range route {
-				route[h] = r.Intn(9)
+				route[h] = int32(r.Intn(9))
 			}
 			msgs[i] = &Message{Route: route, Flits: 1 + r.Intn(7)}
 		}
@@ -90,8 +90,8 @@ func TestEngineReuseAcrossRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	workloads := [][]*Message{
 		PermutationMessages(q, RandomPermutation(rng, q.Nodes()), 8),
-		{{Route: []int{999999}, Flits: 2}}, // sparse id after dense run
-		{{Route: []int{1, 2, 3}, Flits: 4}, {Route: nil, Flits: 1}},
+		{{Route: []int32{999999}, Flits: 2}}, // sparse id after dense run
+		{{Route: []int32{1, 2, 3}, Flits: 4}, {Route: nil, Flits: 1}},
 		PermutationMessages(q, RandomPermutation(rng, q.Nodes()), 3),
 	}
 	for i, msgs := range workloads {
@@ -123,9 +123,9 @@ func TestEngineReuseAcrossRuns(t *testing.T) {
 func TestMaxLinkQueueHandComputed(t *testing.T) {
 	mk := func() []*Message {
 		return []*Message{
-			{Route: []int{1}, Flits: 2},    // A
-			{Route: []int{2, 1}, Flits: 1}, // B
-			{Route: []int{3, 1}, Flits: 1}, // C
+			{Route: []int32{1}, Flits: 2},    // A
+			{Route: []int32{2, 1}, Flits: 1}, // B
+			{Route: []int32{3, 1}, Flits: 1}, // C
 		}
 	}
 	for _, mode := range []Mode{StoreAndForward, CutThrough} {
@@ -153,9 +153,9 @@ func TestMaxLinkQueueHandComputed(t *testing.T) {
 // this uniform shape.
 func TestStepLimitContendedCompletes(t *testing.T) {
 	const k, flits, hops = 32, 8, 8
-	chain := make([]int, hops)
+	chain := make([]int32, hops)
 	for i := range chain {
-		chain[i] = i
+		chain[i] = int32(i)
 	}
 	msgs := make([]*Message, k)
 	for i := range msgs {
@@ -215,8 +215,8 @@ func TestSimulateBatchEmptyAndError(t *testing.T) {
 		t.Errorf("empty batch: %v %v", res, err)
 	}
 	jobs := []BatchJob{
-		{Msgs: []*Message{{Route: []int{1}, Flits: 1}}, Mode: CutThrough},
-		{Msgs: []*Message{{Route: []int{1}, Flits: 0}}, Mode: CutThrough},
+		{Msgs: []*Message{{Route: []int32{1}, Flits: 1}}, Mode: CutThrough},
+		{Msgs: []*Message{{Route: []int32{1}, Flits: 0}}, Mode: CutThrough},
 	}
 	res, err := SimulateBatch(jobs)
 	if err == nil {
@@ -226,7 +226,7 @@ func TestSimulateBatchEmptyAndError(t *testing.T) {
 		t.Error("healthy job result dropped on sibling failure")
 	}
 	if _, err := SimulateBatch([]BatchJob{
-		{Msgs: []*Message{{Route: []int{1}, Flits: 1}}, Mode: CutThrough, Shards: -2},
+		{Msgs: []*Message{{Route: []int32{1}, Flits: 1}}, Mode: CutThrough, Shards: -2},
 	}); err == nil {
 		t.Error("negative shard count accepted")
 	}

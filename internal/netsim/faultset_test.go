@@ -34,11 +34,11 @@ func faultSetCases() []faultSetCase {
 		{
 			name: "negative-and-sparse-ids",
 			msgs: []*Message{
-				{Route: []int{-3, 5, 1 << 20}, Flits: 3},
-				{Route: []int{1 << 20, -3}, Flits: 2},
-				{Route: []int{7, -9, 5}, Flits: 2},
-				{Route: []int{5, 7}, Flits: 4},
-				{Route: []int{-9, 1 << 20, 7}, Flits: 1},
+				{Route: []int32{-3, 5, 1 << 20}, Flits: 3},
+				{Route: []int32{1 << 20, -3}, Flits: 2},
+				{Route: []int32{7, -9, 5}, Flits: 2},
+				{Route: []int32{5, 7}, Flits: 4},
+				{Route: []int32{-9, 1 << 20, 7}, Flits: 1},
 			},
 			sched: faults.NewSchedule().
 				FailLinkTransient(1<<20, 2, 5).
@@ -49,10 +49,10 @@ func faultSetCases() []faultSetCase {
 		{
 			name: "faulty-ids-above-routes",
 			msgs: []*Message{
-				{Route: []int{0, 1, 2, 3}, Flits: 3},
-				{Route: []int{3, 2, 1, 0}, Flits: 3},
-				{Route: []int{4, 2, 6}, Flits: 2},
-				{Route: []int{6, 5, 4}, Flits: 2},
+				{Route: []int32{0, 1, 2, 3}, Flits: 3},
+				{Route: []int32{3, 2, 1, 0}, Flits: 3},
+				{Route: []int32{4, 2, 6}, Flits: 2},
+				{Route: []int32{6, 5, 4}, Flits: 2},
 			},
 			sched: faults.NewSchedule().
 				FailLink(2, 3).
@@ -68,14 +68,14 @@ func faultSetCases() []faultSetCase {
 			// another dense id, while 4 is listed but never crossed.
 			name: "table-run-then-map-run",
 			pre: []*Message{
-				{Route: []int{9, 4, 1, 0}, Flits: 1},
-				{Route: []int{12, 3}, Flits: 1},
+				{Route: []int32{9, 4, 1, 0}, Flits: 1},
+				{Route: []int32{12, 3}, Flits: 1},
 			},
 			msgs: []*Message{
-				{Route: []int{-1, 3, 9}, Flits: 3},
-				{Route: []int{3, 9, 12}, Flits: 2},
-				{Route: []int{0, -1}, Flits: 2},
-				{Route: []int{12, 0, 3}, Flits: 1},
+				{Route: []int32{-1, 3, 9}, Flits: 3},
+				{Route: []int32{3, 9, 12}, Flits: 2},
+				{Route: []int32{0, -1}, Flits: 2},
+				{Route: []int32{12, 0, 3}, Flits: 1},
 			},
 			sched: faults.NewSchedule().
 				FailLink(9, 2).

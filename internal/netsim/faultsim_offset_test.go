@@ -18,7 +18,7 @@ func TestStepOffsetHorizonBoundSufficient(t *testing.T) {
 	// offset 995, run steps 1..4 query schedule steps 996..999 and find
 	// the link down; the flit crosses at run step 5.
 	sched := faults.NewSchedule().FailLinkTransient(1, 1, 1000)
-	msgs := []*Message{{Route: []int{1}, Flits: 1}}
+	msgs := []*Message{{Route: []int32{1}, Flits: 1}}
 	for _, mode := range []Mode{StoreAndForward, CutThrough} {
 		fr, err := SimulateFaults(msgs, mode, FaultOpts{Faults: sched, StepOffset: 995})
 		if err != nil {
@@ -39,9 +39,9 @@ func TestStepOffsetPastHorizonMatchesFaultFree(t *testing.T) {
 		FailLinkTransient(1, 1, 40).
 		FailLinkTransient(2, 5, 30)
 	msgs := []*Message{
-		{Route: []int{1}, Flits: 2},
-		{Route: []int{2, 1}, Flits: 1},
-		{Route: []int{3, 1}, Flits: 1},
+		{Route: []int32{1}, Flits: 2},
+		{Route: []int32{2, 1}, Flits: 1},
+		{Route: []int32{3, 1}, Flits: 1},
 	}
 	for _, mode := range []Mode{StoreAndForward, CutThrough} {
 		bare, err := Simulate(msgs, mode)
@@ -65,9 +65,9 @@ func TestStepOffsetPastHorizonMatchesFaultFree(t *testing.T) {
 // is the same run as offset 0 against the schedule translated by -r.
 func TestStepOffsetIsScheduleTranslation(t *testing.T) {
 	msgs := []*Message{
-		{Route: []int{1, 2}, Flits: 3},
-		{Route: []int{2}, Flits: 2},
-		{Route: []int{3, 2}, Flits: 1},
+		{Route: []int32{1, 2}, Flits: 3},
+		{Route: []int32{2}, Flits: 2},
+		{Route: []int32{3, 2}, Flits: 1},
 	}
 	const shift = 50
 	shifted := faults.NewSchedule().
@@ -100,9 +100,9 @@ func TestStepOffsetIsScheduleTranslation(t *testing.T) {
 // link recovers.
 func TestMaxLinkQueueHandComputedUnderFaults(t *testing.T) {
 	msgs := []*Message{
-		{Route: []int{1}, Flits: 2},    // A
-		{Route: []int{2, 1}, Flits: 1}, // B
-		{Route: []int{3, 1}, Flits: 1}, // C
+		{Route: []int32{1}, Flits: 2},    // A
+		{Route: []int32{2, 1}, Flits: 1}, // B
+		{Route: []int32{3, 1}, Flits: 1}, // C
 	}
 	// Down for steps 2..3: A moves a flit at step 1, stalls two steps,
 	// finishes from step 4; B and C join link 1's queue at the end of
@@ -135,9 +135,9 @@ func TestMaxLinkQueueHandComputedUnderFaults(t *testing.T) {
 // is still sampled before the kills shrink the FIFO.
 func TestMaxLinkQueueHandComputedPermanentFault(t *testing.T) {
 	msgs := []*Message{
-		{Route: []int{1}, Flits: 2},    // A
-		{Route: []int{2, 1}, Flits: 1}, // B
-		{Route: []int{3, 1}, Flits: 1}, // C
+		{Route: []int32{1}, Flits: 2},    // A
+		{Route: []int32{2, 1}, Flits: 1}, // B
+		{Route: []int32{3, 1}, Flits: 1}, // C
 	}
 	sched := faults.NewSchedule().FailLink(1, 2)
 	for _, mode := range []Mode{StoreAndForward, CutThrough} {

@@ -95,7 +95,7 @@ func TestSimulateFaultsFaultFreeBitIdentical(t *testing.T) {
 // unmoved flit-hop dropped.
 func TestPermanentFaultKillsMessage(t *testing.T) {
 	const F = 5
-	msgs := []*Message{{Route: []int{0, 1, 2}, Flits: F}}
+	msgs := []*Message{{Route: []int32{0, 1, 2}, Flits: F}}
 	sched := faults.NewSchedule().FailLink(1, 1)
 	fr, err := SimulateFaults(msgs, StoreAndForward, FaultOpts{Faults: sched})
 	if err != nil {
@@ -133,7 +133,7 @@ func TestPermanentFaultKillsMessage(t *testing.T) {
 // waits out the window and arrives late, and nothing is dropped.
 func TestTransientFaultDelays(t *testing.T) {
 	const F = 4
-	msgs := []*Message{{Route: []int{0, 1}, Flits: F}}
+	msgs := []*Message{{Route: []int32{0, 1}, Flits: F}}
 	base, err := SimulateFaults(msgs, CutThrough, FaultOpts{})
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +163,7 @@ func TestFaultsElsewhereChangeNothing(t *testing.T) {
 	used := make(map[int]bool)
 	for _, m := range msgs {
 		for _, id := range m.Route {
-			used[id] = true
+			used[int(id)] = true
 		}
 	}
 	sched := faults.NewSchedule()
@@ -197,9 +197,9 @@ func TestFaultsElsewhereChangeNothing(t *testing.T) {
 // is killed mid-run, and the killed message's flits stop contending.
 func TestMidRunKillLeavesOthersDelivered(t *testing.T) {
 	msgs := []*Message{
-		{Route: []int{0, 1, 2}, Flits: 6}, // killed at link 1
-		{Route: []int{0, 3, 4}, Flits: 6}, // shares only healthy link 0
-		{Route: []int{5}, Flits: 2},       // disjoint
+		{Route: []int32{0, 1, 2}, Flits: 6}, // killed at link 1
+		{Route: []int32{0, 3, 4}, Flits: 6}, // shares only healthy link 0
+		{Route: []int32{5}, Flits: 2},       // disjoint
 	}
 	sched := faults.NewSchedule().FailLink(1, 1)
 	for _, mode := range []Mode{StoreAndForward, CutThrough} {
@@ -227,19 +227,19 @@ func TestNodeFaultThroughSchedule(t *testing.T) {
 	v := hypercube.Node(3)
 	sched := faults.NewSchedule().FailNode(q, v, 1)
 	src, dst := hypercube.Node(0), hypercube.Node(15)
-	through := ECubeRoute(q, src, dst) // e-cube from 0 ascends via node 3
+	through := AppendECubeRoute(nil, q, src, dst) // e-cube from 0 ascends via node 3
 	crosses := false
 	for _, id := range through {
-		if down, _ := sched.Status(id, 1); down {
+		if down, _ := sched.Status(int(id), 1); down {
 			crosses = true
 		}
 	}
 	if !crosses {
 		t.Fatal("test route does not cross the failed node")
 	}
-	avoid := ECubeRoute(q, hypercube.Node(4), hypercube.Node(12))
+	avoid := AppendECubeRoute(nil, q, hypercube.Node(4), hypercube.Node(12))
 	for _, id := range avoid {
-		if down, _ := sched.Status(id, 1); down {
+		if down, _ := sched.Status(int(id), 1); down {
 			t.Fatal("avoid route crosses the failed node")
 		}
 	}
@@ -262,8 +262,8 @@ func TestNodeFaultThroughSchedule(t *testing.T) {
 // and conservation intact.
 func TestStepLimitTimeout(t *testing.T) {
 	msgs := []*Message{
-		{Route: []int{0, 1}, Flits: 4},
-		{Route: []int{2}, Flits: 2},
+		{Route: []int32{0, 1}, Flits: 4},
+		{Route: []int32{2}, Flits: 2},
 	}
 	// Link 0 is down transiently far beyond the limit; message 0 can
 	// never finish in 6 steps, message 1 delivers at step 2.
@@ -297,7 +297,7 @@ func TestStepLimitTimeout(t *testing.T) {
 // Unbounded schedules (per-step Bernoulli) require an explicit
 // StepLimit; with one they run and stay deterministic.
 func TestPerStepModelNeedsLimit(t *testing.T) {
-	msgs := []*Message{{Route: []int{0, 1}, Flits: 2}}
+	msgs := []*Message{{Route: []int32{0, 1}, Flits: 2}}
 	m := &faults.PerStep{P: 0.2, Seed: 5}
 	if _, err := SimulateFaults(msgs, CutThrough, FaultOpts{Faults: m}); err == nil {
 		t.Fatal("unbounded schedule accepted without StepLimit")
@@ -319,7 +319,7 @@ func TestPerStepModelNeedsLimit(t *testing.T) {
 // StepOffset shifts the schedule's clock: a window at [5, 10) seen
 // through offset 4 behaves exactly like a window at [1, 6).
 func TestStepOffsetShiftsSchedule(t *testing.T) {
-	msgs := []*Message{{Route: []int{0, 1, 2}, Flits: 3}}
+	msgs := []*Message{{Route: []int32{0, 1, 2}, Flits: 3}}
 	late := faults.NewSchedule().FailLinkTransient(1, 5, 10)
 	early := faults.NewSchedule().FailLinkTransient(1, 1, 6)
 	a, err := SimulateFaults(msgs, CutThrough, FaultOpts{Faults: late, StepOffset: 4})
@@ -340,8 +340,8 @@ func TestStepOffsetShiftsSchedule(t *testing.T) {
 // nothing is lost.
 func TestBurstSchedule(t *testing.T) {
 	msgs := []*Message{
-		{Route: []int{0, 1}, Flits: 2},
-		{Route: []int{2, 3}, Flits: 2},
+		{Route: []int32{0, 1}, Flits: 2},
+		{Route: []int32{2, 3}, Flits: 2},
 	}
 	kill := faults.Burst([]int{0, 2}, 1, 0) // permanent burst on both first hops
 	fr, err := SimulateFaults(msgs, CutThrough, FaultOpts{Faults: kill})
@@ -367,7 +367,7 @@ func TestBurstSchedule(t *testing.T) {
 
 // Empty routes deliver at step 0 under the fault path too.
 func TestFaultPathEmptyRoutes(t *testing.T) {
-	msgs := []*Message{{Route: nil, Flits: 1}, {Route: []int{4}, Flits: 1}}
+	msgs := []*Message{{Route: nil, Flits: 1}, {Route: []int32{4}, Flits: 1}}
 	fr, err := SimulateFaults(msgs, StoreAndForward, FaultOpts{Faults: faults.Bernoulli(4, 1, 1)})
 	if err != nil {
 		t.Fatal(err)
@@ -385,7 +385,7 @@ func TestFaultPathEmptyRoutes(t *testing.T) {
 // A message crossing the same dead link twice in its route must be
 // killed once with consistent accounting (routes may repeat links).
 func TestRepeatedLinkKill(t *testing.T) {
-	msgs := []*Message{{Route: []int{7, 8, 7}, Flits: 3}}
+	msgs := []*Message{{Route: []int32{7, 8, 7}, Flits: 3}}
 	sched := faults.NewSchedule().FailLink(7, 1)
 	fr, err := SimulateFaults(msgs, CutThrough, FaultOpts{Faults: sched})
 	if err != nil {

@@ -23,9 +23,9 @@ func decodeFuzzMessages(data []byte) []*Message {
 	msgs := make([]*Message, count)
 	for i := range msgs {
 		hops := next() % 7 // 0 = empty route (self-delivery)
-		route := make([]int, hops)
+		route := make([]int32, hops)
 		for h := range route {
-			route[h] = next() % 12
+			route[h] = int32(next() % 12)
 		}
 		msgs[i] = &Message{Route: route, Flits: 1 + next()%8}
 	}

@@ -34,7 +34,11 @@ func TestTwoPhaseXRouting(t *testing.T) {
 		if len(route) == 0 {
 			continue
 		}
-		msgs = append(msgs, &netsim.Message{Route: route, Flits: M})
+		ids := make([]int32, len(route))
+		for i, id := range route {
+			ids[i] = int32(id)
+		}
+		msgs = append(msgs, &netsim.Message{Route: ids, Flits: M})
 	}
 	res, err := netsim.Simulate(msgs, netsim.CutThrough)
 	if err != nil {
@@ -75,8 +79,8 @@ func TestStaticDynamicAgreement(t *testing.T) {
 		var msgs []*netsim.Message
 		for _, ps := range e.Paths {
 			for _, p := range ps {
-				ids, err := e.Host.PathEdgeIDs(p)
-				if err != nil {
+				ids := make([]int32, len(p)-1)
+				if err := e.Host.FillPathEdgeIDs32(ids, p); err != nil {
 					t.Fatal(err)
 				}
 				msgs = append(msgs, &netsim.Message{Route: ids, Flits: 1})

@@ -57,8 +57,16 @@ func (m Mode) String() string {
 
 // Message is one routed transfer: Flits flits following Route (a
 // sequence of directed link ids from source to destination).
+//
+// Route is read-only. Builders may alias shared arenas: a template
+// set's routes are capped spans (ids[a:b:b]) of one id array, for an
+// embedding's templates the route cache behind core.Embedding's
+// metrics. netsim never writes a route, and callers must not write one
+// either, since the write would reach every message, and every later
+// metric, that reads the same span. Appending to a route is safe: the
+// cap makes append copy.
 type Message struct {
-	Route []int
+	Route []int32
 	Flits int
 }
 

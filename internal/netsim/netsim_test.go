@@ -11,7 +11,7 @@ func TestSimulateSingleMessage(t *testing.T) {
 	// One message, 3 hops, 5 flits: cut-through pipelines (3 + 5 - 1
 	// = 7 steps), store-and-forward serializes (3 · 5 = 15).
 	msg := func() []*Message {
-		return []*Message{{Route: []int{10, 20, 30}, Flits: 5}}
+		return []*Message{{Route: []int32{10, 20, 30}, Flits: 5}}
 	}
 	ct, err := Simulate(msg(), CutThrough)
 	if err != nil {
@@ -38,8 +38,8 @@ func TestSimulateSingleMessage(t *testing.T) {
 func TestSimulateContention(t *testing.T) {
 	// Two messages sharing one link: serialized, 2 flits each → 4 steps.
 	msgs := []*Message{
-		{Route: []int{1}, Flits: 2},
-		{Route: []int{1}, Flits: 2},
+		{Route: []int32{1}, Flits: 2},
+		{Route: []int32{1}, Flits: 2},
 	}
 	r, err := Simulate(msgs, CutThrough)
 	if err != nil {
@@ -61,21 +61,21 @@ func TestSimulateEmptyRouteAndErrors(t *testing.T) {
 	if r.Steps != 0 || r.DeliveredMsgs != 1 {
 		t.Errorf("empty route: %+v", r)
 	}
-	if _, err := Simulate([]*Message{{Route: []int{1}, Flits: 0}}, CutThrough); err == nil {
+	if _, err := Simulate([]*Message{{Route: []int32{1}, Flits: 0}}, CutThrough); err == nil {
 		t.Error("zero flits accepted")
 	}
 }
 
 func TestECubeRoute(t *testing.T) {
 	q := hypercube.New(4)
-	r := ECubeRoute(q, 0b0000, 0b1010)
+	r := AppendECubeRoute(nil, q, 0b0000, 0b1010)
 	if len(r) != 2 {
 		t.Fatalf("route %v", r)
 	}
-	if r[0] != q.EdgeID(0b0000, 1) || r[1] != q.EdgeID(0b0010, 3) {
+	if int(r[0]) != q.EdgeID(0b0000, 1) || int(r[1]) != q.EdgeID(0b0010, 3) {
 		t.Errorf("route %v", r)
 	}
-	if len(ECubeRoute(q, 5, 5)) != 0 {
+	if len(AppendECubeRoute(nil, q, 5, 5)) != 0 {
 		t.Error("self route not empty")
 	}
 }
@@ -121,9 +121,9 @@ func TestModeOrderingProperty(t *testing.T) {
 			msgs := make([]*Message, count)
 			for i := range msgs {
 				hops := 1 + r.Intn(5)
-				route := make([]int, hops)
+				route := make([]int32, hops)
 				for h := range route {
-					route[h] = r.Intn(20)
+					route[h] = int32(r.Intn(20))
 				}
 				route = dedupAdjacent(route)
 				msgs[i] = &Message{Route: route, Flits: 1 + r.Intn(6)}
@@ -149,9 +149,9 @@ func TestModeOrderingProperty(t *testing.T) {
 
 // dedupAdjacent removes immediate repeats so routes never cross the
 // same link twice in a row (which would stall forever in any mode).
-func dedupAdjacent(route []int) []int {
+func dedupAdjacent(route []int32) []int32 {
 	out := route[:0]
-	prev := -1
+	prev := int32(-1)
 	for _, l := range route {
 		if l != prev {
 			out = append(out, l)

@@ -33,11 +33,11 @@ func (r *recListener) MsgFailed(step int, msg int32, link int) {
 // order away from message order (exercising the canonical sweeps).
 func listenerTmpls() []*Message {
 	return []*Message{
-		{Route: []int{0, 1, 2, 3}, Flits: 2},
-		{Route: []int{2, 5}, Flits: 1},
-		{Route: []int{5, 6, 7}, Flits: 3},
-		{Route: []int{7, 8, 9, 0}, Flits: 1},
-		{Route: []int{4, 2}, Flits: 2},
+		{Route: []int32{0, 1, 2, 3}, Flits: 2},
+		{Route: []int32{2, 5}, Flits: 1},
+		{Route: []int32{5, 6, 7}, Flits: 3},
+		{Route: []int32{7, 8, 9, 0}, Flits: 1},
+		{Route: []int32{4, 2}, Flits: 2},
 	}
 }
 
@@ -191,8 +191,8 @@ func (s *rerouteProbeSession) MsgFailed(step int, msg int32, link int) {
 // conservation over the grown injected set.
 func TestOpenLoopListenerReroute(t *testing.T) {
 	tmpls := []*Message{
-		{Route: []int{0, 1}, Flits: 3},
-		{Route: []int{2, 3}, Flits: 3},
+		{Route: []int32{0, 1}, Flits: 3},
+		{Route: []int32{2, 3}, Flits: 3},
 	}
 	sched := faults.NewSchedule().FailLink(0, 2)
 	for _, mode := range []Mode{StoreAndForward, CutThrough} {
@@ -250,9 +250,9 @@ func TestOpenLoopListenerReroute(t *testing.T) {
 // already reported exhaustion.
 func TestOpenLoopListenerRepollChain(t *testing.T) {
 	tmpls := []*Message{
-		{Route: []int{0, 1}, Flits: 2},
-		{Route: []int{2, 3}, Flits: 2},
-		{Route: []int{4, 5}, Flits: 2},
+		{Route: []int32{0, 1}, Flits: 2},
+		{Route: []int32{2, 3}, Flits: 2},
+		{Route: []int32{4, 5}, Flits: 2},
 	}
 	sched := faults.NewSchedule().FailLink(0, 2).FailLink(2, 1)
 	for _, shards := range []int{1, 3} {

@@ -46,7 +46,7 @@ func SimulateOpenLoopReference(tmpls []*Message, src ArrivalSource, opts OpenLoo
 	type refMsg struct {
 		arrival int
 		flits   int
-		route   []int // external link ids
+		route   []int32 // external link ids
 		arrived []int
 		crossed []int
 		buffer  []int
@@ -60,7 +60,7 @@ func SimulateOpenLoopReference(tmpls []*Message, src ArrivalSource, opts OpenLoo
 	}
 
 	olr := &OpenLoopResult{}
-	queues := map[int][]want{}
+	queues := map[int32][]want{}
 	var msgs []*refMsg
 	live, inFlight := 0, 0
 
@@ -171,7 +171,7 @@ func SimulateOpenLoopReference(tmpls []*Message, src ArrivalSource, opts OpenLoo
 	}
 
 	var moved []want
-	var downLinks []int
+	var downLinks []int32
 	step := 0
 	lastProgress := 0
 	for live > 0 || havePending {
@@ -214,7 +214,7 @@ func SimulateOpenLoopReference(tmpls []*Message, src ArrivalSource, opts OpenLoo
 				continue
 			}
 			if opts.Faults != nil {
-				if dn, perm := opts.Faults.Status(l, step); dn {
+				if dn, perm := opts.Faults.Status(int(l), step); dn {
 					if perm {
 						downLinks = append(downLinks, l)
 					}

@@ -330,7 +330,7 @@ func (sh *olSharded) runSingle(tmpls []*Message, src ArrivalSource, opts OpenLoo
 	}
 	var stats []ShardStat
 	if wantStats {
-		distinct := make(map[int]struct{})
+		distinct := make(map[int32]struct{})
 		for _, m := range tmpls {
 			for _, id := range m.Route {
 				distinct[id] = struct{}{}

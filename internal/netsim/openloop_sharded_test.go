@@ -220,7 +220,7 @@ func TestOpenLoopShardedProbeStream(t *testing.T) {
 // records, probe stream with the timeout sweep after the final
 // StepEnd) matches the single-shard engine.
 func TestOpenLoopShardedGracefulTimeout(t *testing.T) {
-	tmpls := []*Message{{Route: []int{5, 6}, Flits: 2}, {Route: []int{6, 7}, Flits: 1}}
+	tmpls := []*Message{{Route: []int32{5, 6}, Flits: 2}, {Route: []int32{6, 7}, Flits: 1}}
 	sched := faults.NewSchedule()
 	sched.FailLinkTransient(5, 1, 5000)
 	tr := &Trace{Arrivals: []Arrival{{0, 0}, {1, 1}, {2, 0}, {3, 0}, {100, 0}}}
@@ -328,7 +328,7 @@ func TestOpenLoopShardedPoolReuse(t *testing.T) {
 // error text (including the offending arrival index) on the shared
 // error paths.
 func TestOpenLoopShardedErrors(t *testing.T) {
-	good := []*Message{{Route: []int{0, 1}, Flits: 1}}
+	good := []*Message{{Route: []int32{0, 1}, Flits: 1}}
 	tr := func() *Trace { return &Trace{Arrivals: []Arrival{{0, 0}}} }
 	if _, err := SimulateOpenLoopSharded(good, tr().Source(), OpenLoopOpts{}, -2); err == nil {
 		t.Error("negative shard count accepted")
@@ -350,7 +350,7 @@ func TestOpenLoopShardedErrors(t *testing.T) {
 		tmpls []*Message
 		tr    *Trace
 	}{
-		"zero flits":            {[]*Message{{Route: []int{0}, Flits: 0}}, tr()},
+		"zero flits":            {[]*Message{{Route: []int32{0}, Flits: 0}}, tr()},
 		"template out of range": {good, &Trace{Arrivals: []Arrival{{0, 0}, {1, 9}}}},
 		"decreasing steps":      {good, &Trace{Arrivals: []Arrival{{9, 0}, {4, 0}}}},
 		"negative step":         {good, &Trace{Arrivals: []Arrival{{-3, 0}}}},

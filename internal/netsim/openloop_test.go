@@ -32,11 +32,11 @@ func (s *sliceSink) Observe(v int) { s.vals = append(s.vals, v) }
 // doneProbe records each message's MsgDone step.
 type doneProbe struct{ done map[int32]int }
 
-func (p *doneProbe) BeginRun(RunInfo)               {}
-func (p *doneProbe) StepEnd(int, []int)             {}
-func (p *doneProbe) FlitMoved(int, int32, int32)    {}
-func (p *doneProbe) FlitDelivered(int, int32)       {}
-func (p *doneProbe) FlitsDropped(int, int32, int)   {}
+func (p *doneProbe) BeginRun(RunInfo)                    {}
+func (p *doneProbe) StepEnd(int, []int)                  {}
+func (p *doneProbe) FlitMoved(int, int32, int32)         {}
+func (p *doneProbe) FlitDelivered(int, int32)            {}
+func (p *doneProbe) FlitsDropped(int, int32, int)        {}
 func (p *doneProbe) MsgDone(step int, msg int32, _ bool) { p.done[msg] = step }
 
 // runBoth runs the naive reference and the engine on the same trace
@@ -120,11 +120,11 @@ func TestOpenLoopAllAtZeroMatchesSimulate(t *testing.T) {
 	sets := map[string][]*Message{
 		"perm-q5": permTemplates(t, 5, 3, 7),
 		"hand": {
-			{Route: []int{0, 1, 2}, Flits: 2},
-			{Route: []int{}, Flits: 1}, // empty route: delivered at step 0
-			{Route: []int{1, 1, 0}, Flits: 3},
-			{Route: []int{2, 0}, Flits: 1},
-			{Route: []int{0, 1, 2}, Flits: 2},
+			{Route: []int32{0, 1, 2}, Flits: 2},
+			{Route: []int32{}, Flits: 1}, // empty route: delivered at step 0
+			{Route: []int32{1, 1, 0}, Flits: 3},
+			{Route: []int32{2, 0}, Flits: 1},
+			{Route: []int32{0, 1, 2}, Flits: 2},
 		},
 	}
 	for name, tmpls := range sets {
@@ -197,7 +197,7 @@ func TestOpenLoopMatchesReference(t *testing.T) {
 // cut-through each take hops+flits-1 = 4 steps, so the run spans 2004
 // model steps of which 2·996 are leapt over.
 func TestOpenLoopLeapArithmetic(t *testing.T) {
-	tmpls := []*Message{{Route: []int{0, 1, 2}, Flits: 2}}
+	tmpls := []*Message{{Route: []int32{0, 1, 2}, Flits: 2}}
 	tr := &Trace{Arrivals: []Arrival{{0, 0}, {1000, 0}, {2000, 0}}}
 	opt, rec := runBoth(t, tmpls, tr, OpenLoopOpts{Mode: CutThrough})
 	if opt.Steps != 2004 {
@@ -224,7 +224,7 @@ func TestOpenLoopFaults(t *testing.T) {
 	var usedLink int
 	for _, m := range tmpls {
 		if len(m.Route) > 0 {
-			usedLink = m.Route[0]
+			usedLink = int(m.Route[0])
 			break
 		}
 	}
@@ -264,7 +264,7 @@ func TestOpenLoopFaults(t *testing.T) {
 // outage longer than StepLimit: in-flight messages fail at the limit
 // and the arrival beyond the limit is never injected.
 func TestOpenLoopGracefulTimeout(t *testing.T) {
-	tmpls := []*Message{{Route: []int{5, 6}, Flits: 2}}
+	tmpls := []*Message{{Route: []int32{5, 6}, Flits: 2}}
 	sched := faults.NewSchedule()
 	sched.FailLinkTransient(5, 1, 5000)
 	tr := &Trace{Arrivals: []Arrival{{0, 0}, {1, 0}, {2, 0}, {100, 0}}}
@@ -295,7 +295,7 @@ func TestOpenLoopGracefulTimeout(t *testing.T) {
 // reuse one slot.
 func TestOpenLoopRecycling(t *testing.T) {
 	e := NewEngine()
-	tmpls := []*Message{{Route: []int{0, 1, 2}, Flits: 2}}
+	tmpls := []*Message{{Route: []int32{0, 1, 2}, Flits: 2}}
 	tr := &Trace{}
 	for i := 0; i < 200; i++ {
 		tr.Arrivals = append(tr.Arrivals, Arrival{Step: i * 10, Tmpl: 0})
@@ -336,7 +336,7 @@ func TestOpenLoopRecycling(t *testing.T) {
 // not leak.
 func TestOpenLoopPooledReuse(t *testing.T) {
 	a := permTemplates(t, 4, 2, 5)
-	b := []*Message{{Route: []int{9, 8, 7, 6}, Flits: 4}, {Route: nil, Flits: 1}}
+	b := []*Message{{Route: []int32{9, 8, 7, 6}, Flits: 4}, {Route: nil, Flits: 1}}
 	trA, trB := allAtZero(a), &Trace{Arrivals: []Arrival{{0, 0}, {3, 1}, {3, 0}}}
 	first, err := SimulateOpenLoop(a, trA.Source(), OpenLoopOpts{Mode: CutThrough})
 	if err != nil {
@@ -395,7 +395,7 @@ func TestOpenLoopProbeNeverChangesResult(t *testing.T) {
 // TestOpenLoopMeasureAfter checks the warm-up cutoff: only messages
 // arriving at or after MeasureAfter feed the sink.
 func TestOpenLoopMeasureAfter(t *testing.T) {
-	tmpls := []*Message{{Route: []int{0, 1}, Flits: 1}}
+	tmpls := []*Message{{Route: []int32{0, 1}, Flits: 1}}
 	tr := &Trace{Arrivals: []Arrival{{0, 0}, {5, 0}, {10, 0}, {15, 0}}}
 	sink := &sliceSink{}
 	opt, err := SimulateOpenLoop(tmpls, tr.Source(), OpenLoopOpts{Mode: CutThrough, MeasureAfter: 10, Sink: sink})
@@ -417,14 +417,14 @@ func (unboundedFaults) Horizon() int                       { return -1 }
 
 // TestOpenLoopErrors covers input validation on both models.
 func TestOpenLoopErrors(t *testing.T) {
-	good := []*Message{{Route: []int{0, 1}, Flits: 1}}
+	good := []*Message{{Route: []int32{0, 1}, Flits: 1}}
 	cases := map[string]struct {
 		tmpls []*Message
 		tr    *Trace
 		opts  OpenLoopOpts
 	}{
 		"zero flits": {
-			tmpls: []*Message{{Route: []int{0}, Flits: 0}},
+			tmpls: []*Message{{Route: []int32{0}, Flits: 0}},
 			tr:    &Trace{Arrivals: []Arrival{{0, 0}}},
 		},
 		"template out of range": {
@@ -536,7 +536,7 @@ func TestOpenLoopAllocs(t *testing.T) {
 func coldWorkload(n int) ([]*Message, *Trace) {
 	tmpls := make([]*Message, n)
 	for i := range tmpls {
-		tmpls[i] = &Message{Route: []int{i, n + i/2, 2*n + i}, Flits: 2}
+		tmpls[i] = &Message{Route: []int32{int32(i), int32(n + i/2), int32(2*n + i)}, Flits: 2}
 	}
 	tr := &Trace{}
 	for i := 0; i < 2*n; i++ {
@@ -627,9 +627,9 @@ func TestOpenLoopColdAllocs(t *testing.T) {
 func TestOpenLoopRecycledSlotOrder(t *testing.T) {
 	const A, B, C, D, E = 10, 20, 30, 40, 50
 	tmpls := []*Message{
-		{Route: []int{A, B}, Flits: 1},
-		{Route: []int{C, B}, Flits: 1},
-		{Route: []int{D, B, E, B}, Flits: 2},
+		{Route: []int32{A, B}, Flits: 1},
+		{Route: []int32{C, B}, Flits: 1},
+		{Route: []int32{D, B, E, B}, Flits: 2},
 	}
 	tr := &Trace{Arrivals: []Arrival{
 		{Step: 0, Tmpl: 1},  // message 0: delivered at step 2, frees its slot

@@ -29,7 +29,9 @@ func TestShardedEntryPointsShareEnginePool(t *testing.T) {
 		msgs := PermutationMessages(q, RandomPermutation(rng, q.Nodes()), 2)
 		var links []int
 		for _, m := range msgs {
-			links = append(links, m.Route...)
+			for _, id := range m.Route {
+				links = append(links, int(id))
+			}
 		}
 		sched := faults.NewSchedule().
 			FailLink(links[0], 2).

@@ -102,7 +102,7 @@ func (e *Engine) fillExt(msgs []*Message, links int32) {
 	pos := 0
 	for _, m := range msgs {
 		for _, id := range m.Route {
-			e.ext[e.route[pos]] = id
+			e.ext[e.route[pos]] = int(id)
 			pos++
 		}
 	}

@@ -26,7 +26,8 @@ func (e *Engine) simulateBaseline(msgs []*Message, mode Mode) (*Result, error) {
 		if len(m.Route) > maxRoute {
 			maxRoute = len(m.Route)
 		}
-		for _, id := range m.Route {
+		for _, id32 := range m.Route {
+			id := int(id32)
 			if !seen || id < minID {
 				minID = id
 			}
@@ -154,9 +155,9 @@ func overheadWorkload() []*Message {
 	rng := rand.New(rand.NewSource(7))
 	msgs := make([]*Message, 192)
 	for i := range msgs {
-		route := make([]int, 10)
+		route := make([]int32, 10)
 		for h := range route {
-			route[h] = rng.Intn(48)
+			route[h] = int32(rng.Intn(48))
 		}
 		msgs[i] = &Message{Route: route, Flits: 6}
 	}
@@ -205,7 +206,8 @@ func TestSimulateAllocs(t *testing.T) {
 	// dimension-ordered discipline) cannot deadlock.
 	whMsgs := make([]*Message, 64)
 	for i := range whMsgs {
-		whMsgs[i] = &Message{Route: []int{i % 8, 8 + i%8, 16 + i%8}, Flits: 4}
+		l := int32(i % 8)
+		whMsgs[i] = &Message{Route: []int32{l, 8 + l, 16 + l}, Flits: 4}
 	}
 	if _, err := e.simulateWormhole(whMsgs); err != nil {
 		t.Fatal(err)

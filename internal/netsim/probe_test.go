@@ -97,10 +97,10 @@ func (r *recordingProbe) checkAgainst(t *testing.T, res *Result, steps int, chec
 func probeWorkloads() [][]*Message {
 	return [][]*Message{
 		nil,
-		{{Route: []int{1}, Flits: 2}, {Route: []int{2, 1}, Flits: 1}, {Route: []int{3, 1}, Flits: 1}},
-		{{Route: nil, Flits: 1}, {Route: []int{7, 8, 9}, Flits: 4}},
-		{{Route: []int{0, 1, 2, 3}, Flits: 3}, {Route: []int{3, 2, 1, 0}, Flits: 3}},
-		{{Route: []int{5, 5, 5}, Flits: 2}, {Route: []int{5}, Flits: 6}},
+		{{Route: []int32{1}, Flits: 2}, {Route: []int32{2, 1}, Flits: 1}, {Route: []int32{3, 1}, Flits: 1}},
+		{{Route: nil, Flits: 1}, {Route: []int32{7, 8, 9}, Flits: 4}},
+		{{Route: []int32{0, 1, 2, 3}, Flits: 3}, {Route: []int32{3, 2, 1, 0}, Flits: 3}},
+		{{Route: []int32{5, 5, 5}, Flits: 2}, {Route: []int32{5}, Flits: 6}},
 	}
 }
 
@@ -126,7 +126,7 @@ func TestSimulateProbedMatchesBare(t *testing.T) {
 				for _, id := range m.Route {
 					found := false
 					for _, e := range rp.linkExt {
-						if e == id {
+						if e == int(id) {
 							found = true
 							break
 						}
@@ -165,9 +165,9 @@ func TestSimulateWormholeProbed(t *testing.T) {
 
 func TestSimulateFaultsProbed(t *testing.T) {
 	msgs := []*Message{
-		{Route: []int{1}, Flits: 2},
-		{Route: []int{2, 1}, Flits: 1},
-		{Route: []int{3, 4}, Flits: 2},
+		{Route: []int32{1}, Flits: 2},
+		{Route: []int32{2, 1}, Flits: 1},
+		{Route: []int32{3, 4}, Flits: 2},
 	}
 	sched := faults.NewSchedule().
 		FailLinkTransient(2, 1, 3). // delays message 1
@@ -198,7 +198,7 @@ func TestFaultOptsProbePrecedence(t *testing.T) {
 	engineProbe := &recordingProbe{}
 	e.SetProbe(engineProbe)
 	runProbe := &recordingProbe{}
-	msgs := []*Message{{Route: []int{1}, Flits: 1}}
+	msgs := []*Message{{Route: []int32{1}, Flits: 1}}
 	if _, err := e.SimulateFaults(msgs, CutThrough, FaultOpts{Probe: runProbe}); err != nil {
 		t.Fatal(err)
 	}

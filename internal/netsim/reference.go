@@ -50,7 +50,7 @@ func SimulateReference(msgs []*Message, mode Mode) (*Result, error) {
 	}
 	// Per-link FIFO of (message, linkIndex) waiting to transfer.
 	type want struct{ msg, hop int }
-	queues := make(map[int][]want)
+	queues := make(map[int32][]want)
 	res := &Result{}
 	for i, s := range states {
 		if len(s.m.Route) > 0 {

@@ -537,7 +537,7 @@ func (sh *sharded) runSingle(msgs []*Message, mode Mode, opts FaultOpts, faultPa
 	var stats []ShardStat
 	if wantStats {
 		injected := 0
-		distinct := make(map[int]struct{})
+		distinct := make(map[int32]struct{})
 		for _, m := range msgs {
 			injected += m.Flits * len(m.Route)
 			for _, id := range m.Route {

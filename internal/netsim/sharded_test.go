@@ -27,19 +27,19 @@ func shardedWorkloads() map[string][]*Message {
 	w := map[string][]*Message{
 		"permutation-q5": PermutationMessages(q, perm, 3),
 		"chain": {
-			{Route: []int{0, 1, 2, 3}, Flits: 5},
-			{Route: []int{3, 2, 1, 0}, Flits: 5},
-			{Route: []int{1, 2}, Flits: 2},
+			{Route: []int32{0, 1, 2, 3}, Flits: 5},
+			{Route: []int32{3, 2, 1, 0}, Flits: 5},
+			{Route: []int32{1, 2}, Flits: 2},
 		},
 		"shared-bottleneck": {
-			{Route: []int{0, 9, 4}, Flits: 4},
-			{Route: []int{1, 9, 5}, Flits: 4},
-			{Route: []int{2, 9, 6}, Flits: 4},
-			{Route: []int{3, 9, 7}, Flits: 4},
+			{Route: []int32{0, 9, 4}, Flits: 4},
+			{Route: []int32{1, 9, 5}, Flits: 4},
+			{Route: []int32{2, 9, 6}, Flits: 4},
+			{Route: []int32{3, 9, 7}, Flits: 4},
 		},
 		"empty-and-single": {
 			{Route: nil, Flits: 1},
-			{Route: []int{42}, Flits: 7},
+			{Route: []int32{42}, Flits: 7},
 			{Route: nil, Flits: 3},
 		},
 	}
@@ -76,7 +76,7 @@ func shardedSchedules(msgs []*Message) map[string]*faults.Schedule {
 	use := map[int]int{}
 	for _, m := range msgs {
 		for _, id := range m.Route {
-			use[id]++
+			use[int(id)]++
 		}
 	}
 	ids := make([]int, 0, len(use))
@@ -404,7 +404,7 @@ func TestShardedPoolReuse(t *testing.T) {
 // TestShardedErrorPaths pins the error contracts: invalid flits, the
 // unbounded-schedule guard, and the probes/shards arity check.
 func TestShardedErrorPaths(t *testing.T) {
-	bad := []*Message{{Route: []int{0, 1}, Flits: 0}}
+	bad := []*Message{{Route: []int32{0, 1}, Flits: 0}}
 	if _, err := SimulateSharded(bad, CutThrough, 4); err == nil {
 		t.Error("zero-flit message accepted")
 	}

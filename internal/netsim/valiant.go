@@ -44,13 +44,21 @@ func TransposePermutation(n int) []int {
 // uniformly random intermediate node: phase 1 e-cube to the
 // intermediate, phase 2 e-cube to the destination. With high
 // probability no link carries more than O(1) times the average load.
+// The routes share one id arena, sized for the mean route of n hops.
 func ValiantMessages(q *hypercube.Q, perm []int, flits int, rng *rand.Rand) []*Message {
-	msgs := make([]*Message, len(perm))
+	ids := make([]int32, 0, len(perm)*q.Dims())
+	hdrs := make([]Message, len(perm))
 	for src, dst := range perm {
 		mid := hypercube.Node(rng.Intn(q.Nodes()))
-		route := ECubeRoute(q, hypercube.Node(src), mid)
-		route = append(route, ECubeRoute(q, mid, hypercube.Node(dst))...)
-		msgs[src] = &Message{Route: route, Flits: flits}
+		at := len(ids)
+		ids = AppendECubeRoute(ids, q, hypercube.Node(src), mid)
+		ids = AppendECubeRoute(ids, q, mid, hypercube.Node(dst))
+		hdrs[src] = Message{Route: ids[at:], Flits: flits}
+	}
+	SliceRoutes(hdrs, ids)
+	msgs := make([]*Message, len(hdrs))
+	for i := range hdrs {
+		msgs[i] = &hdrs[i]
 	}
 	return msgs
 }
@@ -59,7 +67,7 @@ func ValiantMessages(q *hypercube.Q, perm []int, flits int, rng *rand.Rand) []*M
 // any single directed link — the static congestion that lower-bounds
 // completion time.
 func MaxLinkLoad(msgs []*Message) int {
-	load := make(map[int]int)
+	load := make(map[int32]int)
 	max := 0
 	for _, m := range msgs {
 		for _, id := range m.Route {
@@ -87,9 +95,15 @@ func BroadcastMessages(q *hypercube.Q, flits int, multi bool) ([]*Message, error
 		cycles = cycles[:1]
 	}
 	chunk := (flits + len(cycles) - 1) / len(cycles)
-	var msgs []*Message
+	hops := 0
 	for _, cyc := range cycles {
-		route := make([]int, 0, len(cyc)-1)
+		hops += len(cyc) - 1
+	}
+	ids := make([]int32, 0, hops)
+	hdrs := make([]Message, len(cycles))
+	msgs := make([]*Message, len(cycles))
+	for c, cyc := range cycles {
+		at := len(ids)
 		start := 0
 		for i, v := range cyc {
 			if v == 0 {
@@ -104,9 +118,10 @@ func BroadcastMessages(q *hypercube.Q, flits int, multi bool) ([]*Message, error
 			if err != nil {
 				return nil, err
 			}
-			route = append(route, id)
+			ids = append(ids, int32(id))
 		}
-		msgs = append(msgs, &Message{Route: route, Flits: chunk})
+		hdrs[c] = Message{Route: ids[at:len(ids):len(ids)], Flits: chunk}
+		msgs[c] = &hdrs[c]
 	}
 	return msgs, nil
 }

@@ -135,8 +135,8 @@ func TestBroadcastOddDimension(t *testing.T) {
 
 func TestFilterFaultyRoutes(t *testing.T) {
 	msgs := []*Message{
-		{Route: []int{1, 2}, Flits: 1},
-		{Route: []int{3}, Flits: 1},
+		{Route: []int32{1, 2}, Flits: 1},
+		{Route: []int32{3}, Flits: 1},
 		{Route: nil, Flits: 1},
 	}
 	ok, dropped := FilterFaultyRoutes(msgs, func(l int) bool { return l == 2 })
@@ -150,7 +150,7 @@ func TestFilterFaultyRoutes(t *testing.T) {
 
 func TestFilterFaultyRoutesEdgeCases(t *testing.T) {
 	empty := &Message{Route: nil, Flits: 1}
-	routed := &Message{Route: []int{4, 5}, Flits: 1}
+	routed := &Message{Route: []int32{4, 5}, Flits: 1}
 	msgs := []*Message{empty, routed}
 
 	// Nil predicate: nothing is faulty, everything is kept in order.

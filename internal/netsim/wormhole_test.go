@@ -10,7 +10,7 @@ import (
 
 func TestWormholeSingleMessagePipelines(t *testing.T) {
 	// 3 hops, 5 flits: like cut-through, 3 + 5 - 1 = 7 steps.
-	r, err := SimulateWormhole([]*Message{{Route: []int{10, 20, 30}, Flits: 5}})
+	r, err := SimulateWormhole([]*Message{{Route: []int32{10, 20, 30}, Flits: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,9 +34,9 @@ func TestWormholeBlockingHoldsChannel(t *testing.T) {
 	// at the intermediate node and lets B interleave.
 	mk := func() []*Message {
 		return []*Message{
-			{Route: []int{2}, Flits: 8},    // C
-			{Route: []int{1, 2}, Flits: 8}, // A
-			{Route: []int{1}, Flits: 2},    // B
+			{Route: []int32{2}, Flits: 8},    // C
+			{Route: []int32{1, 2}, Flits: 8}, // A
+			{Route: []int32{1}, Flits: 2},    // B
 		}
 	}
 	wh, err := SimulateWormhole(mk())
@@ -62,8 +62,8 @@ func TestWormholeDeadlockDetected(t *testing.T) {
 	// Classic two-message cycle: A holds 1 and wants 2; B holds 2 and
 	// wants 1. Long flit counts keep both tails from releasing.
 	msgs := []*Message{
-		{Route: []int{1, 2}, Flits: 100},
-		{Route: []int{2, 1}, Flits: 100},
+		{Route: []int32{1, 2}, Flits: 100},
+		{Route: []int32{2, 1}, Flits: 100},
 	}
 	_, err := SimulateWormhole(msgs)
 	var dl *ErrDeadlock
@@ -79,8 +79,8 @@ func TestWormholeNoDeadlockShortMessages(t *testing.T) {
 	// The same cyclic routes with 1-flit messages release links before
 	// the cycle closes (each link is held for a single step).
 	msgs := []*Message{
-		{Route: []int{1, 2}, Flits: 1},
-		{Route: []int{2, 1}, Flits: 1},
+		{Route: []int32{1, 2}, Flits: 1},
+		{Route: []int32{2, 1}, Flits: 1},
 	}
 	r, err := SimulateWormhole(msgs)
 	if err != nil {
@@ -134,7 +134,7 @@ func TestWormholeMatchesFlitConservation(t *testing.T) {
 }
 
 func TestWormholeRejectsZeroFlits(t *testing.T) {
-	if _, err := SimulateWormhole([]*Message{{Route: []int{1}, Flits: 0}}); err == nil {
+	if _, err := SimulateWormhole([]*Message{{Route: []int32{1}, Flits: 0}}); err == nil {
 		t.Error("zero flits accepted")
 	}
 }

@@ -119,9 +119,9 @@ func TestSeriesStrideDoubling(t *testing.T) {
 // aggregate the recorder derives is checked against the hand count.
 func handMsgs() []*netsim.Message {
 	return []*netsim.Message{
-		{Route: []int{1}, Flits: 2},    // A
-		{Route: []int{2, 1}, Flits: 1}, // B
-		{Route: []int{3, 1}, Flits: 1}, // C
+		{Route: []int32{1}, Flits: 2},    // A
+		{Route: []int32{2, 1}, Flits: 1}, // B
+		{Route: []int32{3, 1}, Flits: 1}, // C
 	}
 }
 
@@ -164,7 +164,7 @@ func TestRecorderLinkUtilization(t *testing.T) {
 	r := NewRecorderOpts(RecorderOpts{LinkUtil: true, UtilCap: 8})
 	// One message, 4 flits over external link 5: the link moves one
 	// flit on each of the 4 steps.
-	res, err := netsim.SimulateProbed([]*netsim.Message{{Route: []int{5}, Flits: 4}}, netsim.CutThrough, r)
+	res, err := netsim.SimulateProbed([]*netsim.Message{{Route: []int32{5}, Flits: 4}}, netsim.CutThrough, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,8 +369,8 @@ func TestRecorderLinkQueueDepth(t *testing.T) {
 // slices with them, and still count the run's other links.
 func TestRecorderLinkQueuesNegativeIDs(t *testing.T) {
 	msgs := []*netsim.Message{
-		{Route: []int{-5, 7}, Flits: 2},
-		{Route: []int{-5}, Flits: 1},
+		{Route: []int32{-5, 7}, Flits: 2},
+		{Route: []int32{-5}, Flits: 1},
 	}
 	rec := NewRecorderOpts(RecorderOpts{LinkQueues: true})
 	res, err := netsim.SimulateProbed(msgs, netsim.CutThrough, rec)

@@ -96,11 +96,7 @@ func (a *Adaptive) MsgFailed(step int, msg int32, link int) {
 }
 
 // Route implements Strategy.
-func (a *Adaptive) Route(src, dst hypercube.Node, rng *rand.Rand) []int32 {
-	if src == dst {
-		return nil
-	}
-	out := make([]int32, 0, 8)
+func (a *Adaptive) Route(out []int32, src, dst hypercube.Node, rng *rand.Rand) []int32 {
 	cur := src
 	for cur != dst {
 		chosen := a.pick(cur, dst, rng, false)

@@ -28,7 +28,7 @@ func TestAdaptiveObserveSteersAwayFromCongestion(t *testing.T) {
 	// cold's growing own-load (0.5+k < 8 for k ≤ 7) and avoid hot.
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 8; trial++ {
-		route := a.Route(0, 3, rng)
+		route := a.Route(nil, 0, 3, rng)
 		if len(route) != 2 {
 			t.Fatalf("route 0→3 has %d hops, want 2", len(route))
 		}
@@ -41,7 +41,7 @@ func TestAdaptiveObserveSteersAwayFromCongestion(t *testing.T) {
 	// link's mean queue depth of 8, and traffic spills back.
 	spilled := false
 	for trial := 0; trial < 50 && !spilled; trial++ {
-		spilled = int(a.Route(0, 3, rng)[0]) == hot
+		spilled = int(a.Route(nil, 0, 3, rng)[0]) == hot
 	}
 	if !spilled {
 		t.Error("own-load never rebalanced against stale congestion cost")
@@ -57,7 +57,7 @@ func TestAdaptiveAvoidsDeadLinks(t *testing.T) {
 	dead := q.EdgeID(0, 0)
 	a.LinkDown(5, dead, true)
 	for trial := 0; trial < 30; trial++ {
-		route := a.Route(0, 7, rng)
+		route := a.Route(nil, 0, 7, rng)
 		checkWalk(t, q, 0, 7, route)
 		for _, id := range route {
 			if int(id) == dead {
@@ -77,7 +77,7 @@ func TestAdaptiveAvoidsDeadLinks(t *testing.T) {
 	for d := 0; d < 3; d++ {
 		a.MsgFailed(6, 0, q.EdgeID(0, d))
 	}
-	if got := a.Route(0, 7, rng); len(got) != 3 {
+	if got := a.Route(nil, 0, 7, rng); len(got) != 3 {
 		t.Errorf("fully cut source produced %d hops, want a 3-hop minimal route", len(got))
 	}
 }

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 
 	"multipath/internal/hypercube"
 	"multipath/internal/netsim"
@@ -45,10 +46,12 @@ type Strategy interface {
 	// Name is the stable identifier used in benchmark records and CLI
 	// flags ("dimorder", "valiant", ...).
 	Name() string
-	// Route returns the dense edge ids of a src→dst walk. src == dst
-	// yields an empty route (the engine delivers it instantly). rng is
-	// the caller's seeded stream; deterministic strategies ignore it.
-	Route(src, dst hypercube.Node, rng *rand.Rand) []int32
+	// Route appends the dense edge ids of a src→dst walk to out and
+	// returns the extended slice, so a batch of routes fills one arena.
+	// src == dst appends nothing (the engine delivers an empty route
+	// instantly). rng is the caller's seeded stream; deterministic
+	// strategies ignore it.
+	Route(out []int32, src, dst hypercube.Node, rng *rand.Rand) []int32
 }
 
 // Pair is one traffic demand: a source and destination node.
@@ -73,43 +76,49 @@ func PermutationPairs(perm []int) []Pair {
 // the batch form internal/traffic's pattern generators and the E29
 // race consume. The same (s-state, pairs, flits, seed) always rebuilds
 // identical templates.
+//
+// Every route is appended into one id arena and every template lives
+// in one header array, so a call allocates a constant number of times
+// whatever the batch size. The arena starts at the minimal hop total —
+// exact for DimOrder, MinimalOblivious and Adaptive — plus one
+// longest route of slack; Valiant's two phases run past it and regrow
+// it once, to room for every remaining route at 2n hops. Routes are
+// sliced from the arena only after filling, since a regrowth moves it.
 func Templates(s Strategy, q *hypercube.Q, pairs []Pair, flits int, seed int64) ([]*netsim.Message, error) {
 	if flits < 1 {
 		return nil, fmt.Errorf("routing: templates need at least 1 flit, got %d", flits)
 	}
-	rng := rand.New(rand.NewSource(seed))
-	msgs := make([]*netsim.Message, len(pairs))
+	maxHops := 2 * q.Dims()
+	hops := maxHops
 	for i, p := range pairs {
 		if !q.Contains(p.Src) || !q.Contains(p.Dst) {
 			return nil, fmt.Errorf("routing: pair %d (%d→%d) outside %v", i, p.Src, p.Dst, q)
 		}
-		ids := s.Route(p.Src, p.Dst, rng)
-		route := make([]int, len(ids))
-		for j, id := range ids {
-			route[j] = int(id)
+		hops += bits.OnesCount32(p.Src ^ p.Dst)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	ids := make([]int32, 0, hops)
+	hdrs := make([]netsim.Message, len(pairs))
+	for i, p := range pairs {
+		if cap(ids)-len(ids) < maxHops {
+			ids = slices.Grow(ids, maxHops*(len(pairs)-i))
 		}
-		msgs[i] = &netsim.Message{Route: route, Flits: flits}
+		at := len(ids)
+		ids = s.Route(ids, p.Src, p.Dst, rng)
+		hdrs[i] = netsim.Message{Route: ids[at:], Flits: flits}
+	}
+	netsim.SliceRoutes(hdrs, ids)
+	msgs := make([]*netsim.Message, len(hdrs))
+	for i := range hdrs {
+		msgs[i] = &hdrs[i]
 	}
 	return msgs, nil
 }
 
-// appendDimOrder appends the ascending-dimension (e-cube) route from
-// src to dst — the id-for-id twin of netsim.ECubeRoute.
-func appendDimOrder(q *hypercube.Q, out []int32, src, dst hypercube.Node) []int32 {
-	cur := src
-	for d := 0; d < q.Dims(); d++ {
-		if (cur^dst)&(1<<uint(d)) != 0 {
-			out = append(out, int32(q.EdgeID(cur, d)))
-			cur ^= 1 << uint(d)
-		}
-	}
-	return out
-}
-
 // DimOrder is deterministic e-cube routing: fix the differing bits in
 // ascending dimension order. The deadlock-free classic, and the
-// baseline every rival is normalized against — its routes are exactly
-// netsim.ECubeRoute's.
+// baseline every rival is normalized against; its routes come from
+// netsim.AppendECubeRoute, as netsim.PermutationMessages' do.
 type DimOrder struct {
 	q *hypercube.Q
 }
@@ -122,12 +131,8 @@ func (d *DimOrder) Name() string { return "dimorder" }
 
 // Route implements Strategy. rng is unused: the route is a pure
 // function of (src, dst).
-func (d *DimOrder) Route(src, dst hypercube.Node, _ *rand.Rand) []int32 {
-	if src == dst {
-		return nil
-	}
-	out := make([]int32, 0, bits.OnesCount32(src^dst))
-	return appendDimOrder(d.q, out, src, dst)
+func (d *DimOrder) Route(out []int32, src, dst hypercube.Node, _ *rand.Rand) []int32 {
+	return netsim.AppendECubeRoute(out, d.q, src, dst)
 }
 
 // Valiant is randomized two-phase routing: e-cube to a uniformly
@@ -148,11 +153,10 @@ func NewValiant(q *hypercube.Q) *Valiant { return &Valiant{q: q} }
 func (v *Valiant) Name() string { return "valiant" }
 
 // Route implements Strategy.
-func (v *Valiant) Route(src, dst hypercube.Node, rng *rand.Rand) []int32 {
+func (v *Valiant) Route(out []int32, src, dst hypercube.Node, rng *rand.Rand) []int32 {
 	mid := hypercube.Node(rng.Intn(v.q.Nodes()))
-	out := make([]int32, 0, bits.OnesCount32(src^mid)+bits.OnesCount32(mid^dst))
-	out = appendDimOrder(v.q, out, src, mid)
-	return appendDimOrder(v.q, out, mid, dst)
+	out = netsim.AppendECubeRoute(out, v.q, src, mid)
+	return netsim.AppendECubeRoute(out, v.q, mid, dst)
 }
 
 // MinimalOblivious routes minimally (every hop fixes a differing
@@ -185,11 +189,7 @@ func (m *MinimalOblivious) Reset() {
 }
 
 // Route implements Strategy.
-func (m *MinimalOblivious) Route(src, dst hypercube.Node, rng *rand.Rand) []int32 {
-	if src == dst {
-		return nil
-	}
-	out := make([]int32, 0, bits.OnesCount32(src^dst))
+func (m *MinimalOblivious) Route(out []int32, src, dst hypercube.Node, rng *rand.Rand) []int32 {
 	cur := src
 	for cur != dst {
 		// Reservoir-sample uniformly among the minimum-load candidate

@@ -45,7 +45,7 @@ func TestRoutesAreValidWalks(t *testing.T) {
 		for trial := 0; trial < 200; trial++ {
 			src := hypercube.Node(rng.Intn(q.Nodes()))
 			dst := hypercube.Node(rng.Intn(q.Nodes()))
-			hops := checkWalk(t, q, src, dst, s.Route(src, dst, rng))
+			hops := checkWalk(t, q, src, dst, s.Route(nil, src, dst, rng))
 			dist := bits.OnesCount32(src ^ dst)
 			switch s.Name() {
 			case "valiant":
@@ -114,6 +114,11 @@ func TestValiantBitIdenticalToValiantMessages(t *testing.T) {
 		if !reflect.DeepEqual(got[i].Route, want[i].Route) && !(len(got[i].Route) == 0 && len(want[i].Route) == 0) {
 			t.Fatalf("msg %d: route %v, want %v", i, got[i].Route, want[i].Route)
 		}
+		// Valiant outgrows the arena's first size, so this also checks
+		// the spans taken after the regrowth: each is capped.
+		if cap(got[i].Route) != len(got[i].Route) {
+			t.Fatalf("msg %d: route capacity %d past its %d ids", i, cap(got[i].Route), len(got[i].Route))
+		}
 	}
 }
 
@@ -170,7 +175,7 @@ func TestMinimalObliviousLoadBalances(t *testing.T) {
 	src, dst := hypercube.Node(0), hypercube.Node(0b1111)
 	const rounds = 12
 	for i := 0; i < rounds*4; i++ {
-		checkWalk(t, q, src, dst, m.Route(src, dst, rng))
+		checkWalk(t, q, src, dst, m.Route(nil, src, dst, rng))
 	}
 	for d := 0; d < 4; d++ {
 		if l := m.load[q.EdgeID(src, d)]; l != rounds {

@@ -558,7 +558,7 @@ func (s *session) nextPath(b *bundle, from int) int {
 // pathDead reports whether any link of bundle path j is known dead.
 func (s *session) pathDead(b *bundle, j int) bool {
 	for _, id := range s.tmpls[b.group[j]].Route {
-		if s.dead[id] {
+		if s.dead[int(id)] {
 			return true
 		}
 	}

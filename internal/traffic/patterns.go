@@ -3,6 +3,7 @@ package traffic
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"multipath/internal/core"
 	"multipath/internal/hypercube"
@@ -153,7 +154,7 @@ func PatternTemplates(s routing.Strategy, q *hypercube.Q, pattern string, flits 
 // pair-major). Piece j of pair i is template i*w + j; flit remainders
 // go to the earliest pieces, mirroring WidthPathMessages. Returns the
 // templates and w so callers can group pieces back into logical
-// messages.
+// messages. The routes share one id arena.
 func DisjointPathTemplates(q *hypercube.Q, pairs []routing.Pair, flits int) ([]*netsim.Message, int, error) {
 	if flits < 1 {
 		return nil, 0, fmt.Errorf("traffic: disjoint-path templates need at least 1 flit, got %d", flits)
@@ -162,7 +163,8 @@ func DisjointPathTemplates(q *hypercube.Q, pairs []routing.Pair, flits int) ([]*
 	if flits < w {
 		w = flits
 	}
-	tmpls := make([]*netsim.Message, 0, len(pairs)*w)
+	hdrs := make([]netsim.Message, 0, len(pairs)*w)
+	var ids []int32
 	base, extra := flits/w, flits%w
 	for _, pr := range pairs {
 		if !q.Contains(pr.Src) || !q.Contains(pr.Dst) {
@@ -177,15 +179,17 @@ func DisjointPathTemplates(q *hypercube.Q, pairs []routing.Pair, flits int) ([]*
 			if j < extra {
 				f++
 			}
-			var ids []int
+			at := len(ids)
 			if j < len(paths) && len(paths[j]) >= 2 {
-				var err error
-				if ids, err = q.PathEdgeIDs(paths[j]); err != nil {
+				l := len(paths[j]) - 1
+				ids = slices.Grow(ids, l)[:at+l]
+				if err := q.FillPathEdgeIDs32(ids[at:], paths[j]); err != nil {
 					return nil, 0, err
 				}
 			}
-			tmpls = append(tmpls, &netsim.Message{Route: ids, Flits: f})
+			hdrs = append(hdrs, netsim.Message{Route: ids[at:], Flits: f})
 		}
 	}
-	return tmpls, w, nil
+	netsim.SliceRoutes(hdrs, ids)
+	return pointers(hdrs), w, nil
 }

@@ -78,7 +78,7 @@ func TestPatternPreconditions(t *testing.T) {
 	}{
 		{"transpose odd n", func() error { _, err := TransposePairs(odd); return err }, true},
 		{"transpose even n", func() error { _, err := TransposePairs(even); return err }, false},
-		{"hotspot out of range", func() error { _, err := HotspotPairs(even, 1 << 10); return err }, true},
+		{"hotspot out of range", func() error { _, err := HotspotPairs(even, 1<<10); return err }, true},
 		{"hotspot in range", func() error { _, err := HotspotPairs(even, 5); return err }, false},
 		{"tornado k=0", func() error { _, err := TornadoPairs(even, 0); return err }, true},
 		{"tornado k=-2", func() error { _, err := TornadoPairs(even, -2); return err }, true},
@@ -125,7 +125,7 @@ func TestDisjointPathTemplates(t *testing.T) {
 				}
 				cur := pr.Src
 				for _, id := range m.Route {
-					e := q.EdgeOf(id)
+					e := q.EdgeOf(int(id))
 					if e.From != cur {
 						t.Fatalf("pair %d piece %d: disconnected route", i, j)
 					}
@@ -140,7 +140,7 @@ func TestDisjointPathTemplates(t *testing.T) {
 			}
 		}
 		// Pieces of one pair are edge-disjoint.
-		seen := map[int]bool{}
+		seen := map[int32]bool{}
 		for j := 0; j < w; j++ {
 			for _, id := range tmpls[j].Route {
 				if seen[id] {

@@ -266,7 +266,7 @@ func TestPathTemplatesLayout(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if wantHops > 0 && !reflect.DeepEqual(m.Route, ids) {
+			if wantHops > 0 && !reflect.DeepEqual(m.Route, ids32(ids)) {
 				t.Fatalf("bundle %d path %d: route %v, want %v", b, j, m.Route, ids)
 			}
 			total++

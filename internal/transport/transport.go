@@ -157,10 +157,10 @@ type RoundStat struct {
 // edgeState tracks one in-flight guest edge across rounds.
 type edgeState struct {
 	edge   int
-	routes [][]int // per path: directed link ids
-	n      int     // pieces (IDA: width; SinglePath: 1)
-	k      int     // pieces needed
-	flits  int     // flits per piece
+	routes [][]int32 // per path: directed link ids, views of one arena
+	n      int       // pieces (IDA: width; SinglePath: 1)
+	k      int       // pieces needed
+	flits  int       // flits per piece
 
 	pieceStep  []int  // absolute arrival step per piece, -1 = not delivered
 	badPath    []bool // paths observed to fail
@@ -195,6 +195,17 @@ func SendEdges(e *core.Embedding, edges []int, cfg Config) (*Report, error) {
 	if flits <= 0 {
 		flits = 1
 	}
+	// Size one id arena for every listed path; each route is a capped
+	// view of it. Invalid indices are skipped here and reported below.
+	hops := 0
+	for _, idx := range edges {
+		if idx >= 0 && idx < len(e.Paths) {
+			for _, p := range e.Paths[idx] {
+				hops += max(len(p)-1, 0)
+			}
+		}
+	}
+	arena := make([]int32, hops)
 	states := make([]*edgeState, 0, len(edges))
 	for _, idx := range edges {
 		if idx < 0 || idx >= len(e.Paths) {
@@ -206,8 +217,10 @@ func SendEdges(e *core.Embedding, edges []int, cfg Config) (*Report, error) {
 		}
 		st := &edgeState{edge: idx}
 		for _, p := range paths {
-			ids, err := e.Host.PathEdgeIDs(p)
-			if err != nil {
+			l := max(len(p)-1, 0)
+			ids := arena[:l:l]
+			arena = arena[l:]
+			if err := e.Host.FillPathEdgeIDs32(ids, p); err != nil {
 				return nil, fmt.Errorf("transport: edge %d: %w", idx, err)
 			}
 			st.routes = append(st.routes, ids)

@@ -73,16 +73,16 @@ func TestFaultToleranceJourney(t *testing.T) {
 
 func TestSimulationJourney(t *testing.T) {
 	msgs := []*Message{
-		{Route: []int{1, 2, 3}, Flits: 8},
-		{Route: []int{3, 4}, Flits: 8},
+		{Route: []int32{1, 2, 3}, Flits: 8},
+		{Route: []int32{3, 4}, Flits: 8},
 	}
 	ct, err := Simulate(msgs, CutThrough)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sf, err := Simulate([]*Message{
-		{Route: []int{1, 2, 3}, Flits: 8},
-		{Route: []int{3, 4}, Flits: 8},
+		{Route: []int32{1, 2, 3}, Flits: 8},
+		{Route: []int32{3, 4}, Flits: 8},
 	}, StoreAndForward)
 	if err != nil {
 		t.Fatal(err)
@@ -93,8 +93,8 @@ func TestSimulationJourney(t *testing.T) {
 	// The partitioned engine is the same simulation: identical results
 	// at any shard count, through the facade too.
 	sharded, err := SimulateSharded([]*Message{
-		{Route: []int{1, 2, 3}, Flits: 8},
-		{Route: []int{3, 4}, Flits: 8},
+		{Route: []int32{1, 2, 3}, Flits: 8},
+		{Route: []int32{3, 4}, Flits: 8},
 	}, CutThrough, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -103,8 +103,8 @@ func TestSimulationJourney(t *testing.T) {
 		t.Errorf("sharded result %+v != single-shard %+v", sharded, ct)
 	}
 	fr, err := SimulateFaultsSharded([]*Message{
-		{Route: []int{1, 2, 3}, Flits: 8},
-		{Route: []int{3, 4}, Flits: 8},
+		{Route: []int32{1, 2, 3}, Flits: 8},
+		{Route: []int32{3, 4}, Flits: 8},
 	}, CutThrough, FaultOpts{}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -228,8 +228,8 @@ func TestDisjointPathsJourney(t *testing.T) {
 func TestObservabilityJourney(t *testing.T) {
 	mk := func() []*Message {
 		return []*Message{
-			{Route: []int{1, 2, 3}, Flits: 8},
-			{Route: []int{3, 4}, Flits: 8},
+			{Route: []int32{1, 2, 3}, Flits: 8},
+			{Route: []int32{3, 4}, Flits: 8},
 		}
 	}
 	bare, err := Simulate(mk(), CutThrough)
