@@ -15,7 +15,6 @@ import (
 	"multipath/internal/hamdecomp"
 	"multipath/internal/netsim"
 	"multipath/internal/traffic"
-	"multipath/internal/transport"
 	"multipath/internal/xproduct"
 )
 
@@ -388,25 +387,32 @@ func BenchmarkE19Broadcast(b *testing.B) {
 	}
 }
 
-// E23 (§1 measured): the retry/IDA transport through the fault-aware
-// simulator — one full SendAll over Theorem 1's guest edges per
-// strategy, under a 5% Bernoulli link-fault schedule.
+// E23 (§1 measured): one self-healing session over Theorem 1's guest
+// edges per strategy, every transfer arriving at step 0, under a 5%
+// Bernoulli link-fault schedule — single path with one reroute against
+// k-of-n IDA dispersal.
 func BenchmarkE23FaultTransport(b *testing.B) {
 	e, err := cycles.Theorem1(8)
 	if err != nil {
 		b.Fatal(err)
 	}
 	sched := BernoulliFaults(e.Host.DirectedEdges(), 0.05, 7)
+	trace := &ArrivalTrace{Arrivals: make([]Arrival, len(e.Paths))}
+	for i := range trace.Arrivals {
+		trace.Arrivals[i].Tmpl = int32(i)
+	}
 	for _, strat := range []struct {
 		name string
-		s    transport.Strategy
-	}{{"single", SinglePathTransport}, {"ida", IDATransport}} {
+		cfg  SelfHealConfig
+	}{
+		{"single", SelfHealConfig{Strategy: RerouteSelfHeal, MaxRetries: 1}},
+		{"ida", SelfHealConfig{Strategy: IDASelfHeal, K: 4}},
+	} {
+		cfg := strat.cfg
+		cfg.Mode, cfg.Flits, cfg.Faults = CutThrough, 8, sched
 		b.Run(strat.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rep, err := TransportSend(e, TransportConfig{
-					Strategy: strat.s, Mode: CutThrough,
-					Flits: 8, K: 4, MaxRetries: 1, Faults: sched,
-				})
+				rep, err := SelfHealSend(e, nil, trace, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

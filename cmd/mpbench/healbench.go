@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sync"
 
+	"multipath/internal/core"
 	"multipath/internal/cycles"
 	"multipath/internal/faults"
 	"multipath/internal/netsim"
@@ -13,10 +14,171 @@ import (
 	"multipath/internal/traffic"
 )
 
+// E23: measured fault tolerance of the disjoint-path bundles of the
+// Theorem 1 and Theorem 2 embeddings — delivered fraction and
+// end-to-end latency versus link-fault probability, one path with a
+// failover retry against width-d IDA dispersal. Each point runs one
+// self-healing session per seed in which every guest edge's transfer
+// arrives at step 0.
+
+type faultPoint struct {
+	P                 float64
+	DeliveredFraction float64
+	// MeanLatency averages the step at which each delivered transfer's
+	// K-th piece landed, over every seed; -1 means "no data" (nothing
+	// was delivered at this point).
+	MeanLatency float64
+	// Retries/Reroutes sum selfheal.Report's healing accounting over
+	// the seeds.
+	Retries  int
+	Reroutes int
+}
+
+type faultSeries struct {
+	Embedding string
+	Strategy  string
+	Width     int
+	K         int
+	Points    []faultPoint
+}
+
+// Sweep parameters. Probabilities are per directed link; seeds are
+// averaged per point. faults.Bernoulli couples the draws across p for
+// a fixed seed, so each seed's delivered fraction is monotone
+// non-increasing along the sweep (asserted in internal/selfheal's
+// tests); the averages reported here inherit that.
+var (
+	faultProbs   = []float64{0, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2}
+	faultSeeds   = 5
+	faultFlits   = 8
+	faultRetries = 1
+)
+
+// faultStrategies are E23's two series: the whole payload on one path
+// with faultRetries failover reroutes, and k-of-width dispersal with
+// K = width−1, which never retries.
+var faultStrategies = []struct {
+	name string
+	s    selfheal.Strategy
+}{{"single-path", selfheal.Reroute}, {"ida", selfheal.IDA}}
+
+func faultEmbeddings() ([]string, []*core.Embedding, error) {
+	e1, err := cycles.Theorem1(8)
+	if err != nil {
+		return nil, nil, err
+	}
+	e2, err := cycles.Theorem2(8)
+	if err != nil {
+		return nil, nil, err
+	}
+	return []string{"Theorem 1 (n=8)", "Theorem 2 (n=8)"}, []*core.Embedding{e1, e2}, nil
+}
+
+// faultK is the number of pieces a transfer of strategy s needs on a
+// bundle of the given width.
+func faultK(s selfheal.Strategy, width int) int {
+	if s == selfheal.IDA && width > 1 {
+		return width - 1
+	}
+	return 1
+}
+
+// faultRun is one E23 session: every guest edge of e starts one
+// transfer at step 0 under seed's coupled Bernoulli draw at p. E24
+// attaches a probe to the same runs.
+func faultRun(e *core.Embedding, s selfheal.Strategy, p float64, seed int, sink netsim.LatencySink, probe netsim.Probe) (*selfheal.Report, error) {
+	nb := len(e.Paths)
+	return selfheal.Send(e, nil, healTrace(nb, nb), selfheal.Config{
+		Mode:       netsim.CutThrough,
+		Flits:      faultFlits,
+		Strategy:   s,
+		K:          faultK(s, len(e.Paths[0])),
+		MaxRetries: faultRetries,
+		Faults:     faults.Bernoulli(e.Host.DirectedEdges(), p, int64(seed)),
+		Sink:       sink,
+		Probe:      probe,
+	})
+}
+
+// measureFaultSweep runs the whole sweep once per process; E23 and
+// E28's baseline column both read the cached result.
+var measureFaultSweep = sync.OnceValues(func() ([]faultSeries, error) {
+	names, embs, err := faultEmbeddings()
+	if err != nil {
+		return nil, err
+	}
+	var sweep []faultSeries
+	for ei, e := range embs {
+		width := len(e.Paths[0])
+		for _, st := range faultStrategies {
+			series := faultSeries{
+				Embedding: names[ei],
+				Strategy:  st.name,
+				Width:     width,
+				K:         faultK(st.s, width),
+			}
+			for _, p := range faultProbs {
+				pt := faultPoint{P: p, MeanLatency: -1}
+				lat := obsv.NewHistogram(1, 1<<12)
+				var fracSum float64
+				for seed := 1; seed <= faultSeeds; seed++ {
+					r, err := faultRun(e, st.s, p, seed, lat, nil)
+					if err != nil {
+						return nil, fmt.Errorf("%s/%s/p=%g/seed=%d: %w",
+							names[ei], st.name, p, seed, err)
+					}
+					fracSum += r.DeliveredFraction
+					pt.Retries += r.Retries
+					pt.Reroutes += r.Reroutes
+				}
+				pt.DeliveredFraction = fracSum / float64(faultSeeds)
+				if lat.N > 0 {
+					pt.MeanLatency = lat.Mean()
+				}
+				series.Points = append(series.Points, pt)
+			}
+			sweep = append(sweep, series)
+		}
+	}
+	return sweep, nil
+})
+
+// runE23 renders the sweep as the paper-vs-measured table: the §1
+// claim is that dispersal over d disjoint paths rides out link faults,
+// here measured through the fault-aware simulator with latency
+// attached.
+func runE23() (*table, error) {
+	sweep, err := measureFaultSweep()
+	if err != nil {
+		return nil, err
+	}
+	tab := &table{headers: []string{
+		"embedding", "strategy", "p(link fault)", "delivered", "mean latency", "retries",
+	}}
+	for _, s := range sweep {
+		for _, pt := range s.Points {
+			tab.addRow(
+				s.Embedding,
+				fmt.Sprintf("%s (k=%d/%d)", s.Strategy, s.K, s.Width),
+				fmt.Sprintf("%.3f", pt.P),
+				fmt.Sprintf("%.3f", pt.DeliveredFraction),
+				fmt.Sprintf("%.1f", pt.MeanLatency),
+				fmt.Sprintf("%d", pt.Retries),
+			)
+		}
+	}
+	tab.note("%d seeds per point, %d-flit payloads, cut-through, every transfer arriving at step 0 of "+
+		"one selfheal run; single path reroutes at most %d time(s), IDA never retries; per seed the "+
+		"fault sets are nested across p, so delivered fraction is monotone non-increasing (asserted "+
+		"in internal/selfheal tests).",
+		faultSeeds, faultFlits, faultRetries)
+	return tab, nil
+}
+
 // E28: graceful degradation of the self-healing open-loop transport —
 // delivered fraction, deadline misses, and post-repair latency
 // percentiles versus link-fault rate × offered load, under the same
-// coupled Bernoulli draws as the E23 closed-loop baseline (so the two
+// coupled Bernoulli draws as the E23 single-path baseline (so the two
 // are comparable point by point) and under a burst schedule that adds
 // a correlated transient outage epoch on top.
 
@@ -230,9 +392,9 @@ var measureSelfHealSweep = sync.OnceValues(func() (*selfHealReport, error) {
 })
 
 // runE28 renders the degradation curves: the self-healing transport's
-// delivered fraction against the E23 single-path closed-loop baseline
-// at the same coupled fault draws, with deadline misses and
-// post-repair latency percentiles per backoff policy.
+// delivered fraction against the E23 single-path baseline at the same
+// coupled fault draws, with deadline misses and post-repair latency
+// percentiles per backoff policy.
 func runE28() (*table, error) {
 	rep, err := measureSelfHealSweep()
 	if err != nil {
@@ -274,9 +436,10 @@ func runE28() (*table, error) {
 		}
 	}
 	tab.note("%s, width %d, %d-flit transfers, ≤%d retries, deadline %d steps, %d seeds per "+
-		"point; the permanent fault draws are exactly the E23 baseline's, and listener-off "+
-		"bit-identity at %d shards was verified before measuring.",
+		"point; the permanent fault draws are exactly those of the single-path column, E23's "+
+		"session with every transfer at step 0 and ≤%d retry, and listener-off bit-identity at "+
+		"%d shards was verified before measuring.",
 		rep.Embedding, rep.Width, rep.Flits, rep.MaxRetries, rep.Deadline, rep.Seeds,
-		rep.VerifiedShards)
+		faultRetries, rep.VerifiedShards)
 	return tab, nil
 }

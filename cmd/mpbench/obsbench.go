@@ -7,18 +7,16 @@ import (
 
 	"multipath/internal/core"
 	"multipath/internal/cycles"
-	"multipath/internal/faults"
 	"multipath/internal/netsim"
 	"multipath/internal/obsv"
 	"multipath/internal/traffic"
-	"multipath/internal/transport"
 )
 
 // E24: the observability layer's view of the headline workloads —
 // flit/message latency distributions (p50/p95/p99) and per-link
 // queue-depth histograms for the Theorem 1 and Theorem 2 embeddings at
-// n = 16, plus the E23 fault sweep observed through the transport's
-// per-round probe.
+// n = 16, plus the E23 fault sweep observed through the self-healing
+// session's probe.
 
 type obsvCase struct {
 	Name string
@@ -29,9 +27,8 @@ type obsvCase struct {
 	Failed       int
 	DroppedFlits uint64
 	// FlitLatency is the per-flit arrival-step distribution; MsgLatency
-	// the per-message completion-step distribution. Steps are
-	// run-relative, so for the transport cases these read as per-round
-	// latencies.
+	// the per-message completion-step distribution, both in steps since
+	// the run began.
 	FlitLatency obsv.Summary
 	MsgLatency  obsv.Summary
 	// QueueDepth samples every link's queue length at every step; its
@@ -107,45 +104,30 @@ var measureObsSweep = sync.OnceValues(func() ([]obsvCase, error) {
 	cases := []obsvCase{c1, c2}
 
 	// The E23 fault sweep, observed: one Recorder per strategy attached
-	// through transport.Config.Probe accumulates across every embedding,
+	// through selfheal.Config.Probe accumulates across every embedding,
 	// fault probability, and seed of the sweep, so the latency
-	// histograms are per-round distributions under the same fault load
-	// E23 reports delivered fractions for.
+	// histograms are distributions under the same fault load E23
+	// reports delivered fractions for.
 	names, embs, err := faultEmbeddings()
 	if err != nil {
 		return nil, err
 	}
-	for _, strat := range []transport.Strategy{transport.SinglePath, transport.IDA} {
+	for _, st := range faultStrategies {
 		rec := obsv.NewRecorder()
+		maxQueue := 0
 		for ei, e := range embs {
-			width := len(e.Paths[0])
-			k := width - 1
-			if k < 1 || strat == transport.SinglePath {
-				k = 1
-			}
 			for _, p := range faultProbs {
 				for seed := 1; seed <= faultSeeds; seed++ {
-					sched := faults.Bernoulli(e.Host.DirectedEdges(), p, int64(seed))
-					_, err := transport.SendAll(e, transport.Config{
-						Strategy:   strat,
-						Mode:       netsim.CutThrough,
-						Flits:      faultFlits,
-						K:          k,
-						MaxRetries: faultRetries,
-						Faults:     sched,
-						Probe:      rec,
-					})
+					r, err := faultRun(e, st.s, p, seed, nil, rec)
 					if err != nil {
-						return nil, fmt.Errorf("%s/%v/p=%g/seed=%d: %w",
-							names[ei], strat, p, seed, err)
+						return nil, fmt.Errorf("%s/%s/p=%g/seed=%d: %w",
+							names[ei], st.name, p, seed, err)
 					}
+					maxQueue = max(maxQueue, r.Engine.MaxLinkQueue)
 				}
 			}
 		}
-		// The transport does not surface the engine's enqueue-time peak;
-		// the StepEnd-derived max is the observed stand-in here.
-		cases = append(cases,
-			recorderCase("e23-fault-sweep/"+strat.String(), rec, rec.QueueDepth.Max))
+		cases = append(cases, recorderCase("e23-fault-sweep/"+st.name, rec, maxQueue))
 	}
 	return cases, nil
 })
@@ -174,8 +156,8 @@ func runE24() (*table, error) {
 		)
 	}
 	tab.note("theorem cases: width-path traffic, %d flits per guest edge, cut-through, n=%d; "+
-		"fault-sweep cases: the E23 configuration observed per round through transport.Config.Probe "+
-		"(steps are round-relative). The probe-OFF overhead contract (≤2%%) is asserted in internal/netsim.",
+		"fault-sweep cases: the E23 configuration observed through selfheal.Config.Probe, one run per "+
+		"(embedding, p, seed) with absolute steps. The probe-OFF overhead contract (≤2%%) is asserted in internal/netsim.",
 		obsFlits, obsN)
 	return tab, nil
 }

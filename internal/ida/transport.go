@@ -11,8 +11,8 @@ import (
 // FaultModel is the combinatorial (static) fault view used by
 // FaultTolerantSend: a link is faulty if it is ever down. It is a thin
 // wrapper over faults.Schedule — the same schedule the simulator's
-// fault-aware path consumes — so the path-survival check here and the
-// measured transport in internal/transport share one fault source.
+// fault-aware paths consume — so the path-survival check here and the
+// self-healing transport in internal/selfheal share one fault source.
 type FaultModel struct {
 	sched *faults.Schedule
 }
@@ -76,9 +76,10 @@ type SendReport struct {
 // of any single edge.
 //
 // This check is purely combinatorial — pieces survive or die by path
-// inspection, nothing is simulated. internal/transport runs the same
-// dispersal through the fault-aware simulator and measures latency and
-// retries as well.
+// inspection, nothing is simulated. internal/selfheal's IDA strategy
+// runs the same dispersal through the open-loop simulator and measures
+// latency as well; under permanent faults it delivers exactly the edges
+// this check passes.
 func FaultTolerantSend(e *core.Embedding, edgeIdx int, data []byte, k int, faults *FaultModel) (*SendReport, []byte, error) {
 	if edgeIdx < 0 || edgeIdx >= len(e.Paths) {
 		return nil, nil, fmt.Errorf("ida: edge index %d out of range", edgeIdx)

@@ -133,7 +133,7 @@ func TestFaultSetShardedEquivalence(t *testing.T) {
 	for _, c := range faultSetCases() {
 		for _, shards := range []int{1, 2, 3} {
 			for _, mode := range []Mode{StoreAndForward, CutThrough} {
-				for _, o := range []FaultOpts{{}, {StepLimit: 9, StepOffset: 2}} {
+				for _, o := range []FaultOpts{{}, {StepLimit: 9}} {
 					run := func(f LinkFaults) (*FaultResult, []probeEvent) {
 						p := &traceProbe{}
 						o.Faults, o.Probe = f, p

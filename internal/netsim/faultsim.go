@@ -72,11 +72,6 @@ type FaultOpts struct {
 	// Simulate; a Faults with unbounded horizon then returns an error
 	// up front.
 	StepLimit int
-	// StepOffset shifts the step passed to Faults.Status, so a caller
-	// running consecutive rounds (the retry transport) can keep one
-	// schedule evolving across rounds: round r queries steps
-	// offset+1, offset+2, ...
-	StepOffset int
 	// Probe, when non-nil, receives observation events for this run
 	// (see probe.go). It takes precedence over a probe attached with
 	// Engine.SetProbe. Attaching a probe never changes the FaultResult.
@@ -159,16 +154,6 @@ func (e *Engine) SimulateFaults(msgs []*Message, mode Mode, opts FaultOpts) (*Fa
 		if h < 0 {
 			return nil, fmt.Errorf("netsim: unbounded fault schedule requires FaultOpts.StepLimit")
 		}
-		// The schedule's clock starts at StepOffset (the run queries
-		// steps offset+1, offset+2, ...), so fault activity at or
-		// before the offset is history: only the remaining horizon can
-		// still delay this run. Without the adjustment the livelock
-		// bound inherits slack for outages that already ended — loose
-		// for late retry rounds, whose offsets grow with every round.
-		h -= opts.StepOffset
-		if h < 0 {
-			h = 0
-		}
 		limit = stepLimit(totalFlits, maxRoute, len(msgs)) + h
 	}
 
@@ -237,7 +222,7 @@ func (e *Engine) SimulateFaults(msgs []*Message, mode Mode, opts FaultOpts) (*Fa
 				continue
 			}
 			if opts.Faults != nil && e.mayFail[l] {
-				if dn, perm := opts.Faults.Status(e.ext[l], opts.StepOffset+step); dn {
+				if dn, perm := opts.Faults.Status(e.ext[l], step); dn {
 					if !perm {
 						// Transient outage: hold the link in the
 						// worklist and retry next step.

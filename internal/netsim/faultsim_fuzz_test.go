@@ -49,7 +49,7 @@ func decodeFuzzSchedule(data []byte) *faults.Schedule {
 //   - asking Status only about the schedule's listed links changes
 //     nothing: the same schedule behind a Status-only wrapper, asked
 //     about every active link, gives the same FaultResult, with and
-//     without a StepLimit and a StepOffset drawn from the input.
+//     without a StepLimit drawn from the input.
 func FuzzSimulateFaults(f *testing.F) {
 	f.Add([]byte{}, []byte{})
 	f.Add([]byte{3, 2, 1, 1, 4, 2, 1, 2, 5}, []byte{2, 1, 1, 0, 5, 9, 1})
@@ -62,9 +62,9 @@ func FuzzSimulateFaults(f *testing.F) {
 		for _, m := range msgs {
 			wantHops += m.Flits * len(m.Route)
 		}
-		limit, offset := 0, 0
+		limit := 0
 		if n := len(schedData); n > 0 {
-			limit, offset = 1+int(schedData[n-1])%40, int(schedData[0])%24
+			limit = 1 + int(schedData[n-1])%40
 		}
 		for _, mode := range []Mode{StoreAndForward, CutThrough} {
 			a, err := SimulateFaults(msgs, mode, FaultOpts{Faults: sched})
@@ -131,20 +131,20 @@ func FuzzSimulateFaults(f *testing.F) {
 			// Fault-set skip: the engine asks Status only about the
 			// links the schedule lists; behind a Status-only wrapper it
 			// asks about every active link, the golden model here.
-			for _, o := range []FaultOpts{{}, {StepLimit: limit}, {StepOffset: offset}, {StepLimit: limit, StepOffset: offset}} {
+			for _, o := range []FaultOpts{{}, {StepLimit: limit}} {
 				o.Faults = sched
 				got, err := SimulateFaults(msgs, mode, o)
 				if err != nil {
-					t.Fatalf("%v limit=%d offset=%d: %v", mode, o.StepLimit, o.StepOffset, err)
+					t.Fatalf("%v limit=%d: %v", mode, o.StepLimit, err)
 				}
 				o.Faults = statusOnly{sched}
 				want, err := SimulateFaults(msgs, mode, o)
 				if err != nil {
-					t.Fatalf("%v limit=%d offset=%d Status-only: %v", mode, o.StepLimit, o.StepOffset, err)
+					t.Fatalf("%v limit=%d Status-only: %v", mode, o.StepLimit, err)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%v limit=%d offset=%d: fault-set run %+v != Status-only run %+v",
-						mode, o.StepLimit, o.StepOffset, got, want)
+					t.Fatalf("%v limit=%d: fault-set run %+v != Status-only run %+v",
+						mode, o.StepLimit, got, want)
 				}
 			}
 		}

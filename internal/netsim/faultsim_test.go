@@ -316,25 +316,6 @@ func TestPerStepModelNeedsLimit(t *testing.T) {
 	checkConservation(t, msgs, a)
 }
 
-// StepOffset shifts the schedule's clock: a window at [5, 10) seen
-// through offset 4 behaves exactly like a window at [1, 6).
-func TestStepOffsetShiftsSchedule(t *testing.T) {
-	msgs := []*Message{{Route: []int32{0, 1, 2}, Flits: 3}}
-	late := faults.NewSchedule().FailLinkTransient(1, 5, 10)
-	early := faults.NewSchedule().FailLinkTransient(1, 1, 6)
-	a, err := SimulateFaults(msgs, CutThrough, FaultOpts{Faults: late, StepOffset: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := SimulateFaults(msgs, CutThrough, FaultOpts{Faults: early})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("offset run %+v != shifted schedule %+v", a, b)
-	}
-}
-
 // Adversarial burst against every route of a bundle: all messages die
 // in the window; with the burst starting after delivery completes,
 // nothing is lost.
@@ -395,4 +376,79 @@ func TestRepeatedLinkKill(t *testing.T) {
 		t.Errorf("outcome %+v", fr.Outcomes[0])
 	}
 	checkConservation(t, msgs, fr)
+}
+
+// The fault path's MaxLinkQueue accounting mirrors the fault-free
+// engine's (sampled at enqueue time): TestMaxLinkQueueHandComputed's
+// workload, now with link 1 transiently down while the queue builds.
+// The outage delays A mid-transfer, so B's and C's second hops still
+// pile up behind it — peak queue 3 — and everything delivers once the
+// link recovers.
+func TestMaxLinkQueueHandComputedUnderFaults(t *testing.T) {
+	msgs := []*Message{
+		{Route: []int32{1}, Flits: 2},    // A
+		{Route: []int32{2, 1}, Flits: 1}, // B
+		{Route: []int32{3, 1}, Flits: 1}, // C
+	}
+	// Down for steps 2..3: A moves a flit at step 1, stalls two steps,
+	// finishes from step 4; B and C join link 1's queue at the end of
+	// step 1 as in the fault-free run.
+	sched := faults.NewSchedule().FailLinkTransient(1, 2, 4)
+	for _, mode := range []Mode{StoreAndForward, CutThrough} {
+		fr, err := SimulateFaults(msgs, mode, FaultOpts{Faults: sched})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fr.MaxLinkQueue != 3 {
+			t.Errorf("%v: MaxLinkQueue = %d, want 3", mode, fr.MaxLinkQueue)
+		}
+		if fr.DeliveredMsgs != 3 || fr.FailedMsgs != 0 {
+			t.Errorf("%v: delivered %d failed %d, want 3/0", mode, fr.DeliveredMsgs, fr.FailedMsgs)
+		}
+		// Fault-free run takes 4 steps; the 2-step outage costs exactly 2.
+		if fr.Steps != 6 {
+			t.Errorf("%v: steps = %d, want 6", mode, fr.Steps)
+		}
+		if fr.FlitsMoved != 6 || fr.DroppedFlits != 0 {
+			t.Errorf("%v: moved %d dropped %d, want 6/0", mode, fr.FlitsMoved, fr.DroppedFlits)
+		}
+	}
+}
+
+// Same workload with the outage turned permanent at step 2: A is killed
+// mid-transfer with one flit across, and B and C — whose second hop
+// lands on the dead link — fail as their flits arrive. The peak queue
+// is still sampled before the kills shrink the FIFO.
+func TestMaxLinkQueueHandComputedPermanentFault(t *testing.T) {
+	msgs := []*Message{
+		{Route: []int32{1}, Flits: 2},    // A
+		{Route: []int32{2, 1}, Flits: 1}, // B
+		{Route: []int32{3, 1}, Flits: 1}, // C
+	}
+	sched := faults.NewSchedule().FailLink(1, 2)
+	for _, mode := range []Mode{StoreAndForward, CutThrough} {
+		fr, err := SimulateFaults(msgs, mode, FaultOpts{Faults: sched})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fr.DeliveredMsgs != 0 || fr.FailedMsgs != 3 {
+			t.Fatalf("%v: delivered %d failed %d, want 0/3 (%+v)", mode, fr.DeliveredMsgs, fr.FailedMsgs, fr)
+		}
+		// A crossed one flit at step 1; B and C crossed their first hop.
+		// Everything else — A's second flit, B's and C's second hop — is
+		// dropped: 6 total flit-hops, 3 moved, 3 dropped.
+		if fr.FlitsMoved != 3 || fr.DroppedFlits != 3 {
+			t.Errorf("%v: moved %d dropped %d, want 3/3", mode, fr.FlitsMoved, fr.DroppedFlits)
+		}
+		// The queue on link 1 still peaked at 3 (A + B + C enqueued at
+		// the end of step 1) before the step-2 kills emptied it.
+		if fr.MaxLinkQueue != 3 {
+			t.Errorf("%v: MaxLinkQueue = %d, want 3", mode, fr.MaxLinkQueue)
+		}
+		for i, o := range fr.Outcomes {
+			if o.Delivered || o.FailedLink != 1 {
+				t.Errorf("%v: outcome[%d] = %+v, want failure blaming link 1", mode, i, o)
+			}
+		}
+	}
 }

@@ -131,8 +131,7 @@ type OpenLoopOpts struct {
 	// Faults, when non-nil, injects link faults exactly as in
 	// SimulateFaults: transient outages delay, permanent outages fail
 	// the messages queued on them. Steps are queried in absolute
-	// open-loop time (there is no StepOffset: the open-loop clock is
-	// the schedule clock).
+	// open-loop time: the open-loop clock is the schedule clock.
 	Faults LinkFaults
 	// StepLimit, when positive, is a graceful timeout: the run stops
 	// after that step, messages still in flight are failed (reported

@@ -121,7 +121,7 @@ func (sh *olSharded) release() {
 // opts.Probe, as in SimulateOpenLoop.
 func SimulateOpenLoopSharded(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts, shards int) (*OpenLoopResult, error) {
 	if shards < 0 {
-		return nil, fmt.Errorf("netsim: negative shard count %d", shards)
+		return nil, negativeShards(shards)
 	}
 	if shards <= 1 {
 		return SimulateOpenLoop(tmpls, src, opts)
@@ -138,7 +138,7 @@ func SimulateOpenLoopSharded(tmpls []*Message, src ArrivalSource, opts OpenLoopO
 // InjectedHops over the injected prefix).
 func SimulateOpenLoopShardedStats(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts, shards int) (*OpenLoopResult, []ShardStat, error) {
 	if shards < 0 {
-		return nil, nil, fmt.Errorf("netsim: negative shard count %d", shards)
+		return nil, nil, negativeShards(shards)
 	}
 	sh := getOLSharded()
 	olr, stats, err := sh.run(tmpls, src, opts, shards, true)

@@ -180,7 +180,6 @@ type sharded struct {
 	msgs     []*Message
 	mode     Mode
 	faults   LinkFaults
-	offset   int
 	res      *Result
 	fr       *FaultResult // nil on the fault-free path
 	probe    Probe        // merged probe (single event stream)
@@ -221,10 +220,20 @@ func (sh *sharded) release() {
 	shardedPool.put(sh)
 }
 
+// negativeShards is the error every sharded entry point returns for a
+// shard count below zero.
+func negativeShards(shards int) error {
+	return fmt.Errorf("netsim: negative shard count %d", shards)
+}
+
 // SimulateSharded is Simulate partitioned across shards worker
 // goroutines. Results are bit-identical to Simulate for every shard
-// count; shards <= 1 takes the single-shard fast path untouched.
+// count; shards 0 and 1 take the single-shard fast path untouched, and
+// negative shard counts are an error, as in every sharded entry point.
 func SimulateSharded(msgs []*Message, mode Mode, shards int) (*Result, error) {
+	if shards < 0 {
+		return nil, negativeShards(shards)
+	}
 	if shards <= 1 {
 		return Simulate(msgs, mode)
 	}
@@ -239,6 +248,9 @@ func SimulateSharded(msgs []*Message, mode Mode, shards int) (*Result, error) {
 // deterministic link-id (moves) and message-id (deliveries) order, so
 // p observes one canonical stream equivalent to the single-shard one.
 func SimulateShardedProbed(msgs []*Message, mode Mode, shards int, p Probe) (*Result, error) {
+	if shards < 0 {
+		return nil, negativeShards(shards)
+	}
 	if shards <= 1 {
 		return SimulateProbed(msgs, mode, p)
 	}
@@ -253,12 +265,16 @@ func SimulateShardedProbed(msgs []*Message, mode Mode, shards int, p Probe) (*Re
 // [0, ownedLinks) and RunInfo.LinkExt restricted to the shard's range,
 // so each probe (for example an obsv.Recorder) can record without any
 // cross-shard synchronization and the recordings can be merged after
-// the run (obsv.Recorder.Merge). len(probes) must equal shards; when
-// the shard count is clamped (more shards than links), trailing probes
-// see no events. Message-scoped events with no link (timeout failures,
-// empty-route completions) go to probes[0].
+// the run (obsv.Recorder.Merge). len(probes) must equal shards, or be
+// 1 for shards 0 (the single-shard path); when the shard count is
+// clamped (more shards than links), trailing probes see no events.
+// Message-scoped events with no link (timeout failures, empty-route
+// completions) go to probes[0].
 func SimulateShardedProbes(msgs []*Message, mode Mode, shards int, probes []Probe) (*Result, error) {
-	if len(probes) != shards {
+	if shards < 0 {
+		return nil, negativeShards(shards)
+	}
+	if len(probes) != max(shards, 1) {
 		return nil, fmt.Errorf("netsim: %d probes for %d shards", len(probes), shards)
 	}
 	if shards <= 1 {
@@ -278,6 +294,9 @@ func SimulateShardedProbes(msgs []*Message, mode Mode, shards int, probes []Prob
 // so the FaultResult is bit-identical for every shard count.
 // FaultOpts.Probe is honored as a merged probe.
 func SimulateFaultsSharded(msgs []*Message, mode Mode, opts FaultOpts, shards int) (*FaultResult, error) {
+	if shards < 0 {
+		return nil, negativeShards(shards)
+	}
 	if shards <= 1 {
 		return SimulateFaults(msgs, mode, opts)
 	}
@@ -290,8 +309,8 @@ func SimulateFaultsSharded(msgs []*Message, mode Mode, opts FaultOpts, shards in
 // SimulateShardedStats is SimulateSharded plus the per-shard
 // accounting (load balance, boundary traffic, conservation).
 func SimulateShardedStats(msgs []*Message, mode Mode, shards int) (*Result, []ShardStat, error) {
-	if shards <= 1 {
-		shards = 1
+	if shards < 0 {
+		return nil, nil, negativeShards(shards)
 	}
 	sh := getSharded()
 	res, _, stats, err := sh.run(msgs, mode, FaultOpts{}, false, nil, shards, true)
@@ -333,10 +352,6 @@ func (sh *sharded) run(msgs []*Message, mode Mode, opts FaultOpts, faultPath boo
 		}
 		if h < 0 {
 			return nil, nil, nil, fmt.Errorf("netsim: unbounded fault schedule requires FaultOpts.StepLimit")
-		}
-		h -= opts.StepOffset
-		if h < 0 {
-			h = 0
 		}
 		limit = stepLimit(shape.totalFlits, shape.maxRoute, len(msgs)) + h
 	}
@@ -385,7 +400,6 @@ func (sh *sharded) run(msgs []*Message, mode Mode, opts FaultOpts, faultPath boo
 	sh.msgs = msgs
 	sh.mode = mode
 	sh.faults = nil
-	sh.offset = opts.StepOffset
 	sh.probe = opts.Probe
 	sh.probes = probes
 	sh.links = links
@@ -594,7 +608,7 @@ func (sh *sharded) transfer(k int) {
 			continue
 		}
 		if sh.faults != nil && e.mayFail[l] {
-			if dn, perm := sh.faults.Status(e.ext[l], sh.offset+step); dn {
+			if dn, perm := sh.faults.Status(e.ext[l], step); dn {
 				if !perm {
 					st.work = append(st.work, l)
 					continue

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"multipath/internal/faults"
@@ -414,6 +415,62 @@ func TestShardedErrorPaths(t *testing.T) {
 	}
 	if _, err := SimulateShardedProbes(msgs, CutThrough, 3, []Probe{&traceProbe{}}); err == nil {
 		t.Error("probes/shards arity mismatch accepted")
+	}
+}
+
+// Every sharded entry point rejects a negative shard count with the
+// same error, and runs 0 and 1 as the single-shard path.
+func TestShardedRejectsNegativeShards(t *testing.T) {
+	msgs := shardedWorkloads()["chain"]
+	src := func() ArrivalSource { return (&Trace{Arrivals: []Arrival{{0, 0}}}).Source() }
+	entries := map[string]func(shards int) error{
+		"SimulateSharded": func(k int) error {
+			_, err := SimulateSharded(msgs, CutThrough, k)
+			return err
+		},
+		"SimulateShardedProbed": func(k int) error {
+			_, err := SimulateShardedProbed(msgs, CutThrough, k, &traceProbe{})
+			return err
+		},
+		"SimulateShardedProbes": func(k int) error {
+			probes := make([]Probe, max(k, 1))
+			for i := range probes {
+				probes[i] = &traceProbe{}
+			}
+			_, err := SimulateShardedProbes(msgs, CutThrough, k, probes)
+			return err
+		},
+		"SimulateFaultsSharded": func(k int) error {
+			_, err := SimulateFaultsSharded(msgs, CutThrough, FaultOpts{}, k)
+			return err
+		},
+		"SimulateShardedStats": func(k int) error {
+			_, _, err := SimulateShardedStats(msgs, CutThrough, k)
+			return err
+		},
+		"SimulateOpenLoopSharded": func(k int) error {
+			_, err := SimulateOpenLoopSharded(msgs, src(), OpenLoopOpts{}, k)
+			return err
+		},
+		"SimulateOpenLoopShardedStats": func(k int) error {
+			_, _, err := SimulateOpenLoopShardedStats(msgs, src(), OpenLoopOpts{}, k)
+			return err
+		},
+		"SimulateBatch": func(k int) error {
+			_, err := SimulateBatch([]BatchJob{{Msgs: msgs, Mode: CutThrough, Shards: k}})
+			return err
+		},
+	}
+	for name, run := range entries {
+		err := run(-3)
+		if err == nil || !strings.Contains(err.Error(), "negative shard count -3") {
+			t.Errorf("%s(-3): err %v, want a negative shard count error", name, err)
+		}
+		for _, k := range []int{0, 1} {
+			if err := run(k); err != nil {
+				t.Errorf("%s(%d): %v", name, k, err)
+			}
+		}
 	}
 }
 

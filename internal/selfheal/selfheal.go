@@ -1,20 +1,19 @@
 // Package selfheal is the self-healing transport: a session layer over
 // the open-loop engine where each logical transfer owns the Width()
 // edge-disjoint host paths of its guest edge and reacts to link
-// failures while traffic keeps flowing. It is the open-loop twin of
-// internal/transport — transport heals between closed-loop rounds
-// (run to completion, then resend), selfheal heals *in flight*:
+// failures while traffic keeps flowing. It heals *in flight*, inside
+// one run:
 //
 //   - The session registers as the run's netsim.FaultListener, so the
 //     engine reports every link death and the message ids it doomed,
 //     in an order that is canonical across shard counts.
 //   - The session is also the run's netsim.ArrivalSource. A failed
 //     piece is re-enqueued as a new arrival at a backoff-chosen later
-//     step on a surviving sibling path (cycling path order exactly
-//     like transport's closed-loop failover); the engine re-polls the
-//     source after exhaustion whenever a listener is attached, so
-//     reroutes scheduled mid-run are picked up. Links reported dead
-//     steer both retries and *new* transfers away from doomed paths.
+//     step on the next surviving sibling path in cyclic order; the
+//     engine re-polls the source after exhaustion whenever a listener
+//     is attached, so reroutes scheduled mid-run are picked up. Links
+//     reported dead steer both retries and *new* transfers away from
+//     doomed paths.
 //   - Policy objects keep every run replayable: bounded retries, a
 //     per-transfer relative deadline, and deterministic backoff
 //     (fixed, or seeded exponential with stateless hash jitter).

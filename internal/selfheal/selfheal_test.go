@@ -3,12 +3,15 @@ package selfheal
 import (
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"multipath/internal/core"
 	"multipath/internal/cycles"
 	"multipath/internal/faults"
+	"multipath/internal/ida"
 	"multipath/internal/netsim"
+	"multipath/internal/obsv"
 )
 
 // sliceSink collects latency observations for multiset comparison.
@@ -437,6 +440,419 @@ func TestSelfHealValidation(t *testing.T) {
 	}
 	if _, err := Send(e, []int{-1}, &netsim.Trace{}, Config{}); err == nil {
 		t.Fatal("negative edge index accepted")
+	}
+}
+
+// TestSelfHealTransientOutage: an outage that ends only delays the
+// Reroute transfer crossing the link. Nothing fails, so there is no
+// retry and no dead link, and completion moves by the outage's length.
+func TestSelfHealTransientOutage(t *testing.T) {
+	e := theorem1(t, 4)
+	ids, err := e.Host.PathEdgeIDs(e.Paths[0][0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &netsim.Trace{Arrivals: []netsim.Arrival{{Step: 0, Tmpl: 0}}}
+	run := func(f netsim.LinkFaults) (*Report, transferRec) {
+		t.Helper()
+		perT := map[int32]transferRec{}
+		rep, err := Send(e, []int{0}, tr, Config{
+			Mode:        netsim.StoreAndForward,
+			Flits:       4,
+			MaxRetries:  2,
+			Faults:      f,
+			PerTransfer: recordTransfers(perT),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep, perT[0]
+	}
+	_, clean := run(nil)
+	rep, late := run(faults.NewSchedule().FailLinkTransient(ids[0], 1, 6))
+	if !clean.delivered || clean.done != 4 {
+		t.Fatalf("clean transfer %+v, want delivered at step 4", clean)
+	}
+	if !late.delivered || late.done != 9 {
+		t.Fatalf("transfer under a [1, 6) outage %+v, want delivered at step 9", late)
+	}
+	if rep.Retries != 0 || rep.DeadLinks != 0 || rep.Abandoned != 0 {
+		t.Fatalf("a transient outage caused healing work: %+v", rep)
+	}
+}
+
+// TestSelfHealUnboundedFaultModel: a fault model with no horizon
+// (faults.PerStep) needs a StepLimit, and with one the run times out
+// gracefully. Every link down at every step is transient, so the
+// transfer waits to the limit without a retry.
+func TestSelfHealUnboundedFaultModel(t *testing.T) {
+	e := theorem1(t, 4)
+	tr := &netsim.Trace{Arrivals: []netsim.Arrival{{Step: 0, Tmpl: 0}}}
+	cfg := Config{Mode: netsim.CutThrough, MaxRetries: 1, Faults: &faults.PerStep{P: 1, Seed: 3}}
+	_, err := Send(e, []int{0}, tr, cfg)
+	if err == nil || !strings.Contains(err.Error(), "unbounded fault schedule requires OpenLoopOpts.StepLimit") {
+		t.Fatalf("unbounded model without StepLimit: err %v", err)
+	}
+	cfg.StepLimit = 32
+	rep, err := Send(e, []int{0}, tr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Engine.TimedOut || rep.Delivered != 0 || rep.Retries != 0 {
+		t.Fatalf("p=1 per-step model with StepLimit: %+v", rep)
+	}
+}
+
+// TestSelfHealProbe: attaching Config.Probe observes the run without
+// changing its Report, for both strategies.
+func TestSelfHealProbe(t *testing.T) {
+	e := theorem1(t, 4)
+	trace := sweepTrace(48, len(e.Paths), 4)
+	for _, strat := range []Strategy{Reroute, IDA} {
+		cfg := Config{
+			Mode:       netsim.CutThrough,
+			Flits:      3,
+			Strategy:   strat,
+			K:          2,
+			MaxRetries: 2,
+			Faults:     faults.Bernoulli(e.Host.DirectedEdges(), 0.08, 3),
+		}
+		bare, err := Send(e, nil, trace, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := obsv.NewRecorder()
+		cfg.Probe = rec
+		probed, err := Send(e, nil, trace, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(bare, probed) {
+			t.Fatalf("%v: probe changed the report:\nbare   %+v\nprobed %+v", strat, *bare, *probed)
+		}
+		en := &probed.Engine
+		if rec.Runs != 1 || rec.Delivered != en.DeliveredMsgs || rec.Failed != en.FailedMsgs {
+			t.Fatalf("%v: probe saw %d runs, %d delivered, %d failed; engine %+v",
+				strat, rec.Runs, rec.Delivered, rec.Failed, *en)
+		}
+		if en.FailedMsgs == 0 {
+			t.Fatalf("%v: fault draw failed no piece", strat)
+		}
+	}
+}
+
+// burstTrace starts one transfer per bundle, all at step 0.
+func burstTrace(nb int) *netsim.Trace {
+	tr := &netsim.Trace{Arrivals: make([]netsim.Arrival, nb)}
+	for i := range tr.Arrivals {
+		tr.Arrivals[i].Tmpl = int32(i)
+	}
+	return tr
+}
+
+// firstLinks returns the first host link of each path of guest edge
+// edge, in path order.
+func firstLinks(t *testing.T, e *core.Embedding, edge int) []int {
+	t.Helper()
+	var links []int
+	for _, p := range e.Paths[edge] {
+		ids, err := e.Host.PathEdgeIDs(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		links = append(links, ids[0])
+	}
+	return links
+}
+
+// TestSelfHealFaultFreeDelivery: on a clean fabric, both strategies
+// deliver a burst of one transfer per guest edge with no healing work
+// and no lost piece, each at a latency in [1, Steps].
+func TestSelfHealFaultFreeDelivery(t *testing.T) {
+	e := theorem1(t, 6)
+	for _, strat := range []Strategy{Reroute, IDA} {
+		perT := map[int32]transferRec{}
+		rep, err := Send(e, nil, burstTrace(len(e.Paths)), Config{
+			Mode:        netsim.CutThrough,
+			Flits:       8,
+			Strategy:    strat,
+			K:           2,
+			PerTransfer: recordTransfers(perT),
+		})
+		if err != nil {
+			t.Fatalf("%v: %v", strat, err)
+		}
+		if rep.Transfers != len(e.Paths) || rep.Delivered != rep.Transfers || rep.DeliveredFraction != 1 {
+			t.Fatalf("%v: not all delivered: %+v", strat, rep)
+		}
+		if rep.Retries != 0 || rep.Abandoned != 0 || rep.DeadLinks != 0 {
+			t.Fatalf("%v: clean fabric reported healing work: %+v", strat, rep)
+		}
+		en := &rep.Engine
+		if en.FailedMsgs != 0 || en.DeliveredMsgs != en.Injected || en.Steps <= 0 {
+			t.Fatalf("%v: pieces lost or degenerate clock without faults: %+v", strat, *en)
+		}
+		for tr, r := range perT {
+			if !r.delivered || r.done-r.arrival < 1 || r.done > en.Steps {
+				t.Fatalf("%v: transfer %d record %+v (Steps %d)", strat, tr, r, en.Steps)
+			}
+		}
+	}
+}
+
+// TestSelfHealDeterministic: the same configuration twice gives an
+// identical Report and identical per-transfer records, for both
+// strategies, under a Bernoulli fault draw.
+func TestSelfHealDeterministic(t *testing.T) {
+	e := theorem1(t, 6)
+	sched := faults.Bernoulli(e.Host.DirectedEdges(), 0.05, 11)
+	for _, strat := range []Strategy{Reroute, IDA} {
+		run := func() (*Report, map[int32]transferRec) {
+			t.Helper()
+			perT := map[int32]transferRec{}
+			rep, err := Send(e, nil, burstTrace(len(e.Paths)), Config{
+				Mode:        netsim.CutThrough,
+				Flits:       6,
+				Strategy:    strat,
+				K:           2,
+				MaxRetries:  2,
+				Faults:      sched,
+				PerTransfer: recordTransfers(perT),
+			})
+			if err != nil {
+				t.Fatalf("%v: %v", strat, err)
+			}
+			return rep, perT
+		}
+		a, recA := run()
+		b, recB := run()
+		if !reflect.DeepEqual(a, b) || !reflect.DeepEqual(recA, recB) {
+			t.Fatalf("%v: nondeterministic:\n%+v\n%+v", strat, *a, *b)
+		}
+		if a.Engine.FailedMsgs == 0 {
+			t.Fatalf("%v: fault draw failed no piece", strat)
+		}
+	}
+}
+
+// TestSelfHealSinglePathFailover: a permanent fault on the first link
+// of edge 0's first path sinks a Reroute transfer that may not retry;
+// with retries it fails over onto a sibling path after exactly one
+// retry, and the session learns that one dead link.
+func TestSelfHealSinglePathFailover(t *testing.T) {
+	e := theorem1(t, 6)
+	sched := faults.NewSchedule().FailLink(firstLinks(t, e, 0)[0], 1)
+	tr := &netsim.Trace{Arrivals: []netsim.Arrival{{Step: 0, Tmpl: 0}}}
+	cfg := Config{Mode: netsim.StoreAndForward, Flits: 4, Faults: sched}
+
+	noRetry, err := Send(e, []int{0}, tr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if noRetry.Delivered != 0 || noRetry.Abandoned != 1 || noRetry.Retries != 0 {
+		t.Fatalf("delivered without retries across a dead first path: %+v", noRetry)
+	}
+
+	perT := map[int32]transferRec{}
+	cfg.MaxRetries = 2
+	cfg.PerTransfer = recordTransfers(perT)
+	rep, err := Send(e, []int{0}, tr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := perT[0]; !r.delivered || r.retries != 1 {
+		t.Fatalf("transfer record %+v, want failover delivery after 1 retry", r)
+	}
+	if rep.Reroutes != 1 || rep.DeadLinks != 1 || rep.Abandoned != 0 {
+		t.Fatalf("want one reroute around one dead link: %+v", rep)
+	}
+}
+
+// TestSelfHealIDAToleratesPathLoss: with K = width−1, IDA absorbs a
+// dead path with no retry: exactly one piece is lost, the other
+// width−1 land, and the transfer is delivered.
+func TestSelfHealIDAToleratesPathLoss(t *testing.T) {
+	e := theorem1(t, 6)
+	w := len(e.Paths[0])
+	if w < 2 {
+		t.Fatalf("need width ≥ 2, got %d", w)
+	}
+	sched := faults.NewSchedule().FailLink(firstLinks(t, e, 0)[0], 1)
+	rep, err := Send(e, []int{0}, &netsim.Trace{Arrivals: []netsim.Arrival{{Step: 0, Tmpl: 0}}}, Config{
+		Mode:     netsim.CutThrough,
+		Flits:    8,
+		Strategy: IDA,
+		K:        w - 1,
+		Faults:   sched,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Delivered != 1 || rep.Retries != 0 || rep.Abandoned != 0 {
+		t.Fatalf("wanted zero-retry IDA delivery: %+v", rep)
+	}
+	if en := &rep.Engine; en.Injected != w || en.DeliveredMsgs != w-1 || en.FailedMsgs != 1 {
+		t.Fatalf("wanted exactly one lost piece of %d: %+v", w, *en)
+	}
+}
+
+// TestSelfHealBadEdgeIndex: an edge index past the last guest edge is
+// rejected (TestSelfHealValidation covers a negative one).
+func TestSelfHealBadEdgeIndex(t *testing.T) {
+	e := theorem1(t, 6)
+	for _, edge := range []int{len(e.Paths), len(e.Paths) + 7} {
+		if _, err := Send(e, []int{edge}, &netsim.Trace{}, Config{}); err == nil {
+			t.Fatalf("edge index %d of %d accepted", edge, len(e.Paths))
+		}
+	}
+}
+
+// TestSelfHealRetryRerouteDeadlineAccounting: Retries, Reroutes and
+// DeadlineMisses classify the healing work. A failover is one retry
+// that is also a reroute; a deadline one step tighter than the
+// failover latency flags the delivery as a miss without changing its
+// routing; an undelivered transfer always misses its deadline.
+func TestSelfHealRetryRerouteDeadlineAccounting(t *testing.T) {
+	e := theorem1(t, 6)
+	links := firstLinks(t, e, 0)
+	tr := &netsim.Trace{Arrivals: []netsim.Arrival{{Step: 0, Tmpl: 0}}}
+	run := func(sched *faults.Schedule, deadline int) (*Report, transferRec) {
+		t.Helper()
+		perT := map[int32]transferRec{}
+		cfg := Config{
+			Mode:        netsim.StoreAndForward,
+			Flits:       4,
+			MaxRetries:  2,
+			Deadline:    deadline,
+			PerTransfer: recordTransfers(perT),
+		}
+		if sched != nil {
+			cfg.Faults = sched
+		}
+		rep, err := Send(e, []int{0}, tr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep, perT[0]
+	}
+
+	if clean, _ := run(nil, 0); clean.Retries != 0 || clean.Reroutes != 0 || clean.DeadlineMisses != 0 {
+		t.Fatalf("clean run accounted healing work: %+v", clean)
+	}
+
+	sched := faults.NewSchedule().FailLink(links[0], 1)
+	rep, rec := run(sched, 0)
+	if rep.Retries != 1 || rep.Reroutes != 1 {
+		t.Fatalf("failover should be one retry, one reroute: %+v", rep)
+	}
+	if rep.DeadlineMisses != 0 {
+		t.Fatalf("no deadline configured, yet misses reported: %+v", rep)
+	}
+	lat := rec.done - rec.arrival
+
+	// A deadline at the failover latency: delivered in time, no miss.
+	if r, _ := run(sched, lat); r.Delivered != 1 || r.DeadlineMisses != 0 {
+		t.Fatalf("deadline %d not missed by latency %d, yet: %+v", lat, lat, r)
+	}
+	// One step tighter: the same retry and delivery, now late.
+	if r, _ := run(sched, lat-1); r.Delivered != 1 || r.Retries != 1 || r.DeadlineMisses != 1 {
+		t.Fatalf("late delivery should count as a miss: %+v", r)
+	}
+
+	// Every path dead: the transfer is never delivered and misses.
+	bundle := faults.NewSchedule()
+	for _, l := range links {
+		bundle.FailLink(l, 1)
+	}
+	if r, _ := run(bundle, 1000); r.Delivered != 0 || r.DeadlineMisses != 1 {
+		t.Fatalf("undelivered transfer should miss its deadline: %+v", r)
+	}
+}
+
+// e23Probs and e23Seeds are cmd/mpbench's E23 sweep.
+var e23Probs = []float64{0, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2}
+
+const e23Seeds = 5
+
+// e23Embeddings are E23's hosts: Theorems 1 and 2 at n = 8.
+func e23Embeddings(t *testing.T) map[string]*core.Embedding {
+	t.Helper()
+	e2, err := cycles.Theorem2(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*core.Embedding{"theorem1": theorem1(t, 8), "theorem2": e2}
+}
+
+// e23Send runs one E23 session: every guest edge of e starts one
+// 8-flit cut-through transfer at step 0 under sched.
+func e23Send(t *testing.T, e *core.Embedding, sched *faults.Schedule, cfg Config) *Report {
+	t.Helper()
+	cfg.Mode, cfg.Flits, cfg.Faults = netsim.CutThrough, 8, sched
+	rep, err := Send(e, nil, burstTrace(len(e.Paths)), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// TestSelfHealIDAMatchesPathSurvival is an oracle for E23 that shares
+// no code with the engine. Under permanent faults from step 1, a
+// zero-retry IDA transfer lands iff at least K of its paths avoid every
+// dead link, which ida.FaultTolerantSend decides by path inspection
+// alone. Every (edge, K, p, seed) case of E23's sweep must agree.
+func TestSelfHealIDAMatchesPathSurvival(t *testing.T) {
+	data := []byte("routing multiple paths in hypercubes")
+	for name, e := range e23Embeddings(t) {
+		w := len(e.Paths[0])
+		for _, k := range []int{1, (w + 1) / 2, w - 1, w} {
+			for _, p := range e23Probs {
+				for seed := int64(1); seed <= e23Seeds; seed++ {
+					sched := faults.Bernoulli(e.Host.DirectedEdges(), p, seed)
+					landed := make([]bool, len(e.Paths))
+					e23Send(t, e, sched, Config{
+						Strategy: IDA,
+						K:        k,
+						PerTransfer: func(tr int32, _, _ int, delivered bool, _ int) {
+							landed[tr] = delivered
+						},
+					})
+					model := ida.ModelOf(sched)
+					for edge := range e.Paths {
+						want, _, err := ida.FaultTolerantSend(e, edge, data, k, model)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if landed[edge] != want.Delivered {
+							t.Fatalf("%s K=%d p=%g seed=%d edge %d: simulated IDA landed=%v, %d of %d paths survive",
+								name, k, p, seed, edge, landed[edge], want.Survivors, want.Paths)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSelfHealRerouteMonotoneInFaultProbability: per seed, E23's
+// single-path configuration (Reroute, one retry, default backoff)
+// delivers a non-increasing fraction as p rises. faults.Bernoulli
+// couples the draws, so the dead-link sets are nested across p. IDA's
+// monotonicity follows from the oracle above.
+func TestSelfHealRerouteMonotoneInFaultProbability(t *testing.T) {
+	for name, e := range e23Embeddings(t) {
+		for seed := int64(1); seed <= e23Seeds; seed++ {
+			prev := 2.0
+			for _, p := range e23Probs {
+				sched := faults.Bernoulli(e.Host.DirectedEdges(), p, seed)
+				rep := e23Send(t, e, sched, Config{MaxRetries: 1})
+				if rep.DeliveredFraction > prev {
+					t.Fatalf("%s seed %d: delivered fraction rose at p=%g: %g > %g",
+						name, seed, p, rep.DeliveredFraction, prev)
+				}
+				prev = rep.DeliveredFraction
+			}
+		}
 	}
 }
 

@@ -16,16 +16,13 @@
 //   - GrayCodeCycle: the classical baseline (Figure 1).
 //   - GridEmbedding: Corollary 1's multi-axis grids.
 //   - CCCMultiCopy: Theorem 3's n copies of the cube-connected cycles.
-//   - InducedProductEmbedding: Theorem 4's general transformation.
 //   - CompleteBinaryTree / ArbitraryBinaryTree: Theorem 5 and §6.2.
 //   - LargeCopy*: §8's load-n single-copy embeddings.
 //   - HamiltonianDecomposition: the Lemma 1 substrate.
 //   - Disperse/Reconstruct + FaultTolerantSend: IDA over disjoint paths.
 //   - Simulate: the unit-delay network simulator of the cost model.
-//   - SimulateFaults + NewFaultSchedule/BernoulliFaults: the simulator
-//     under injected link/node faults (deterministic, replayable).
-//   - TransportSend: measured retry/IDA transport over disjoint paths —
-//     delivered fraction and latency, not just path survival.
+//   - SimulateFaults + BernoulliFaults: the simulator under injected
+//     link faults (deterministic, replayable).
 //   - SimulateProbed + NewRecorder/NewTraceWriter: the same simulations
 //     observed through a probe — latency/queue-depth distributions and
 //     JSONL event traces; attaching a probe never changes results.
@@ -43,8 +40,10 @@
 //     million-node scale, bit-identical to SimulateOpenLoop.
 //   - SelfHealSend: the self-healing open-loop transport — live
 //     failure notifications, in-flight rerouting onto surviving
-//     disjoint paths with deterministic backoff and deadlines, and
-//     graceful-degradation accounting; shard-invariant by contract.
+//     disjoint paths with deterministic backoff and deadlines, or
+//     k-of-n IDA dispersal, and graceful-degradation accounting:
+//     delivered fraction and latency, not just path survival;
+//     shard-invariant by contract.
 //
 // All metrics (load, dilation, width, congestion, packet cost) are
 // recomputed by independent verifiers on the returned Embedding values;
@@ -70,7 +69,6 @@ import (
 	"multipath/internal/routing"
 	"multipath/internal/selfheal"
 	"multipath/internal/traffic"
-	"multipath/internal/transport"
 	"multipath/internal/xproduct"
 )
 
@@ -102,20 +100,14 @@ type (
 	// FaultModel injects link faults for FaultTolerantSend.
 	FaultModel = ida.FaultModel
 	// FaultSchedule is a deterministic, replayable link-fault event
-	// list for the fault-aware simulator and transport.
+	// list for the fault-aware simulators and the self-healing
+	// transport.
 	FaultSchedule = faults.Schedule
-	// PerStepFaults downs each (link, step) pair independently with
-	// probability P (transient, unbounded: set a step limit).
-	PerStepFaults = faults.PerStep
 	// FaultOpts configures SimulateFaults.
 	FaultOpts = netsim.FaultOpts
 	// FaultSimResult is SimulateFaults' result: Result plus per-message
 	// outcomes and failure accounting.
 	FaultSimResult = netsim.FaultResult
-	// TransportConfig parameterizes TransportSend.
-	TransportConfig = transport.Config
-	// TransportReport aggregates a measured transfer.
-	TransportReport = transport.Report
 	// Probe observes a simulation (per-step queue samples, flit
 	// moves/drops, message completions); attaching one never changes
 	// the simulation's results.
@@ -188,12 +180,6 @@ const (
 	CutThrough      = netsim.CutThrough
 )
 
-// Transport strategies.
-const (
-	SinglePathTransport = transport.SinglePath
-	IDATransport        = transport.IDA
-)
-
 // Self-healing strategies.
 const (
 	RerouteSelfHeal = selfheal.Reroute
@@ -231,10 +217,6 @@ func WidthBound(n int) int { return cycles.WidthBound(n) }
 // k-axis grid with the given side lengths; each directed phase (axis,
 // direction) has synchronized cost 3.
 func GridEmbedding(sides []int) (*GridMultiPath, error) { return grid.CrossProduct(sides) }
-
-// SquareGrid folds an L1 × L2 grid to a near-square shape (the §4.5
-// squaring step; see DESIGN.md for the substitution note).
-func SquareGrid(l1, l2 int) (*grid.Squaring, error) { return grid.NewSquaring(l1, l2) }
 
 // CompareRelaxationMappings evaluates §8.3's three strategies for an
 // M × M relaxation on N² processors.
@@ -275,13 +257,6 @@ func LargeCopyButterfly(n int) (*Embedding, error) { return ccc.LargeCopyButterf
 
 // LargeCopyFFT embeds the (n+1)·2^n-node FFT graph in Q_n (Lemma 9).
 func LargeCopyFFT(n int) (*Embedding, error) { return ccc.LargeCopyFFT(n) }
-
-// InducedProductEmbedding applies Theorem 4: given 2^⌈log n⌉ one-to-one
-// copies of a guest onto Q_n, it returns the width-n embedding of the
-// induced cross product X(G) into Q_{2n}.
-func InducedProductEmbedding(copies []*Embedding) (*xproduct.InducedProduct, *Embedding, error) {
-	return xproduct.Theorem4(copies)
-}
 
 // CompleteBinaryTree returns Theorem 5's width-(m+log m) embedding of
 // a complete binary tree over X(Butterfly_m), m ∈ {2, 4}.
@@ -331,10 +306,6 @@ func SimulateFaults(msgs []*Message, mode netsim.Mode, opts FaultOpts) (*FaultSi
 	return netsim.SimulateFaults(msgs, mode, opts)
 }
 
-// NewFaultSchedule returns an empty replayable fault schedule; build it
-// with FailLink/FailLinkTransient/FailNode/Burst.
-func NewFaultSchedule() *FaultSchedule { return faults.NewSchedule() }
-
 // BernoulliFaults permanently fails each directed link with probability
 // p, reproducibly from the seed; for a fixed seed the faulty set is
 // monotone in p.
@@ -361,43 +332,16 @@ func PathTemplates(e *Embedding, edges []int, flits int) ([]*Message, [][]int32,
 	return traffic.PathTemplates(e, edges, flits)
 }
 
-// TransportSend ships one payload per guest edge through the
-// fault-aware simulator under cfg — single-path with failover retries,
-// or k-of-n IDA dispersal over the disjoint paths — and reports
-// delivered fraction and measured end-to-end latency.
-func TransportSend(e *Embedding, cfg TransportConfig) (*TransportReport, error) {
-	return transport.SendAll(e, cfg)
-}
-
-// BundleBurst builds the adversarial schedule that downs every link of
-// one guest edge's whole path bundle for [from, until) (until ≤ 0:
-// permanently).
-func BundleBurst(e *Embedding, edge, from, until int) (*FaultSchedule, error) {
-	return transport.BundleBurst(e, edge, from, until)
-}
-
 // DirectCycleEmbedding embeds a Hamiltonian node sequence as a
 // dilation-1 directed cycle (the building block of Lemma 1's copies).
 func DirectCycleEmbedding(q *Hypercube, seq []Node) (*Embedding, error) {
 	return core.DirectCycleEmbedding(q, seq)
 }
 
-// CCCMultiCopyUndirected adds downward straight edges to each Theorem 3
-// copy (§5.4): total edge-congestion at most 4.
-func CCCMultiCopyUndirected(n int) (*MultiCopy, error) { return ccc.Theorem3Undirected(n) }
-
 // ButterflyMultiCopy returns n copies of the wrapped butterfly via the
 // butterfly→CCC simulation over Theorem 3 (§5.4): dilation 2,
 // edge-congestion at most 4.
 func ButterflyMultiCopy(n int) (*MultiCopy, error) { return ccc.ButterflyMultiCopy(n) }
-
-// FFTMultiCopy returns n load-2 copies of the (n+1)-level FFT graph
-// over Theorem 3 (§5.4).
-func FFTMultiCopy(n int) (*MultiCopy, error) { return ccc.FFTMultiCopy(n) }
-
-// MultiCopyTorus returns a copies of the k-axis 2^a-ary torus in
-// Q_{a·k} with dilation 1 (§8.1).
-func MultiCopyTorus(a, k int) (*MultiCopy, error) { return grid.MultiCopyTorus(a, k) }
 
 // SimulateWormhole runs the channel-holding wormhole model (§7),
 // detecting deadlock.
@@ -493,11 +437,6 @@ func NewRecorder() *Recorder { return obsv.NewRecorder() }
 // as JSONL; call Flush when the runs are done.
 func NewTraceWriter(w io.Writer) *TraceWriter { return obsv.NewTraceWriter(w) }
 
-// NewTwoPhaseRouter prepares §7's two-phase routing over X(Butterfly_m).
-func NewTwoPhaseRouter(m int) (*xproduct.TwoPhaseRouter, error) {
-	return xproduct.NewTwoPhaseRouter(m)
-}
-
 // NewRelaxation creates the §2/§8.3 workload: an M × M Jacobi
 // relaxation with a Dirichlet boundary.
 func NewRelaxation(m int, boundary func(i, j int) float64) *relax.Problem {
@@ -551,11 +490,6 @@ func NewMinimalOblivious(q *Hypercube) RoutingStrategy { return routing.NewMinim
 // AdaptiveStrategy); wire it to a run with RunStrategy, which attaches
 // the queue-depth recorder and fault listener for it.
 func NewAdaptive(q *Hypercube) *AdaptiveStrategy { return routing.NewAdaptive(q) }
-
-// PermutationDemand converts a permutation into RoutingStrategy
-// demands, keeping fixed points as empty self-routes so template
-// indexes align with PermutationMessages.
-func PermutationDemand(perm []int) []RoutingPair { return routing.PermutationPairs(perm) }
 
 // PatternDemand builds one of the named traffic patterns
 // (TrafficPatterns) over q as strategy demands.
