@@ -5,10 +5,10 @@ import (
 	"slices"
 )
 
-// Engine is the reusable high-throughput core behind Simulate. All
-// per-run state lives in flat, densely indexed slices that are grown
-// once and reused across runs, so a warm Engine performs no per-step
-// (and almost no per-run) allocation:
+// Engine is the reusable high-throughput core behind every simulator
+// of this package. All per-run state lives in flat, densely indexed
+// slices that are grown once and reused across runs, so a warm Engine
+// performs no per-step (and almost no per-run) allocation:
 //
 //   - A numbering pass over the message routes assigns each distinct
 //     directed link a contiguous id, so per-link state is slice lookups
@@ -24,6 +24,11 @@ import (
 // Arbitration is identical to the original simulator: per link, the
 // first queued request with an available flit crosses; requests
 // enqueued on the same step are ordered by message id (then hop).
+//
+// Its own step loops are Simulate (closed loop, no faults, no probe),
+// SimulateOpenLoop and the wormhole model; closed-loop runs with faults
+// or a probe run the closed-loop kernel of sharded.go over an Engine's
+// state.
 //
 // An Engine is not safe for concurrent use. Every package-level entry
 // point — Simulate, SimulateFaults, SimulateWormhole, SimulateBatch,
@@ -72,11 +77,11 @@ type Engine struct {
 	arrivals []int32
 	enq      []int32
 
-	// Fault-path scratch (SimulateFaults): dense link id → external
-	// id for fault queries and blame, per-message dead flags, the
-	// kill batch collected per down link, and the per-step batch of
-	// permanently-down links whose kills are deferred to the end of
-	// the transfer phase (see SimulateFaults).
+	// Fault-path scratch: dense link id → external id for fault
+	// queries, blame and probes; the closed-loop kernel's per-message
+	// dead flags and kill batch per down link; the open loop's per-step
+	// batch of permanently-down links, whose kills are deferred to the
+	// end of the transfer phase.
 	ext  []int
 	dead []bool
 	kill []int32
@@ -135,10 +140,10 @@ type Engine struct {
 
 	res *Result
 
-	// probe, when non-nil, receives observation events (see probe.go).
-	// Every call site is guarded by a nil-check on this one field (or,
-	// in Simulate's step loop, on a local copy of it) so a probe-less
-	// run is bit-identical to the pre-probe engine.
+	// probe, when non-nil, receives the observation events (see
+	// probe.go) of one open-loop or wormhole run: the entry point sets
+	// it for the run and clears it after. Every call site is guarded by
+	// a nil-check on this field.
 	probe Probe
 }
 
@@ -174,10 +179,10 @@ type routeShape struct {
 
 // numberAll validates the messages and runs the contiguous
 // link-numbering pass in one scan, returning the run's shape. Every
-// engine path (Simulate, SimulateFaults, simulateWormhole, and the
-// sharded engine) starts here, so flit validation and numbering cannot
-// drift between them. A warm engine performs no allocation in this
-// pass (pinned by TestNumberAllNoAllocs).
+// engine path (Simulate, simulateWormhole, the open loop, and both
+// sharded kernels) starts here, so flit validation and numbering
+// cannot drift between them. A warm engine performs no allocation in
+// this pass (pinned by TestNumberAllNoAllocs).
 func (e *Engine) numberAll(msgs []*Message) (routeShape, error) {
 	var sh routeShape
 	minID, maxID := 0, -1
@@ -208,23 +213,15 @@ func (e *Engine) numberAll(msgs []*Message) (routeShape, error) {
 
 // Simulate runs the synchronous simulation on this Engine's scratch
 // buffers. Semantics and results are identical to SimulateReference;
-// see the package documentation for the model.
+// see the package documentation for the model. It has no fault or
+// probe hook: those runs take the closed-loop kernel (sharded.go).
 func (e *Engine) Simulate(msgs []*Message, mode Mode) (*Result, error) {
 	shape, err := e.numberAll(msgs)
 	if err != nil {
 		return nil, err
 	}
-	links := shape.links
 	totalFlits, maxRoute := shape.totalFlits, shape.maxRoute
-	e.growState(len(msgs), shape.total, int(links))
-	// The step loop tests this local, not the field: nothing below
-	// reassigns e.probe, and the probe-off loop then reloads nothing
-	// at its four guarded sites.
-	probe := e.probe
-	if probe != nil {
-		e.fillExt(msgs, links)
-		e.beginProbe(msgs, links, mode, false)
-	}
+	e.growState(len(msgs), shape.total, int(shape.links))
 
 	res := &Result{}
 	e.res = res
@@ -270,9 +267,6 @@ func (e *Engine) Simulate(msgs []*Message, mode Mode) (*Result, error) {
 			e.crossed[p]++
 			e.credit[l]--
 			res.FlitsMoved++
-			if probe != nil {
-				probe.FlitMoved(step, e.posMsg[p], l)
-			}
 			arr = append(arr, p)
 			if e.crossed[p] == e.flits[e.posMsg[p]] {
 				nx := e.qnext[p]
@@ -306,15 +300,9 @@ func (e *Engine) Simulate(msgs []*Message, mode Mode) (*Result, error) {
 			mi := e.posMsg[p]
 			next := p + 1
 			if next == e.off[mi+1] {
-				if probe != nil {
-					probe.FlitDelivered(step, mi)
-				}
 				if e.crossed[p] == e.flits[mi] {
 					remaining--
 					res.DeliveredMsgs++
-					if probe != nil {
-						probe.MsgDone(step, mi, true)
-					}
 				}
 				continue
 			}
@@ -344,9 +332,6 @@ func (e *Engine) Simulate(msgs []*Message, mode Mode) (*Result, error) {
 		e.enq = enq
 		e.arrivals = arr
 		e.scratch = cur[:0]
-		if probe != nil {
-			probe.StepEnd(step, e.qlen[:links])
-		}
 	}
 	res.Steps = step
 	res.DeliveredMsgs += countEmptyRoutes(msgs)

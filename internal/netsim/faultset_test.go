@@ -122,7 +122,7 @@ func TestFaultSetShardedEquivalence(t *testing.T) {
 		}
 		var err error
 		if e != nil {
-			_, err = e.SimulateFaults(pre, CutThrough, FaultOpts{})
+			_, err = simulateFaultsOn(e, pre, CutThrough, FaultOpts{})
 		} else {
 			_, err = SimulateFaults(pre, CutThrough, FaultOpts{})
 		}
@@ -142,7 +142,7 @@ func TestFaultSetShardedEquivalence(t *testing.T) {
 						if shards == 1 {
 							e := NewEngine()
 							preRun(t, e, c.pre)
-							fr, err = e.SimulateFaults(c.msgs, mode, o)
+							fr, err = simulateFaultsOn(e, c.msgs, mode, o)
 						} else {
 							preRun(t, nil, c.pre)
 							fr, err = SimulateFaultsSharded(c.msgs, mode, o, shards)

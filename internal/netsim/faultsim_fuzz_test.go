@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"multipath/internal/faults"
@@ -49,7 +50,8 @@ func decodeFuzzSchedule(data []byte) *faults.Schedule {
 //   - asking Status only about the schedule's listed links changes
 //     nothing: the same schedule behind a Status-only wrapper, asked
 //     about every active link, gives the same FaultResult, with and
-//     without a StepLimit drawn from the input.
+//     without a StepLimit drawn from the input,
+//   - both of those runs match the golden model (checkFaultsGolden).
 func FuzzSimulateFaults(f *testing.F) {
 	f.Add([]byte{}, []byte{})
 	f.Add([]byte{3, 2, 1, 1, 4, 2, 1, 2, 5}, []byte{2, 1, 1, 0, 5, 9, 1})
@@ -146,7 +148,56 @@ func FuzzSimulateFaults(f *testing.F) {
 					t.Fatalf("%v limit=%d: fault-set run %+v != Status-only run %+v",
 						mode, o.StepLimit, got, want)
 				}
+				checkFaultsGolden(t, msgs, mode, FaultOpts{Faults: sched, StepLimit: o.StepLimit}, got)
 			}
 		}
 	})
+}
+
+// checkFaultsGolden holds the SimulateFaults run got to the naive
+// open-loop model SimulateOpenLoopReference fed every message at step
+// 0, which shares no step-loop code with the closed-loop kernel: the
+// two must agree on Result, TimedOut, and each message's delivered
+// flag and finishing step. A failed message's blamed link must lie on
+// its route and be permanently down at the step it failed.
+func checkFaultsGolden(t *testing.T, msgs []*Message, mode Mode, o FaultOpts, got *FaultResult) {
+	t.Helper()
+	tr := &Trace{Arrivals: make([]Arrival, len(msgs))}
+	for i := range msgs {
+		tr.Arrivals[i] = Arrival{Step: 0, Tmpl: int32(i)}
+	}
+	type finish struct {
+		seen, delivered bool
+		step            int
+	}
+	fin := make([]finish, len(msgs))
+	ref, err := SimulateOpenLoopReference(msgs, tr.Source(), OpenLoopOpts{
+		Mode: mode, Faults: o.Faults, StepLimit: o.StepLimit,
+		PerMessage: func(msg int32, _, done int, delivered bool) {
+			fin[msg] = finish{seen: true, delivered: delivered, step: done}
+		},
+	})
+	if err != nil {
+		t.Fatalf("%v limit=%d golden model: %v", mode, o.StepLimit, err)
+	}
+	if ref.Result != got.Result || ref.TimedOut != got.TimedOut {
+		t.Fatalf("%v limit=%d: kernel %+v (timed out %v) != golden model %+v (timed out %v)",
+			mode, o.StepLimit, got.Result, got.TimedOut, ref.Result, ref.TimedOut)
+	}
+	for i, out := range got.Outcomes {
+		if f := fin[i]; !f.seen || f.delivered != out.Delivered || f.step != out.Step {
+			t.Fatalf("%v limit=%d: message %d outcome %+v != golden model %+v", mode, o.StepLimit, i, out, f)
+		}
+		if out.FailedLink < 0 {
+			continue
+		}
+		if !slices.Contains(msgs[i].Route, int32(out.FailedLink)) {
+			t.Fatalf("%v limit=%d: message %d blames link %d off its route %v",
+				mode, o.StepLimit, i, out.FailedLink, msgs[i].Route)
+		}
+		if down, perm := o.Faults.Status(out.FailedLink, out.Step); !down || !perm {
+			t.Fatalf("%v limit=%d: message %d blames link %d, not permanently down at step %d",
+				mode, o.StepLimit, i, out.FailedLink, out.Step)
+		}
+	}
 }

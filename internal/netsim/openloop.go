@@ -245,10 +245,7 @@ func (e *Engine) SimulateOpenLoop(tmpls []*Message, src ArrivalSource, opts Open
 	}
 
 	e.growState(0, 0, int(links))
-	oldProbe := e.probe
-	if opts.Probe != nil {
-		e.probe = opts.Probe
-	}
+	e.probe = opts.Probe
 	if e.probe != nil || opts.Faults != nil {
 		e.fillExt(tmpls, links)
 	}
@@ -265,7 +262,7 @@ func (e *Engine) SimulateOpenLoop(tmpls []*Message, src ArrivalSource, opts Open
 	e.res = &olr.Result
 	defer func() {
 		e.res = nil
-		e.probe = oldProbe
+		e.probe = nil
 	}()
 
 	nextMsg := int32(0)

@@ -11,18 +11,18 @@ import (
 	"multipath/internal/hypercube"
 )
 
-// TestShardedEntryPointsShareEnginePool interleaves every pooled entry
-// point over inputs of three sizes and holds each outcome to the same
-// run on a fresh Engine. One Engine pool serves them all — the sharded
-// runners borrow from it too — so state that one entry point leaves in
-// an Engine and another reads would show up here.
-func TestShardedEntryPointsShareEnginePool(t *testing.T) {
-	type input struct {
-		msgs  []*Message
-		tr    *Trace
-		sched *faults.Schedule
-	}
-	var inputs []input
+// poolInput is one workload of the pool tests: a random permutation's
+// messages, a schedule that kills and delays some of their links, and
+// an open-loop trace over them as templates.
+type poolInput struct {
+	msgs  []*Message
+	tr    *Trace
+	sched *faults.Schedule
+}
+
+// poolInputs returns workloads on the cubes of dimension 6, 3 and 5.
+func poolInputs() []poolInput {
+	var inputs []poolInput
 	for _, n := range []int{6, 3, 5} {
 		q := hypercube.New(n)
 		rng := rand.New(rand.NewSource(int64(n)))
@@ -41,8 +41,18 @@ func TestShardedEntryPointsShareEnginePool(t *testing.T) {
 		for i := 0; i < 4*len(msgs); i++ {
 			tr.Arrivals = append(tr.Arrivals, Arrival{Step: i / 8, Tmpl: int32(i * 7 % len(msgs))})
 		}
-		inputs = append(inputs, input{msgs, tr, sched})
+		inputs = append(inputs, poolInput{msgs, tr, sched})
 	}
+	return inputs
+}
+
+// TestShardedEntryPointsShareEnginePool interleaves every pooled entry
+// point over inputs of three sizes and holds each outcome to the same
+// run on a fresh Engine. One Engine pool serves them all — the sharded
+// runners borrow from it too — so state that one entry point leaves in
+// an Engine and another reads would show up here.
+func TestShardedEntryPointsShareEnginePool(t *testing.T) {
+	inputs := poolInputs()
 
 	// openRun is an open-loop outcome: the result and everything the
 	// callbacks saw.
@@ -51,53 +61,57 @@ func TestShardedEntryPointsShareEnginePool(t *testing.T) {
 		events []lisEvent
 		lat    []int
 	}
-	open := func(in input, sim func(OpenLoopOpts) (*OpenLoopResult, error)) (any, error) {
+	open := func(in poolInput, sim func(OpenLoopOpts) (*OpenLoopResult, error)) (any, error) {
 		l, sink := &recListener{}, &sliceSink{}
 		res, err := sim(OpenLoopOpts{Mode: CutThrough, Faults: in.sched, StepLimit: 20, Listener: l, Sink: sink})
 		return openRun{res, l.ev, sink.vals}, err
 	}
-	faultOpts := func(in input) FaultOpts { return FaultOpts{Faults: in.sched, StepLimit: 8} }
+	faultOpts := func(in poolInput) FaultOpts { return FaultOpts{Faults: in.sched, StepLimit: 8} }
 	entries := []struct {
 		name          string
-		pooled, fresh func(input) (any, error)
+		pooled, fresh func(poolInput) (any, error)
 	}{
 		{"Simulate",
-			func(in input) (any, error) { return Simulate(in.msgs, StoreAndForward) },
-			func(in input) (any, error) { return NewEngine().Simulate(in.msgs, StoreAndForward) }},
+			func(in poolInput) (any, error) { return Simulate(in.msgs, StoreAndForward) },
+			func(in poolInput) (any, error) { return NewEngine().Simulate(in.msgs, StoreAndForward) }},
 		{"SimulateFaults",
-			func(in input) (any, error) { return SimulateFaults(in.msgs, CutThrough, faultOpts(in)) },
-			func(in input) (any, error) { return NewEngine().SimulateFaults(in.msgs, CutThrough, faultOpts(in)) }},
+			func(in poolInput) (any, error) { return SimulateFaults(in.msgs, CutThrough, faultOpts(in)) },
+			func(in poolInput) (any, error) {
+				return simulateFaultsOn(NewEngine(), in.msgs, CutThrough, faultOpts(in))
+			}},
 		{"SimulateWormhole",
-			func(in input) (any, error) { return SimulateWormhole(in.msgs) },
-			func(in input) (any, error) { return NewEngine().simulateWormhole(in.msgs) }},
+			func(in poolInput) (any, error) { return SimulateWormhole(in.msgs) },
+			func(in poolInput) (any, error) { return NewEngine().simulateWormhole(in.msgs) }},
 		{"SimulateSharded",
-			func(in input) (any, error) { return SimulateSharded(in.msgs, CutThrough, 3) },
-			func(in input) (any, error) {
-				res, _, _, err := (&sharded{e: NewEngine()}).run(in.msgs, CutThrough, FaultOpts{}, false, nil, 3, false)
+			func(in poolInput) (any, error) { return SimulateSharded(in.msgs, CutThrough, 3) },
+			func(in poolInput) (any, error) {
+				res, _, _, err := (&sharded{e: NewEngine()}).run(in.msgs, CutThrough, FaultOpts{}, false, 3, false)
 				return res, err
 			}},
 		{"SimulateFaultsSharded",
-			func(in input) (any, error) { return SimulateFaultsSharded(in.msgs, StoreAndForward, faultOpts(in), 3) },
-			func(in input) (any, error) {
-				_, fr, _, err := (&sharded{e: NewEngine()}).run(in.msgs, StoreAndForward, faultOpts(in), true, nil, 3, false)
+			func(in poolInput) (any, error) {
+				return SimulateFaultsSharded(in.msgs, StoreAndForward, faultOpts(in), 3)
+			},
+			func(in poolInput) (any, error) {
+				_, fr, _, err := (&sharded{e: NewEngine()}).run(in.msgs, StoreAndForward, faultOpts(in), true, 3, false)
 				return fr, err
 			}},
 		{"SimulateOpenLoop",
-			func(in input) (any, error) {
+			func(in poolInput) (any, error) {
 				return open(in, func(o OpenLoopOpts) (*OpenLoopResult, error) { return SimulateOpenLoop(in.msgs, in.tr.Source(), o) })
 			},
-			func(in input) (any, error) {
+			func(in poolInput) (any, error) {
 				return open(in, func(o OpenLoopOpts) (*OpenLoopResult, error) {
 					return NewEngine().SimulateOpenLoop(in.msgs, in.tr.Source(), o)
 				})
 			}},
 		{"SimulateOpenLoopSharded",
-			func(in input) (any, error) {
+			func(in poolInput) (any, error) {
 				return open(in, func(o OpenLoopOpts) (*OpenLoopResult, error) {
 					return SimulateOpenLoopSharded(in.msgs, in.tr.Source(), o, 3)
 				})
 			},
-			func(in input) (any, error) {
+			func(in poolInput) (any, error) {
 				return open(in, func(o OpenLoopOpts) (*OpenLoopResult, error) {
 					res, _, err := (&olSharded{e: NewEngine()}).run(in.msgs, in.tr.Source(), o, 3, false)
 					return res, err
@@ -118,6 +132,57 @@ func TestShardedEntryPointsShareEnginePool(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestShardedRunnerPoolConcurrentCallers has 8 goroutines draw
+// runners from shardedPool at once — SimulateFaults and SimulateProbed
+// run the kernel at one shard on a pooled runner, SimulateFaultsSharded
+// at three — and holds every result to a serial run of the same call.
+func TestShardedRunnerPoolConcurrentCallers(t *testing.T) {
+	type outcome struct {
+		faults, sharded *FaultResult
+		probed          *Result
+	}
+	run := func(in poolInput) (o outcome, err error) {
+		opts := FaultOpts{Faults: in.sched, StepLimit: 8}
+		if o.faults, err = SimulateFaults(in.msgs, CutThrough, opts); err != nil {
+			return o, err
+		}
+		if o.probed, err = SimulateProbed(in.msgs, StoreAndForward, nopProbe{}); err != nil {
+			return o, err
+		}
+		o.sharded, err = SimulateFaultsSharded(in.msgs, StoreAndForward, opts, 3)
+		return o, err
+	}
+	inputs := poolInputs()
+	want := make([]outcome, len(inputs))
+	for i, in := range inputs {
+		var err error
+		if want[i], err = run(in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				for i, in := range inputs {
+					got, err := run(in)
+					if err != nil {
+						t.Errorf("goroutine %d round %d input %d: %v", g, round, i, err)
+						return
+					}
+					if !reflect.DeepEqual(got, want[i]) {
+						t.Errorf("goroutine %d round %d input %d:\n got %+v\nwant %+v", g, round, i, got, want[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestEnginePoolStaysWarm pins what keeps back-to-back runs steady: the

@@ -6,20 +6,24 @@ package netsim
 // *where* queueing and latency come from (distributions over time)
 // instead of only the end-of-run aggregates in Result.
 //
-// The contract with the hot path is strict: every probe call site in
-// the engines is guarded by a nil-check on a single Engine field, so a
-// run with no probe attached is bit-identical to the pre-probe engine
-// and pays only untaken branches (asserted by the equivalence fuzzers
-// and the overhead benchmark in probe_overhead_test.go). All the
-// bookkeeping a probe needs that the bare engine does not (for
-// example the dense→external link id table on the fault-free path) is
-// built only when a probe is attached.
+// A probe is attached per run: closed-loop runs take it through
+// SimulateProbed, FaultOpts.Probe, or the sharded entry points, all
+// served by the closed-loop kernel (sharded.go); open-loop runs
+// through OpenLoopOpts.Probe; wormhole runs through
+// SimulateWormholeProbed. Simulate, the bare closed-loop loop, has no
+// probe call site at all. Every call site is guarded by a nil-check,
+// so a run with no probe attached pays only untaken branches, and
+// attaching a probe never changes a result (asserted by the
+// equivalence fuzzers). All the bookkeeping a probe needs that a bare
+// run does not (for example the dense→external link id table on the
+// fault-free path) is built only when a probe is attached.
 //
-// Probes are called synchronously from the simulation loop of a single
-// goroutine. A probe must not retain the slices it is handed — they
-// are the engine's live scratch, valid only for the duration of the
-// call. Implementations live in internal/obsv (Recorder, TraceWriter);
-// netsim depends only on the shape.
+// Probes are called synchronously, one call at a time: from the
+// simulation loop, or at two or more shards from whichever worker runs
+// the step barrier's action. A probe must not retain the slices it is
+// handed — they are the engine's live scratch, valid only for the
+// duration of the call. Implementations live in internal/obsv
+// (Recorder, TraceWriter); netsim depends only on the shape.
 type Probe interface {
 	// BeginRun is called once before the first step with the run's
 	// shape. Empty-route messages complete at step 0 and are reported
@@ -49,7 +53,8 @@ type Probe interface {
 	MsgDone(step int, msg int32, delivered bool)
 }
 
-// RunInfo describes one simulation run to a Probe.
+// RunInfo describes one simulation run to a Probe: at every shard
+// count, the whole run's messages and links.
 type RunInfo struct {
 	// Messages is the number of input messages.
 	Messages int
@@ -65,21 +70,12 @@ type RunInfo struct {
 	Wormhole bool
 }
 
-// SetProbe attaches a probe to this Engine (nil detaches). It applies
-// to subsequent Simulate/SimulateFaults/SimulateWormhole calls on this
-// Engine; FaultOpts.Probe, when non-nil, takes precedence for that
-// run.
-func (e *Engine) SetProbe(p Probe) { e.probe = p }
-
 // SimulateProbed is Simulate with an observation probe attached for
-// the duration of the run. Results are bit-identical to Simulate.
+// the duration of the run: the closed-loop kernel at one shard, which
+// calls p at each event on the caller's goroutine. Results are
+// bit-identical to Simulate.
 func SimulateProbed(msgs []*Message, mode Mode, p Probe) (*Result, error) {
-	e := enginePool.get()
-	e.probe = p
-	res, err := e.Simulate(msgs, mode)
-	e.probe = nil
-	enginePool.put(e)
-	return res, err
+	return SimulateShardedProbed(msgs, mode, 1, p)
 }
 
 // SimulateWormholeProbed is SimulateWormhole with an observation probe
@@ -94,7 +90,7 @@ func SimulateWormholeProbed(msgs []*Message, p Probe) (*WormholeResult, error) {
 }
 
 // fillExt populates the dense→external link id table by one extra pass
-// over the routes. The fault path always needs it (fault queries and
+// over the routes. The fault paths always need it (fault queries and
 // blame are in external ids); the fault-free paths build it only for
 // an attached probe.
 func (e *Engine) fillExt(msgs []*Message, links int32) {
@@ -108,10 +104,10 @@ func (e *Engine) fillExt(msgs []*Message, links int32) {
 	}
 }
 
-// beginProbe emits the run-shape and step-0 completion events common
-// to all three engine paths.
-func (e *Engine) beginProbe(msgs []*Message, links int32, mode Mode, wormhole bool) {
-	e.probe.BeginRun(RunInfo{
+// beginProbe emits to p the run-shape and step-0 completion events
+// common to the closed-loop kernel and the wormhole model.
+func (e *Engine) beginProbe(p Probe, msgs []*Message, links int32, mode Mode, wormhole bool) {
+	p.BeginRun(RunInfo{
 		Messages: len(msgs),
 		Links:    int(links),
 		LinkExt:  e.ext[:links],
@@ -120,7 +116,7 @@ func (e *Engine) beginProbe(msgs []*Message, links int32, mode Mode, wormhole bo
 	})
 	for i, m := range msgs {
 		if len(m.Route) == 0 {
-			e.probe.MsgDone(0, int32(i), true)
+			p.MsgDone(0, int32(i), true)
 		}
 	}
 }

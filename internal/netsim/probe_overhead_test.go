@@ -6,13 +6,15 @@ import (
 	"slices"
 	"testing"
 	"time"
+
+	"multipath/internal/faults"
 )
 
 // simulateBaseline is a verbatim copy of Engine.Simulate as it stood
 // before the probe hooks were added — the reference the overhead
-// contract is stated against. The probe call sites in Simulate are
-// guarded by nil-checks on e.probe; this copy simply has no such sites.
-// If Simulate's hot loop changes, this copy must be updated to match
+// contract is stated against. Simulate has no probe call site (probed
+// runs take the closed-loop kernel), so the two are the same loop. If
+// Simulate's hot loop changes, this copy must be updated to match
 // (TestProbeOffEquivalentToBaseline catches semantic drift).
 func (e *Engine) simulateBaseline(msgs []*Message, mode Mode) (*Result, error) {
 	total, maxRoute, totalFlits := 0, 0, 0
@@ -184,8 +186,21 @@ func TestProbeOffEquivalentToBaseline(t *testing.T) {
 	}
 }
 
+// nopProbe is a probe that records nothing.
+type nopProbe struct{}
+
+func (nopProbe) BeginRun(RunInfo)             {}
+func (nopProbe) StepEnd(int, []int)           {}
+func (nopProbe) FlitMoved(int, int32, int32)  {}
+func (nopProbe) FlitDelivered(int, int32)     {}
+func (nopProbe) FlitsDropped(int, int32, int) {}
+func (nopProbe) MsgDone(int, int32, bool)     {}
+
 // A probe-less Simulate performs exactly one allocation: the Result.
-// SimulateWormhole likewise allocates only its WormholeResult.
+// SimulateWormhole likewise allocates only its WormholeResult. On a
+// warm pool, SimulateFaults allocates only its FaultResult and
+// Outcomes, and SimulateProbed its Result, probe or not: the one-shard
+// kernel they run allocates no ring, runner or method value per call.
 func TestSimulateAllocs(t *testing.T) {
 	msgs := overheadWorkload()
 	e := NewEngine()
@@ -220,12 +235,41 @@ func TestSimulateAllocs(t *testing.T) {
 	if n > 1 {
 		t.Errorf("wormhole: %v allocs/run, want ≤ 1", n)
 	}
+
+	sched := faults.NewSchedule().FailLink(int(msgs[0].Route[2]), 4).
+		FailLinkTransient(int(msgs[1].Route[0]), 1, 6)
+	for _, p := range []Probe{nil, nopProbe{}} {
+		opts := FaultOpts{Faults: sched, Probe: p}
+		fr, err := SimulateFaults(msgs, CutThrough, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fr.FailedMsgs == 0 {
+			t.Fatal("schedule killed nothing; the kill path is not measured")
+		}
+		n := testing.AllocsPerRun(10, func() {
+			if _, err := SimulateFaults(msgs, CutThrough, opts); err != nil {
+				t.Error(err)
+			}
+		})
+		if n > 2 {
+			t.Errorf("SimulateFaults (probe %T): %v allocs/run, want ≤ 2", p, n)
+		}
+	}
+	n = testing.AllocsPerRun(10, func() {
+		if _, err := SimulateProbed(msgs, CutThrough, nopProbe{}); err != nil {
+			t.Error(err)
+		}
+	})
+	if n > 1 {
+		t.Errorf("SimulateProbed: %v allocs/run, want ≤ 1", n)
+	}
 }
 
 // TestProbeOffOverhead enforces the ≤2% overhead contract: with no
 // probe attached, Simulate may not be measurably slower than the
-// pre-probe loop (the untaken nil-check branches are the only
-// difference). Interleaved best-of-N timing keeps scheduler noise out;
+// pre-probe loop (Simulate has no probe hook, so the loops are the
+// same code). Interleaved best-of-N timing keeps scheduler noise out;
 // the assertion is skipped under -short and under the race detector,
 // whose instrumentation swamps a 2% margin.
 func TestProbeOffOverhead(t *testing.T) {

@@ -192,28 +192,6 @@ func TestSimulateFaultsProbed(t *testing.T) {
 	}
 }
 
-// FaultOpts.Probe overrides (and then restores) an Engine-level probe.
-func TestFaultOptsProbePrecedence(t *testing.T) {
-	e := NewEngine()
-	engineProbe := &recordingProbe{}
-	e.SetProbe(engineProbe)
-	runProbe := &recordingProbe{}
-	msgs := []*Message{{Route: []int32{1}, Flits: 1}}
-	if _, err := e.SimulateFaults(msgs, CutThrough, FaultOpts{Probe: runProbe}); err != nil {
-		t.Fatal(err)
-	}
-	if runProbe.begun != 1 || engineProbe.begun != 0 {
-		t.Errorf("override: run probe begun %d, engine probe begun %d", runProbe.begun, engineProbe.begun)
-	}
-	// The engine probe is back in force for the next run.
-	if _, err := e.SimulateFaults(msgs, CutThrough, FaultOpts{}); err != nil {
-		t.Fatal(err)
-	}
-	if engineProbe.begun != 1 {
-		t.Errorf("engine probe not restored after FaultOpts.Probe run (begun=%d)", engineProbe.begun)
-	}
-}
-
 // FuzzSimulateProbed replays the fault fuzzer's corpus shape and
 // asserts the package-level guarantee: attaching a probe never changes
 // Result or FaultResult, on the fault-free, fault, and wormhole paths.

@@ -6,11 +6,13 @@ import (
 	"sync"
 )
 
-// This file is the partitioned ("sharded") engine: the dense
-// contiguous link-id space of a run is split into per-shard ranges,
-// each owned by one worker goroutine that keeps the intrusive FIFOs,
-// credit counters, and active-link worklist of the single-shard engine
-// for exactly its links. A simulation step becomes
+// This file is the closed-loop kernel of every run with faults or a
+// probe — SimulateFaults, SimulateProbed and the sharded entry points
+// — and of SimulateSharded at two or more shards. The dense contiguous
+// link-id space of a run is split into per-shard ranges, each owned by
+// one worker that keeps the intrusive FIFOs, credit counters, and
+// active-link worklist of Engine.Simulate for exactly its links. A
+// simulation step becomes
 //
 //	transfer(k) ∥ …  →  [barrier: kills]  →  arrive(k) ∥ …  →  [barrier: step end]
 //
@@ -28,16 +30,21 @@ import (
 //
 // The two barrier actions run single-threaded in whichever worker
 // arrives last: the kill action replays permanently-down links in
-// globally ascending dense-id order (the same canonical order the
-// single-shard engine uses since its kills were deferred out of the
-// transfer loop), and the step-end action folds per-shard delivery
-// counts, flushes buffered probe events in deterministic order, and
-// decides termination. Everything global is written only there, which
-// is what makes the sharded engine *bit-identical* to the single-shard
-// engine — same Result, same FaultResult, same Probe-visible
-// distributions — rather than merely statistically equivalent. The
-// equivalence is enforced by TestSimulateShardedEquivalence and
+// globally ascending dense-id order, and the step-end action folds
+// per-shard delivery counts, flushes buffered probe events in
+// deterministic order, and decides termination. Everything global is
+// written only there, which is what makes the kernel *bit-identical*
+// across shard counts — same Result, same FaultResult, same
+// Probe-visible distributions — rather than merely statistically
+// equivalent, and bit-identical to Engine.Simulate on fault-free runs.
+// The equivalence is enforced by TestSimulateShardedEquivalence and
 // FuzzSimulateSharded over the fuzz corpus.
+//
+// One shard runs inline: the worker is the caller's goroutine, the
+// barrier calls its action directly, every next hop is local (no owner
+// lookup), and a probe is called at each event — moves in transfer,
+// kills in the kill action, deliveries and StepEnd in arrive, timeout
+// failures after the last StepEnd — instead of through the buffers.
 //
 // Determinism argument, in brief:
 //   - FIFO order: same-step enqueues on a link are sorted in ascending
@@ -49,10 +56,11 @@ import (
 //   - Kills: canonical ascending-link order at a barrier, on a kill set
 //     that is invariant across the transfer phase (down links move
 //     nothing, so their sendable sets cannot change mid-phase).
-//   - Probes: per-shard event buffers are merged at the step-end
-//     barrier sorted by link id (moves) and message id (deliveries); a
-//     link moves at most one flit per step and a message delivers at
-//     most one flit per step, so the sort keys are unique.
+//   - Probes: at two or more shards, per-shard event buffers are merged
+//     at the step-end barrier sorted by link id (moves) and message id
+//     (deliveries); a link moves at most one flit per step and a
+//     message delivers at most one flit per step, so the sort keys are
+//     unique.
 
 // ShardStat is the per-shard accounting of one sharded run, used by
 // balance reports and the per-shard conservation invariant
@@ -82,7 +90,6 @@ type ShardStat struct {
 type killEvent struct {
 	msg     int32
 	dropped int
-	shard   uint8 // owner of the blamed link, for per-shard probes
 }
 
 // shardState is the worker-local state of one shard. The shard owns
@@ -93,7 +100,7 @@ type shardState struct {
 	lo, hi  int32
 	work    []int32 // active-link worklist (this shard's links only)
 	scratch []int32 // worklist double buffer
-	arr     []int32 // local arrivals of the current step
+	arr     []int32 // local arrivals of the current step (sharded.arrive adds the peers')
 	enq     []int32 // positions to enqueue this step (own links only)
 	down    []int32 // permanently-down links found this transfer phase
 
@@ -104,7 +111,7 @@ type shardState struct {
 	out   []*spscRing // boundary rings to each destination shard
 	spill [][]int32   // ring-overflow batches to each destination shard
 
-	// Probe event buffers for the merged-probe path: packed moves
+	// Probe event buffers at two or more shards: packed moves
 	// (link<<32|msg) and deliveries (msg<<1|completed), flushed sorted
 	// at the step-end barrier.
 	pbMove []uint64
@@ -148,7 +155,12 @@ func (b *stepBarrier) init(n int) {
 }
 
 // wait blocks until all n workers have arrived; the last runs action.
+// A lone worker runs it at once, without the lock.
 func (b *stepBarrier) wait(action func()) {
+	if b.n == 1 {
+		action()
+		return
+	}
 	b.mu.Lock()
 	g := b.gen
 	b.count++
@@ -173,6 +185,7 @@ func (b *stepBarrier) wait(action func()) {
 type sharded struct {
 	e      *Engine // lent by the entry point for one run
 	bar    stepBarrier
+	wg     sync.WaitGroup // the workers of shards 1 and up
 	states []*shardState
 	owner  []uint8
 	cuts   []int32
@@ -182,8 +195,7 @@ type sharded struct {
 	faults   LinkFaults
 	res      *Result
 	fr       *FaultResult // nil on the fault-free path
-	probe    Probe        // merged probe (single event stream)
-	probes   []Probe      // per-shard probes (rebased link ids)
+	probe    Probe        // called at each event at one shard, else buffered
 	links    int32
 	limit    int
 	graceful bool
@@ -216,7 +228,7 @@ func getSharded() *sharded {
 func (sh *sharded) release() {
 	enginePool.put(sh.e)
 	sh.e, sh.msgs, sh.faults, sh.res, sh.fr = nil, nil, nil, nil, nil
-	sh.probe, sh.probes, sh.err = nil, nil, nil
+	sh.probe, sh.err = nil, nil
 	shardedPool.put(sh)
 }
 
@@ -228,8 +240,8 @@ func negativeShards(shards int) error {
 
 // SimulateSharded is Simulate partitioned across shards worker
 // goroutines. Results are bit-identical to Simulate for every shard
-// count; shards 0 and 1 take the single-shard fast path untouched, and
-// negative shard counts are an error, as in every sharded entry point.
+// count; shards 0 and 1 run Simulate itself, and negative shard counts
+// are an error, as in every sharded entry point.
 func SimulateSharded(msgs []*Message, mode Mode, shards int) (*Result, error) {
 	if shards < 0 {
 		return nil, negativeShards(shards)
@@ -238,70 +250,40 @@ func SimulateSharded(msgs []*Message, mode Mode, shards int) (*Result, error) {
 		return Simulate(msgs, mode)
 	}
 	sh := getSharded()
-	res, _, _, err := sh.run(msgs, mode, FaultOpts{}, false, nil, shards, false)
+	res, _, _, err := sh.run(msgs, mode, FaultOpts{}, false, shards, false)
 	sh.release()
 	return res, err
 }
 
-// SimulateShardedProbed is SimulateSharded with an observation probe:
-// the per-shard event buffers are merged at each step barrier in
-// deterministic link-id (moves) and message-id (deliveries) order, so
-// p observes one canonical stream equivalent to the single-shard one.
+// SimulateShardedProbed is SimulateSharded with an observation probe.
+// At two or more shards the per-shard event buffers are merged at each
+// step barrier in deterministic link-id (moves) and message-id
+// (deliveries) order, so p observes one canonical stream carrying the
+// same events as the one-shard run (SimulateProbed), which calls p at
+// each event.
 func SimulateShardedProbed(msgs []*Message, mode Mode, shards int, p Probe) (*Result, error) {
 	if shards < 0 {
 		return nil, negativeShards(shards)
 	}
-	if shards <= 1 {
-		return SimulateProbed(msgs, mode, p)
-	}
 	sh := getSharded()
-	res, _, _, err := sh.run(msgs, mode, FaultOpts{Probe: p}, false, nil, shards, false)
-	sh.release()
-	return res, err
-}
-
-// SimulateShardedProbes runs with one independent probe per shard:
-// probes[k] observes only shard k's links, with link ids rebased to
-// [0, ownedLinks) and RunInfo.LinkExt restricted to the shard's range,
-// so each probe (for example an obsv.Recorder) can record without any
-// cross-shard synchronization and the recordings can be merged after
-// the run (obsv.Recorder.Merge). len(probes) must equal shards, or be
-// 1 for shards 0 (the single-shard path); when the shard count is
-// clamped (more shards than links), trailing probes see no events.
-// Message-scoped events with no link (timeout failures, empty-route
-// completions) go to probes[0].
-func SimulateShardedProbes(msgs []*Message, mode Mode, shards int, probes []Probe) (*Result, error) {
-	if shards < 0 {
-		return nil, negativeShards(shards)
-	}
-	if len(probes) != max(shards, 1) {
-		return nil, fmt.Errorf("netsim: %d probes for %d shards", len(probes), shards)
-	}
-	if shards <= 1 {
-		return SimulateProbed(msgs, mode, probes[0])
-	}
-	sh := getSharded()
-	res, _, _, err := sh.run(msgs, mode, FaultOpts{}, false, probes, shards, false)
+	res, _, _, err := sh.run(msgs, mode, FaultOpts{Probe: p}, false, shards, false)
 	sh.release()
 	return res, err
 }
 
 // SimulateFaultsSharded is SimulateFaults partitioned across shards
-// workers. Each shard evaluates the fault status of its own links
-// (fault schedules are per-step-deterministic, so no coordination is
-// needed); the kills themselves run at the step barrier in ascending
-// link order, matching the single-shard engine's canonical kill order,
-// so the FaultResult is bit-identical for every shard count.
-// FaultOpts.Probe is honored as a merged probe.
+// workers (0 and 1 run one shard inline, as SimulateFaults does). Each
+// shard evaluates the fault status of its own links (fault schedules
+// are per-step-deterministic, so no coordination is needed); the kills
+// themselves run at the step barrier in ascending link order, so the
+// FaultResult is bit-identical for every shard count.
+// FaultOpts.Probe is honored as in SimulateShardedProbed.
 func SimulateFaultsSharded(msgs []*Message, mode Mode, opts FaultOpts, shards int) (*FaultResult, error) {
 	if shards < 0 {
 		return nil, negativeShards(shards)
 	}
-	if shards <= 1 {
-		return SimulateFaults(msgs, mode, opts)
-	}
 	sh := getSharded()
-	_, fr, _, err := sh.run(msgs, mode, opts, true, nil, shards, false)
+	_, fr, _, err := sh.run(msgs, mode, opts, true, shards, false)
 	sh.release()
 	return fr, err
 }
@@ -313,36 +295,24 @@ func SimulateShardedStats(msgs []*Message, mode Mode, shards int) (*Result, []Sh
 		return nil, nil, negativeShards(shards)
 	}
 	sh := getSharded()
-	res, _, stats, err := sh.run(msgs, mode, FaultOpts{}, false, nil, shards, true)
+	res, _, stats, err := sh.run(msgs, mode, FaultOpts{}, false, shards, true)
 	sh.release()
 	return res, stats, err
 }
 
-// run is the shared core of every sharded entry point. faultPath
+// run is the shared core of every entry point of the kernel. faultPath
 // selects SimulateFaults semantics (Outcomes, kills, graceful
-// timeout); opts is ignored otherwise except for opts.Probe.
-func (sh *sharded) run(msgs []*Message, mode Mode, opts FaultOpts, faultPath bool, probes []Probe, shards int, wantStats bool) (*Result, *FaultResult, []ShardStat, error) {
+// timeout); opts is ignored otherwise except for opts.Probe. The shard
+// count is clamped to [1, min(links, 255)].
+func (sh *sharded) run(msgs []*Message, mode Mode, opts FaultOpts, faultPath bool, shards int, wantStats bool) (*Result, *FaultResult, []ShardStat, error) {
 	e := sh.e
 	shape, err := e.numberAll(msgs)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	links := shape.links
+	shards = max(1, min(shards, int(links), 255)) // owner table is uint8
 
-	// Fewer than two links cannot be partitioned; fall back to the
-	// single-shard paths on the borrowed engine (numberAll runs
-	// again in there — trivial at this size).
-	if s := int(links); shards > s {
-		shards = s
-	}
-	if shards > 255 { // owner table is uint8
-		shards = 255
-	}
-	if shards <= 1 {
-		return sh.runSingle(msgs, mode, opts, faultPath, probes, wantStats)
-	}
-
-	// Step limit: identical derivation to the single-shard paths.
 	limit := opts.StepLimit
 	graceful := faultPath && limit > 0
 	if !graceful {
@@ -401,7 +371,6 @@ func (sh *sharded) run(msgs []*Message, mode Mode, opts FaultOpts, faultPath boo
 	sh.mode = mode
 	sh.faults = nil
 	sh.probe = opts.Probe
-	sh.probes = probes
 	sh.links = links
 	sh.limit = limit
 	sh.graceful = graceful
@@ -424,32 +393,18 @@ func (sh *sharded) run(msgs []*Message, mode Mode, opts FaultOpts, faultPath boo
 		sh.res = &Result{}
 	}
 
-	if faultPath || sh.probe != nil || sh.probes != nil {
+	if faultPath || sh.probe != nil {
 		e.fillExt(msgs, links)
 	}
 	if sh.faults != nil {
 		e.markFaults(sh.faults, links)
 	}
 	if sh.probe != nil {
-		sh.probe.BeginRun(RunInfo{
-			Messages: len(msgs), Links: int(links), LinkExt: e.ext[:links], Mode: mode,
-		})
-	}
-	if sh.probes != nil {
-		for k := 0; k < shards; k++ {
-			st := sh.states[k]
-			sh.probes[k].BeginRun(RunInfo{
-				Messages: len(msgs), Links: int(st.hi - st.lo),
-				LinkExt: e.ext[st.lo:st.hi], Mode: mode,
-			})
-		}
-		for k := shards; k < len(probes); k++ { // clamped-away shards
-			probes[k].BeginRun(RunInfo{Messages: len(msgs), Mode: mode})
-		}
+		e.beginProbe(sh.probe, msgs, links, mode, false)
 	}
 
-	// Injection: identical to the single-shard paths, with each head
-	// position enqueued on its owning shard's worklist.
+	// Injection: each head position enqueued on its owning shard's
+	// worklist.
 	sh.remain = 0
 	for i, m := range msgs {
 		e.flits[i] = m.Flits
@@ -460,11 +415,6 @@ func (sh *sharded) run(msgs []*Message, mode Mode, opts FaultOpts, faultPath boo
 		if p0 == p1 {
 			if faultPath {
 				sh.fr.Outcomes[i].Delivered = true
-			}
-			if sh.probe != nil {
-				sh.probe.MsgDone(0, int32(i), true)
-			} else if sh.probes != nil {
-				sh.probes[0].MsgDone(0, int32(i), true)
 			}
 			continue
 		}
@@ -480,16 +430,15 @@ func (sh *sharded) run(msgs []*Message, mode Mode, opts FaultOpts, faultPath boo
 	}
 
 	if sh.remain > 0 {
-		var wg sync.WaitGroup
 		for k := 1; k < shards; k++ {
-			wg.Add(1)
+			sh.wg.Add(1)
 			go func(k int) {
-				defer wg.Done()
+				defer sh.wg.Done()
 				sh.worker(k)
 			}(k)
 		}
 		sh.worker(0)
-		wg.Wait()
+		sh.wg.Wait()
 	}
 	sh.msgs = nil
 	if sh.err != nil {
@@ -520,58 +469,6 @@ func (sh *sharded) run(msgs []*Message, mode Mode, opts FaultOpts, faultPath boo
 	return res, sh.fr, stats, nil
 }
 
-// runSingle handles runs whose link count (or requested shard count)
-// collapses to one shard: delegate to the classic engine paths.
-func (sh *sharded) runSingle(msgs []*Message, mode Mode, opts FaultOpts, faultPath bool, probes []Probe, wantStats bool) (*Result, *FaultResult, []ShardStat, error) {
-	e := sh.e
-	p := opts.Probe
-	if p == nil && len(probes) > 0 {
-		p = probes[0]
-	}
-	var res *Result
-	var fr *FaultResult
-	var err error
-	if faultPath {
-		opts.Probe = p
-		fr, err = e.SimulateFaults(msgs, mode, opts)
-		if fr != nil {
-			res = &fr.Result
-		}
-	} else {
-		e.probe = p
-		res, err = e.Simulate(msgs, mode)
-		e.probe = nil
-	}
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	for k := 1; k < len(probes); k++ {
-		probes[k].BeginRun(RunInfo{Messages: len(msgs), Mode: mode})
-	}
-	var stats []ShardStat
-	if wantStats {
-		injected := 0
-		distinct := make(map[int32]struct{})
-		for _, m := range msgs {
-			injected += m.Flits * len(m.Route)
-			for _, id := range m.Route {
-				distinct[id] = struct{}{}
-			}
-		}
-		dropped := 0
-		if fr != nil {
-			dropped = fr.DroppedFlits
-		}
-		stats = []ShardStat{{
-			Links:        len(distinct),
-			FlitsMoved:   res.FlitsMoved,
-			DroppedFlits: dropped,
-			InjectedHops: injected,
-		}}
-	}
-	return res, fr, stats, nil
-}
-
 // worker is the per-shard step loop. All workers run it in lockstep:
 // the two barriers per step separate the transfer phase (producers of
 // boundary flits) from the arrival phase (consumers), with kills and
@@ -588,7 +485,7 @@ func (sh *sharded) worker(k int) {
 	}
 }
 
-// transfer runs the single-shard transfer phase over this shard's
+// transfer runs Engine.Simulate's transfer phase over this shard's
 // active links, routing each moved flit either to the local arrival
 // batch or across a shard boundary.
 func (sh *sharded) transfer(k int) {
@@ -597,6 +494,7 @@ func (sh *sharded) transfer(k int) {
 	for d := range st.spill { // reclaim last step's drained batches
 		st.spill[d] = st.spill[d][:0]
 	}
+	inline := sh.bar.n == 1 // one shard: every next hop is local
 	step := sh.step
 	cur := st.work
 	st.work = st.scratch[:0]
@@ -632,12 +530,14 @@ func (sh *sharded) transfer(k int) {
 		e.crossed[p]++
 		e.credit[l]--
 		st.moved++
-		if sh.probe != nil {
-			st.pbMove = append(st.pbMove, uint64(uint32(l))<<32|uint64(uint32(e.posMsg[p])))
-		} else if sh.probes != nil {
-			sh.probes[k].FlitMoved(step, e.posMsg[p], l-st.lo)
-		}
 		mi := e.posMsg[p]
+		if sh.probe != nil {
+			if inline {
+				sh.probe.FlitMoved(step, mi, l)
+			} else {
+				st.pbMove = append(st.pbMove, uint64(uint32(l))<<32|uint64(uint32(mi)))
+			}
+		}
 		if e.crossed[p] == e.flits[mi] {
 			nx := e.qnext[p]
 			if prev < 0 {
@@ -657,7 +557,7 @@ func (sh *sharded) transfer(k int) {
 			e.inWork[l] = false
 		}
 		next := p + 1
-		if next == e.off[mi+1] || sh.owner[e.route[next]] == uint8(k) {
+		if inline || next == e.off[mi+1] || sh.owner[e.route[next]] == uint8(k) {
 			st.arr = append(st.arr, p)
 		} else {
 			st.boundary++
@@ -690,7 +590,12 @@ func (sh *sharded) killAction() {
 	}
 }
 
-// failQueued mirrors Engine.failQueued for the sharded kill phase.
+// failQueued fails every message that has a sendable request queued on
+// the permanently-down dense link l — each would have contended for
+// the link this step and the link will never carry it. Messages queued
+// on l that are still waiting for upstream flits are left alone; they
+// fail on the later step their flits arrive. Returns the number of
+// messages newly failed.
 func (sh *sharded) failQueued(l int32) int {
 	e := sh.e
 	e.kill = e.kill[:0]
@@ -701,16 +606,18 @@ func (sh *sharded) failQueued(l int32) int {
 	}
 	n := 0
 	for _, mi := range e.kill {
-		n += sh.failMessage(mi, e.ext[l], sh.step, sh.owner[l])
+		n += sh.failMessage(mi, e.ext[l], sh.step)
 	}
 	return n
 }
 
-// failMessage mirrors Engine.failMessage, additionally attributing
-// each dropped flit-hop to the shard owning its link and routing the
-// probe events (buffered for a merged probe, direct for per-shard
-// probes — both callers run single-threaded in a barrier action).
-func (sh *sharded) failMessage(mi int32, extLink, step int, shard uint8) int {
+// failMessage marks message mi failed at step (blaming external link
+// extLink, or -1 for a timeout), removes its queued requests from
+// their FIFOs, returns their credits, and accounts every not-yet-moved
+// flit-hop as dropped, to the shard owning its link. Both callers run
+// single-threaded in a barrier action. Idempotent: returns 1 only on
+// the first kill.
+func (sh *sharded) failMessage(mi int32, extLink, step int) int {
 	e := sh.e
 	if e.dead[mi] {
 		return 0
@@ -735,25 +642,25 @@ func (sh *sharded) failMessage(mi int32, extLink, step int, shard uint8) int {
 	}
 	sh.fr.DroppedFlits += dropped
 	if sh.probe != nil {
-		sh.killEv = append(sh.killEv, killEvent{msg: mi, dropped: dropped, shard: shard})
-	} else if sh.probes != nil {
-		sh.probes[shard].FlitsDropped(step, mi, dropped)
-		sh.probes[shard].MsgDone(step, mi, false)
+		if sh.bar.n == 1 {
+			sh.probe.FlitsDropped(step, mi, dropped)
+			sh.probe.MsgDone(step, mi, false)
+		} else {
+			sh.killEv = append(sh.killEv, killEvent{msg: mi, dropped: dropped})
+		}
 	}
 	return 1
 }
 
-// arrive drains this shard's local arrivals, then every peer's ring
-// and spill batch destined here, applying the single-shard arrival
-// rules. Every link touched (credit, FIFO enqueue) is owned by this
-// shard, because a position's enqueue target is its own link.
+// arrive appends every peer's ring and spill batch destined here to
+// this shard's local arrivals, then applies Engine.Simulate's arrival
+// rules to each flit in that order: delivery bookkeeping on the final
+// hop, otherwise buffering and credits at the next hop. Every link
+// touched (credit, FIFO enqueue) is owned by this shard, because a
+// position's enqueue target is its own link.
 func (sh *sharded) arrive(k int) {
 	e := sh.e
 	st := sh.states[k]
-	st.enq = st.enq[:0]
-	for _, p := range st.arr {
-		sh.process(k, st, p)
-	}
 	for s2, peer := range sh.states[:sh.bar.n] {
 		if s2 == k {
 			continue
@@ -764,72 +671,69 @@ func (sh *sharded) arrive(k int) {
 			if !ok {
 				break
 			}
-			sh.process(k, st, p)
+			st.arr = append(st.arr, p)
 		}
-		for _, p := range peer.spill[k] {
-			sh.process(k, st, p)
+		st.arr = append(st.arr, peer.spill[k]...)
+	}
+	inline := sh.bar.n == 1
+	st.enq = st.enq[:0]
+	for _, p := range st.arr {
+		mi := e.posMsg[p]
+		if sh.fr != nil && e.dead[mi] {
+			continue // killed this step: crossing counted, arrival absorbed
+		}
+		next := p + 1
+		if next == e.off[mi+1] {
+			done := e.crossed[p] == e.flits[mi]
+			if sh.probe != nil {
+				if inline {
+					sh.probe.FlitDelivered(sh.step, mi)
+					if done {
+						sh.probe.MsgDone(sh.step, mi, true)
+					}
+				} else {
+					v := uint64(uint32(mi)) << 1
+					if done {
+						v |= 1
+					}
+					st.pbArrv = append(st.pbArrv, v)
+				}
+			}
+			if done {
+				st.deliveredStep++
+				if sh.fr != nil {
+					sh.fr.Outcomes[mi] = Outcome{Delivered: true, Step: sh.step, FailedLink: -1}
+				}
+			}
+			continue
+		}
+		switch sh.mode {
+		case CutThrough:
+			e.arrived[next]++
+			if e.queued[next] {
+				sh.addCredit(st, e.route[next], 1)
+			}
+		case StoreAndForward:
+			e.buffer[next]++
+			if e.buffer[next] == e.flits[mi] {
+				e.arrived[next] = e.flits[mi]
+				if e.queued[next] {
+					sh.addCredit(st, e.route[next], e.flits[mi]-e.crossed[next])
+				}
+			}
+		}
+		if !e.queued[next] && e.arrived[next] > 0 {
+			st.enq = append(st.enq, next)
 		}
 	}
 	// Same-step enqueues in ascending position order: equal to the
-	// single-shard global sort restricted to this shard's links.
+	// one-shard global sort restricted to this shard's links.
 	slices.Sort(st.enq)
 	for _, p := range st.enq {
 		sh.enqueue(st, p)
 	}
-	if sh.probes != nil {
-		sh.probes[k].StepEnd(sh.step, e.qlen[st.lo:st.hi])
-	}
-}
-
-// process applies one arrived flit: delivery bookkeeping on the final
-// hop, otherwise buffering/credits at the next hop, which this shard
-// owns.
-func (sh *sharded) process(k int, st *shardState, p int32) {
-	e := sh.e
-	mi := e.posMsg[p]
-	if sh.fr != nil && e.dead[mi] {
-		return // killed this step: crossing counted, arrival absorbed
-	}
-	next := p + 1
-	if next == e.off[mi+1] {
-		done := e.crossed[p] == e.flits[mi]
-		if sh.probe != nil {
-			v := uint64(uint32(mi)) << 1
-			if done {
-				v |= 1
-			}
-			st.pbArrv = append(st.pbArrv, v)
-		} else if sh.probes != nil {
-			sh.probes[k].FlitDelivered(sh.step, mi)
-			if done {
-				sh.probes[k].MsgDone(sh.step, mi, true)
-			}
-		}
-		if done {
-			st.deliveredStep++
-			if sh.fr != nil {
-				sh.fr.Outcomes[mi] = Outcome{Delivered: true, Step: sh.step, FailedLink: -1}
-			}
-		}
-		return
-	}
-	switch sh.mode {
-	case CutThrough:
-		e.arrived[next]++
-		if e.queued[next] {
-			sh.addCredit(st, e.route[next], 1)
-		}
-	case StoreAndForward:
-		e.buffer[next]++
-		if e.buffer[next] == e.flits[mi] {
-			e.arrived[next] = e.flits[mi]
-			if e.queued[next] {
-				sh.addCredit(st, e.route[next], e.flits[mi]-e.crossed[next])
-			}
-		}
-	}
-	if !e.queued[next] && e.arrived[next] > 0 {
-		st.enq = append(st.enq, next)
+	if sh.probe != nil && inline {
+		sh.probe.StepEnd(sh.step, e.qlen[:sh.links])
 	}
 }
 
@@ -865,10 +769,10 @@ func (sh *sharded) addCredit(st *shardState, l int32, c int) {
 }
 
 // stepEndAction is the second barrier's action: fold per-shard
-// delivery counts, flush the merged probe's canonical event stream,
-// and decide termination, mirroring the single-shard loop exactly
-// (including the graceful-timeout failure sweep and the livelock
-// error).
+// delivery counts, flush the buffered probe events of two or more
+// shards as one canonical stream, and decide termination, as
+// Engine.Simulate's loop does (plus the graceful-timeout failure
+// sweep).
 func (sh *sharded) stepEndAction() {
 	for _, st := range sh.states[:sh.bar.n] {
 		d := st.deliveredStep
@@ -876,7 +780,7 @@ func (sh *sharded) stepEndAction() {
 		sh.remain -= d
 		sh.res.DeliveredMsgs += d
 	}
-	if sh.probe != nil {
+	if sh.probe != nil && sh.bar.n > 1 {
 		sh.flushProbe()
 	}
 	if sh.remain == 0 {
@@ -893,7 +797,7 @@ func (sh *sharded) stepEndAction() {
 		sh.fr.TimedOut = true
 		for i := range sh.msgs {
 			if !sh.e.dead[i] && !sh.fr.Outcomes[i].Delivered {
-				sh.failMessage(int32(i), -1, sh.limit, 0)
+				sh.failMessage(int32(i), -1, sh.limit)
 			}
 		}
 		if sh.probe != nil { // timeout events follow the final StepEnd

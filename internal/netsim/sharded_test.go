@@ -343,6 +343,13 @@ func TestShardedStatsConservation(t *testing.T) {
 	}
 }
 
+// simulateFaultsOn is SimulateFaults on engine e instead of a pooled
+// one: the closed-loop kernel at one shard.
+func simulateFaultsOn(e *Engine, msgs []*Message, mode Mode, opts FaultOpts) (*FaultResult, error) {
+	_, fr, _, err := (&sharded{e: e}).run(msgs, mode, opts, true, 1, false)
+	return fr, err
+}
+
 // TestShardedStatsConservationWithFaults checks the generalized
 // invariant moved+dropped == injected per shard under a killing
 // schedule, via the internal run (the stats themselves are not part of
@@ -351,7 +358,7 @@ func TestShardedStatsConservationWithFaults(t *testing.T) {
 	msgs := shardedWorkloads()["shared-bottleneck"]
 	sched := faults.NewSchedule().FailLink(9, 2)
 	sh := &sharded{e: NewEngine()}
-	_, fr, stats, err := sh.run(msgs, CutThrough, FaultOpts{Faults: sched}, true, nil, 4, true)
+	_, fr, stats, err := sh.run(msgs, CutThrough, FaultOpts{Faults: sched}, true, 4, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,8 +409,8 @@ func TestShardedPoolReuse(t *testing.T) {
 	}
 }
 
-// TestShardedErrorPaths pins the error contracts: invalid flits, the
-// unbounded-schedule guard, and the probes/shards arity check.
+// TestShardedErrorPaths pins the error contracts: invalid flits and
+// the unbounded-schedule guard.
 func TestShardedErrorPaths(t *testing.T) {
 	bad := []*Message{{Route: []int32{0, 1}, Flits: 0}}
 	if _, err := SimulateSharded(bad, CutThrough, 4); err == nil {
@@ -412,9 +419,6 @@ func TestShardedErrorPaths(t *testing.T) {
 	msgs := shardedWorkloads()["chain"]
 	if _, err := SimulateFaultsSharded(msgs, CutThrough, FaultOpts{Faults: &faults.PerStep{P: 0.5, Seed: 1}}, 4); err == nil {
 		t.Error("unbounded schedule without StepLimit accepted")
-	}
-	if _, err := SimulateShardedProbes(msgs, CutThrough, 3, []Probe{&traceProbe{}}); err == nil {
-		t.Error("probes/shards arity mismatch accepted")
 	}
 }
 
@@ -430,14 +434,6 @@ func TestShardedRejectsNegativeShards(t *testing.T) {
 		},
 		"SimulateShardedProbed": func(k int) error {
 			_, err := SimulateShardedProbed(msgs, CutThrough, k, &traceProbe{})
-			return err
-		},
-		"SimulateShardedProbes": func(k int) error {
-			probes := make([]Probe, max(k, 1))
-			for i := range probes {
-				probes[i] = &traceProbe{}
-			}
-			_, err := SimulateShardedProbes(msgs, CutThrough, k, probes)
 			return err
 		},
 		"SimulateFaultsSharded": func(k int) error {

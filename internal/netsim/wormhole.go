@@ -68,7 +68,7 @@ func (e *Engine) simulateWormhole(msgs []*Message) (*WormholeResult, error) {
 	total, links := shape.total, int(shape.links)
 	if e.probe != nil {
 		e.fillExt(msgs, int32(links))
-		e.beginProbe(msgs, int32(links), 0, true)
+		e.beginProbe(e.probe, msgs, int32(links), 0, true)
 	}
 	route, off := e.route, e.off
 

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"multipath/internal/faults"
+	"multipath/internal/hypercube"
 	"multipath/internal/netsim"
 )
 
@@ -316,8 +318,8 @@ func TestProbeDoesNotPerturbResults(t *testing.T) {
 }
 
 // Per-link queue-depth accumulation (RecorderOpts.LinkQueues) against
-// hand-fed probe callbacks: stats key by external id, Reset clears
-// them, and Merge sums them elementwise.
+// hand-fed probe callbacks: stats key by external id and Reset clears
+// them.
 func TestRecorderLinkQueueDepth(t *testing.T) {
 	rec := NewRecorderOpts(RecorderOpts{LinkQueues: true})
 	rec.BeginRun(netsim.RunInfo{Messages: 1, Links: 2, LinkExt: []int{4, 9}})
@@ -338,21 +340,6 @@ func TestRecorderLinkQueueDepth(t *testing.T) {
 	rec.EachLinkQueueDepth(func(link int, _ LinkQueueStat) { seen = append(seen, link) })
 	if len(seen) != 2 || seen[0] != 4 || seen[1] != 9 {
 		t.Fatalf("EachLinkQueueDepth visited %v, want [4 9]", seen)
-	}
-
-	// Merge sums counting stats even for overlapping link sets.
-	other := NewRecorderOpts(RecorderOpts{LinkQueues: true})
-	other.BeginRun(netsim.RunInfo{Messages: 1, Links: 2, LinkExt: []int{9, 12}})
-	other.StepEnd(0, []int{2, 7})
-	other.StepEnd(1, []int{0, 0})
-	if err := rec.Merge(other); err != nil {
-		t.Fatal(err)
-	}
-	if s, _ := rec.LinkQueueDepth(9); s.Sum != 3 || s.N != 4 || s.Max != 2 {
-		t.Fatalf("merged link 9: got %+v, want Sum 3 N 4 Max 2", s)
-	}
-	if s, _ := rec.LinkQueueDepth(12); s.Sum != 7 || s.N != 2 || s.Max != 7 {
-		t.Fatalf("merged link 12: got %+v", s)
 	}
 
 	rec.Reset()
@@ -382,5 +369,62 @@ func TestRecorderLinkQueuesNegativeIDs(t *testing.T) {
 	}
 	if s, ok := rec.LinkQueueDepth(-5); ok {
 		t.Fatalf("link -5 reported observed: %+v", s)
+	}
+}
+
+// TestRecorderOpenLoopShardedEqualsSingleShard pins the open-loop
+// observation contract: the sharded open-loop engine merges its
+// workers' probe events and latency observations into one canonical
+// stream, so a single Recorder (probe + MsgLatency sink) fed by
+// SimulateOpenLoopSharded must reproduce the single-shard-fed
+// Recorder exactly — histograms, counters, and per-link utilization.
+func TestRecorderOpenLoopShardedEqualsSingleShard(t *testing.T) {
+	q := hypercube.New(4)
+	rng := rand.New(rand.NewSource(23))
+	tmpls := netsim.PermutationMessages(q, rng.Perm(q.Nodes()), 3)
+	tr := &netsim.Trace{}
+	for i := range tmpls {
+		tr.Arrivals = append(tr.Arrivals, netsim.Arrival{Step: (i / 3) * 2, Tmpl: int32(i)})
+	}
+	opts := RecorderOpts{LinkUtil: true, UtilCap: 32}
+
+	run := func(shards int) (*Recorder, *netsim.OpenLoopResult) {
+		rec := NewRecorderOpts(opts)
+		ol := netsim.OpenLoopOpts{Mode: netsim.CutThrough, Probe: rec, Sink: rec.MsgLatency}
+		var res *netsim.OpenLoopResult
+		var err error
+		if shards <= 1 {
+			res, err = netsim.SimulateOpenLoop(tmpls, tr.Source(), ol)
+		} else {
+			res, err = netsim.SimulateOpenLoopSharded(tmpls, tr.Source(), ol, shards)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec, res
+	}
+
+	single, want := run(1)
+	for _, shards := range []int{2, 3, 8} {
+		got, res := run(shards)
+		if !reflect.DeepEqual(res, want) {
+			t.Fatalf("shards=%d: result %+v != single %+v", shards, res, want)
+		}
+		if !reflect.DeepEqual(got.MsgLatency, single.MsgLatency) {
+			t.Errorf("shards=%d: msg latency %+v != %+v", shards, got.MsgLatency, single.MsgLatency)
+		}
+		if !reflect.DeepEqual(got.FlitLatency, single.FlitLatency) {
+			t.Errorf("shards=%d: flit latency diverges", shards)
+		}
+		if !reflect.DeepEqual(got.QueueDepth, single.QueueDepth) {
+			t.Errorf("shards=%d: queue depth diverges", shards)
+		}
+		if got.Delivered != single.Delivered || got.Failed != single.Failed ||
+			got.Moved != single.Moved || got.Dropped != single.Dropped {
+			t.Errorf("shards=%d: counters diverge: %+v vs %+v", shards, got, single)
+		}
+		if !reflect.DeepEqual(got.LinkUtilization(), single.LinkUtilization()) {
+			t.Errorf("shards=%d: link utilization diverges", shards)
+		}
 	}
 }

@@ -59,13 +59,10 @@ func (s LinkQueueStat) Mean() float64 {
 // read as per-round latency distributions.
 //
 // A Recorder accumulates across runs until discarded; it is not safe
-// for concurrent use (a probe observes one engine, which is itself
-// single-goroutine). The sharded engine fits that contract two ways:
-// netsim.SimulateShardedProbed delivers one merged, canonically
-// ordered stream to a single Recorder, and
-// netsim.SimulateShardedProbes gives each shard its own Recorder —
-// folded together afterwards with Merge — so recording never crosses
-// a goroutine.
+// for concurrent use, and needs none: netsim calls a probe one event
+// at a time, and at two or more shards netsim.SimulateShardedProbed
+// delivers one merged, canonically ordered stream from the step
+// barrier, so one Recorder observes a sharded run whole.
 type Recorder struct {
 	// FlitLatency observes the arrival step of every flit at its
 	// destination; MsgLatency the completion step of every delivered

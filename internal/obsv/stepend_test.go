@@ -114,15 +114,10 @@ func stepEndScenarios() map[string][]synthRun {
 	}
 }
 
-// drive feeds the runs to p, shifting every external id by shift (so
-// two recorders can observe disjoint links for Merge).
-func drive(p netsim.Probe, runs []synthRun, shift int) {
+// drive feeds the runs to p.
+func drive(p netsim.Probe, runs []synthRun) {
 	for _, run := range runs {
-		ext := make([]int, len(run.ext))
-		for i, id := range run.ext {
-			ext[i] = id + shift
-		}
-		p.BeginRun(netsim.RunInfo{Messages: 1, Links: len(ext), LinkExt: ext})
+		p.BeginRun(netsim.RunInfo{Messages: 1, Links: len(run.ext), LinkExt: run.ext})
 		for s, st := range run.steps {
 			for _, l := range st.moves {
 				p.FlitMoved(s+1, 0, l)
@@ -176,8 +171,7 @@ func viewOf(r *Recorder) recorderView {
 // the per-link loop it replaced, on synthetic steps under LinkQueues
 // and LinkUtil on and off, and once with a zero-bucket QueueDepth
 // (every sample overflows): every exported field, summary, per-link
-// queue stat and utilization series must agree, alone and after Merge
-// with a recorder of disjoint links.
+// queue stat and utilization series must agree.
 func TestRecorderStepEndMatchesPerLink(t *testing.T) {
 	type variant struct {
 		name      string
@@ -209,21 +203,10 @@ func TestRecorderStepEndMatchesPerLink(t *testing.T) {
 		}
 		for name, runs := range scenarios {
 			got, want := newRec(), newRec()
-			drive(got, runs, 0)
-			drive(refRecorder{want}, runs, 0)
+			drive(got, runs)
+			drive(refRecorder{want}, runs)
 			if g, w := viewOf(got), viewOf(want); !reflect.DeepEqual(g, w) {
 				t.Fatalf("%s/%s: bulk StepEnd diverged\n got %+v\nwant %+v", v.name, name, g, w)
-			}
-
-			gotOther, wantOther := newRec(), newRec()
-			drive(gotOther, scenarios["mixed"], 100)
-			drive(refRecorder{wantOther}, scenarios["mixed"], 100)
-			gErr, wErr := got.Merge(gotOther), want.Merge(wantOther)
-			if (gErr == nil) != (wErr == nil) {
-				t.Fatalf("%s/%s: Merge errors differ: %v vs %v", v.name, name, gErr, wErr)
-			}
-			if g, w := viewOf(got), viewOf(want); !reflect.DeepEqual(g, w) {
-				t.Fatalf("%s/%s: merged recorders diverged\n got %+v\nwant %+v", v.name, name, g, w)
 			}
 		}
 	}

@@ -17,6 +17,22 @@ import (
 // open-loop experiments. Traces are materialized (netsim.Trace) rather
 // than streamed so a run can be replayed bit-identically through both
 // netsim.SimulateOpenLoop and its naive golden model.
+//
+// Every parameter must be a finite number: NaN passes no comparison
+// and would otherwise flow into the running time unchecked. A trace
+// whose running time reaches 2^63 steps, which no int step can hold, is
+// an error naming the arrival that got there.
+
+// finite reports whether x is neither NaN nor ±Inf.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
+// stepOf floors arrival i's running time t onto the integer step grid.
+func stepOf(i int, t float64) (int, error) {
+	if !(t < math.MaxInt) {
+		return 0, fmt.Errorf("traffic: arrival %d falls at time %v, past the last representable step", i, t)
+	}
+	return int(t), nil
+}
 
 // PoissonArrivals draws count arrivals of a Poisson process with the
 // given rate (expected arrivals per step), each naming one of ntmpl
@@ -25,8 +41,8 @@ import (
 // floored onto the integer step grid, so same-step bursts occur
 // naturally when rate is high.
 func PoissonArrivals(seed int64, rate float64, count, ntmpl int) (*netsim.Trace, error) {
-	if rate <= 0 {
-		return nil, fmt.Errorf("traffic: Poisson rate must be positive, got %v", rate)
+	if !(rate > 0) || !finite(rate) {
+		return nil, fmt.Errorf("traffic: Poisson rate must be positive and finite, got %v", rate)
 	}
 	if count < 0 {
 		return nil, fmt.Errorf("traffic: arrival count must be nonnegative, got %d", count)
@@ -39,7 +55,11 @@ func PoissonArrivals(seed int64, rate float64, count, ntmpl int) (*netsim.Trace,
 	t := 0.0
 	for i := 0; i < count; i++ {
 		t += rng.ExpFloat64() / rate
-		tr.Arrivals = append(tr.Arrivals, netsim.Arrival{Step: int(t), Tmpl: int32(rng.Intn(ntmpl))})
+		step, err := stepOf(i, t)
+		if err != nil {
+			return nil, err
+		}
+		tr.Arrivals = append(tr.Arrivals, netsim.Arrival{Step: step, Tmpl: int32(rng.Intn(ntmpl))})
 	}
 	return tr, nil
 }
@@ -54,11 +74,11 @@ func PoissonArrivals(seed int64, rate float64, count, ntmpl int) (*netsim.Trace,
 // leaps over. Gaps are floored onto the integer step grid; the same
 // seed always yields the same trace.
 func ParetoArrivals(seed int64, alpha, scale float64, count, ntmpl int) (*netsim.Trace, error) {
-	if alpha <= 0 {
-		return nil, fmt.Errorf("traffic: Pareto alpha must be positive, got %v", alpha)
+	if !(alpha > 0) || !finite(alpha) {
+		return nil, fmt.Errorf("traffic: Pareto alpha must be positive and finite, got %v", alpha)
 	}
-	if scale <= 0 {
-		return nil, fmt.Errorf("traffic: Pareto scale must be positive, got %v", scale)
+	if !(scale > 0) || !finite(scale) {
+		return nil, fmt.Errorf("traffic: Pareto scale must be positive and finite, got %v", scale)
 	}
 	if count < 0 {
 		return nil, fmt.Errorf("traffic: arrival count must be nonnegative, got %d", count)
@@ -74,7 +94,11 @@ func ParetoArrivals(seed int64, alpha, scale float64, count, ntmpl int) (*netsim
 		// inverse-CDF transform below cannot divide by zero.
 		u := 1 - rng.Float64()
 		t += scale / math.Pow(u, 1/alpha)
-		tr.Arrivals = append(tr.Arrivals, netsim.Arrival{Step: int(t), Tmpl: int32(rng.Intn(ntmpl))})
+		step, err := stepOf(i, t)
+		if err != nil {
+			return nil, err
+		}
+		tr.Arrivals = append(tr.Arrivals, netsim.Arrival{Step: step, Tmpl: int32(rng.Intn(ntmpl))})
 	}
 	return tr, nil
 }
@@ -87,8 +111,11 @@ func ParetoArrivals(seed int64, alpha, scale float64, count, ntmpl int) (*netsim
 // bursts of near-simultaneous arrivals. Gaps are floored onto the
 // integer step grid; the same seed always yields the same trace.
 func LogNormalArrivals(seed int64, mu, sigma float64, count, ntmpl int) (*netsim.Trace, error) {
-	if sigma < 0 {
-		return nil, fmt.Errorf("traffic: log-normal sigma must be nonnegative, got %v", sigma)
+	if !finite(mu) {
+		return nil, fmt.Errorf("traffic: log-normal mu must be finite, got %v", mu)
+	}
+	if !(sigma >= 0) || !finite(sigma) {
+		return nil, fmt.Errorf("traffic: log-normal sigma must be nonnegative and finite, got %v", sigma)
 	}
 	if count < 0 {
 		return nil, fmt.Errorf("traffic: arrival count must be nonnegative, got %d", count)
@@ -101,7 +128,11 @@ func LogNormalArrivals(seed int64, mu, sigma float64, count, ntmpl int) (*netsim
 	t := 0.0
 	for i := 0; i < count; i++ {
 		t += math.Exp(mu + sigma*rng.NormFloat64())
-		tr.Arrivals = append(tr.Arrivals, netsim.Arrival{Step: int(t), Tmpl: int32(rng.Intn(ntmpl))})
+		step, err := stepOf(i, t)
+		if err != nil {
+			return nil, err
+		}
+		tr.Arrivals = append(tr.Arrivals, netsim.Arrival{Step: step, Tmpl: int32(rng.Intn(ntmpl))})
 	}
 	return tr, nil
 }
@@ -116,11 +147,11 @@ func LogNormalArrivals(seed int64, mu, sigma float64, count, ntmpl int) (*netsim
 // process starts in the low phase; the same seed always yields the
 // same trace.
 func MMPPArrivals(seed int64, lowRate, highRate, meanDwell float64, count, ntmpl int) (*netsim.Trace, error) {
-	if lowRate <= 0 || highRate <= 0 {
-		return nil, fmt.Errorf("traffic: MMPP rates must be positive, got %v and %v", lowRate, highRate)
+	if !(lowRate > 0) || !(highRate > 0) || !finite(lowRate) || !finite(highRate) {
+		return nil, fmt.Errorf("traffic: MMPP rates must be positive and finite, got %v and %v", lowRate, highRate)
 	}
-	if meanDwell <= 0 {
-		return nil, fmt.Errorf("traffic: MMPP mean dwell must be positive, got %v", meanDwell)
+	if !(meanDwell > 0) || !finite(meanDwell) {
+		return nil, fmt.Errorf("traffic: MMPP mean dwell must be positive and finite, got %v", meanDwell)
 	}
 	if count < 0 {
 		return nil, fmt.Errorf("traffic: arrival count must be nonnegative, got %d", count)
@@ -146,7 +177,11 @@ func MMPPArrivals(seed int64, lowRate, highRate, meanDwell float64, count, ntmpl
 		}
 		t += gap
 		dwell -= gap
-		tr.Arrivals = append(tr.Arrivals, netsim.Arrival{Step: int(t), Tmpl: int32(rng.Intn(ntmpl))})
+		step, err := stepOf(len(tr.Arrivals), t)
+		if err != nil {
+			return nil, err
+		}
+		tr.Arrivals = append(tr.Arrivals, netsim.Arrival{Step: step, Tmpl: int32(rng.Intn(ntmpl))})
 	}
 	return tr, nil
 }

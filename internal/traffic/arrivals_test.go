@@ -278,6 +278,21 @@ func TestArrivalErrors(t *testing.T) {
 	if _, err := MMPPArrivals(1, 1, 2, 10, 10, 0); err == nil {
 		t.Error("zero templates accepted with positive count")
 	}
+	// NaN parameters, and running times past the last int step, used to
+	// return traces of negative steps with a nil error.
+	nan := math.NaN()
+	for name, draw := range map[string]func() (*netsim.Trace, error){
+		"Poisson NaN rate":   func() (*netsim.Trace, error) { return PoissonArrivals(1, nan, 10, 1) },
+		"Poisson tiny rate":  func() (*netsim.Trace, error) { return PoissonArrivals(1, 1e-300, 10, 1) },
+		"Pareto tiny alpha":  func() (*netsim.Trace, error) { return ParetoArrivals(1, 0.01, 1, 5000, 1) },
+		"log-normal huge mu": func() (*netsim.Trace, error) { return LogNormalArrivals(1, 800, 0, 10, 1) },
+		"log-normal NaN mu":  func() (*netsim.Trace, error) { return LogNormalArrivals(1, nan, 0, 10, 1) },
+		"MMPP NaN low rate":  func() (*netsim.Trace, error) { return MMPPArrivals(1, nan, 1, 10, 10, 1) },
+	} {
+		if tr, err := draw(); err == nil {
+			t.Errorf("%s accepted: first step %d", name, tr.Arrivals[0].Step)
+		}
+	}
 }
 
 // TestArrivalsDriveOpenLoop closes the loop end to end: a Poisson
