@@ -25,9 +25,10 @@ import (
 // first queued request with an available flit crosses; requests
 // enqueued on the same step are ordered by message id (then hop).
 //
-// Its own step loops are Simulate (closed loop, no faults, no probe),
-// SimulateOpenLoop and the wormhole model; closed-loop runs with faults
-// or a probe run the closed-loop kernel of sharded.go over an Engine's
+// Its step loops are Simulate (closed loop, no faults, no probe), the
+// open loop (openLoop, every open-loop entry point at every shard
+// count) and the wormhole model; closed-loop runs with faults or a
+// probe run the closed-loop kernel of sharded.go over an Engine's
 // state.
 //
 // An Engine is not safe for concurrent use. Every package-level entry
@@ -79,13 +80,10 @@ type Engine struct {
 
 	// Fault-path scratch: dense link id → external id for fault
 	// queries, blame and probes; the closed-loop kernel's per-message
-	// dead flags and kill batch per down link; the open loop's per-step
-	// batch of permanently-down links, whose kills are deferred to the
-	// end of the transfer phase.
+	// dead flags; the kill batch per down link.
 	ext  []int
 	dead []bool
 	kill []int32
-	down []int32
 	// The run's resolved fault set (markFaults): mayFail flags the
 	// dense links whose Status the kernels ask, and faultIDs receives
 	// the external ids a listing oracle appends.
@@ -121,10 +119,19 @@ type Engine struct {
 	olBuffer   []int
 	olQueued   []bool
 	olQNext    []int32
-	// olKeys is the scratch of the open loop's ordering sorts: packed
-	// msg<<32 | position (or slot) keys, sorted with slices.Sort so no
-	// comparator chases the slot table.
+	// olKeys is the scratch of the open loop's single-threaded sorts:
+	// the StepLimit sweep's msg<<32 | slot keys and, at two or more
+	// shards, the merged moves and deliveries, sorted with slices.Sort
+	// so no comparator chases the slot table.
 	olKeys []uint64
+	// olOpts is the run's options as the open loop's workers read them
+	// at two or more shards; cleared when the run ends.
+	olOpts OpenLoopOpts
+
+	// part is the shard layout of the open loop's runs (shard 0 alone
+	// at one shard): per-shard worklists, arrival batches and rings,
+	// kept warm across runs like every other buffer here.
+	part partition
 
 	// Wormhole scratch (SimulateWormhole shares the numbering pass and
 	// the crossed array; the channel-holding state below is its own).
@@ -139,12 +146,6 @@ type Engine struct {
 	whMoves        []int32
 
 	res *Result
-
-	// probe, when non-nil, receives the observation events (see
-	// probe.go) of one open-loop or wormhole run: the entry point sets
-	// it for the run and clears it after. Every call site is guarded by
-	// a nil-check on this field.
-	probe Probe
 }
 
 // NewEngine returns an empty Engine; buffers grow on first use.
@@ -179,8 +180,8 @@ type routeShape struct {
 
 // numberAll validates the messages and runs the contiguous
 // link-numbering pass in one scan, returning the run's shape. Every
-// engine path (Simulate, simulateWormhole, the open loop, and both
-// sharded kernels) starts here, so flit validation and numbering
+// engine path (Simulate, simulateWormhole, the open loop, and the
+// closed-loop kernel) starts here, so flit validation and numbering
 // cannot drift between them. A warm engine performs no allocation in
 // this pass (pinned by TestNumberAllNoAllocs).
 func (e *Engine) numberAll(msgs []*Message) (routeShape, error) {

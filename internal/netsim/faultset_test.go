@@ -170,7 +170,7 @@ func TestFaultSetShardedEquivalence(t *testing.T) {
 						if shards == 1 {
 							e := NewEngine()
 							preRun(t, e, c.pre)
-							out.Res, err = e.SimulateOpenLoop(c.msgs, src, o)
+							out.Res, _, err = e.openLoop(c.msgs, src, o, 1, false)
 						} else {
 							preRun(t, nil, c.pre)
 							out.Res, err = SimulateOpenLoopSharded(c.msgs, src, o, shards)

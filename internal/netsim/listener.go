@@ -17,17 +17,20 @@ package netsim
 // across SimulateOpenLoop and SimulateOpenLoopSharded at every shard
 // count:
 //
-//   - Within a step, LinkDown events fire in ascending external link
-//     id order, each immediately followed by the MsgFailed events of
-//     the messages it killed (ascending queue order on that link).
+//   - Within a step, LinkDown events fire in ascending dense link id
+//     order — the order in which the templates' routes first cross the
+//     links, not external id order: templates [[5], [3]] losing both
+//     links at once report link 5 first — each immediately followed by
+//     the MsgFailed events of the messages it killed (ascending queue
+//     order on that link).
 //   - All of a step's failure events fire after its transfer phase and
 //     before its deliveries and injections — so a reroute scheduled
 //     from a callback for step t+k is seen by the engine before any
 //     step-t arrival is pulled.
 //
-// Listeners are called synchronously from the simulation loop (in the
-// sharded engine, from single-threaded barrier actions); they must not
-// call back into the running engine.
+// Listeners are called synchronously from the simulation loop, on the
+// caller's goroutine at every shard count; they must not call back
+// into the running engine.
 type FaultListener interface {
 	// LinkDown reports that the fault schedule's permanent outage of a
 	// link was observed at step: traffic queued on the link tried to

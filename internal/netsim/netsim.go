@@ -22,12 +22,15 @@
 //
 // The simulation core is a dense, worklist-driven Engine: a numbering
 // pass gives links contiguous ids, per-link FIFOs live in flat reusable
-// slices, and each step touches only links that can move a flit. Every
-// entry point — closed-loop, open-loop, wormhole, and their sharded
-// forms — borrows its Engine from one pool that the garbage collector
-// never empties, so a warm Engine's buffers serve whichever simulation
-// runs next; SimulateBatch fans independent simulations out across
-// GOMAXPROCS workers. The original
+// slices, and each step touches only links that can move a flit. Three
+// buffered step loops run on it: Engine.Simulate, the bare closed loop;
+// the closed-loop kernel of every run with faults, a probe or shards;
+// and the open loop, one loop at every shard count whose transfer and
+// arrival phases run per shard. Every entry point — closed-loop,
+// open-loop, wormhole, and their sharded forms — borrows its Engine
+// from one pool that the garbage collector never empties, so a warm
+// Engine's buffers serve whichever simulation runs next; SimulateBatch
+// fans independent simulations out across GOMAXPROCS workers. The original
 // map-scanning simulator is retained as SimulateReference — the golden
 // model for equivalence tests and old-vs-new benchmarks.
 package netsim

@@ -45,8 +45,10 @@ import (
 // Simulate bit-identically. The per-step enqueue tie-break is the
 // documented (message id, hop) order, with trace position serving as
 // the message id. SimulateOpenLoopReference retains the naive
-// per-step, no-recycling model as the golden reference; the fuzzer
-// holds the two bit-identical.
+// per-step, no-recycling model as the golden reference; the fuzzers
+// hold the engine to it at every shard count. The step loop (openLoop)
+// is one loop at every shard count; openloop_sharded.go holds its
+// per-shard transfer and arrival phases.
 
 // Arrival is one open-loop message injection: at the end of Step, a
 // message with template Tmpl (an index into the template slice handed
@@ -217,112 +219,130 @@ type OpenLoopResult struct {
 // it is safe for concurrent use.
 func SimulateOpenLoop(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts) (*OpenLoopResult, error) {
 	e := enginePool.get()
-	olr, err := e.SimulateOpenLoop(tmpls, src, opts)
+	olr, _, err := e.openLoop(tmpls, src, opts, 1, false)
 	enginePool.put(e)
 	return olr, err
 }
 
-// SimulateOpenLoop is the Engine-level open-loop path; see the
-// package-level SimulateOpenLoop.
-func (e *Engine) SimulateOpenLoop(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts) (*OpenLoopResult, error) {
+// openLoop is the open-loop step loop behind every open-loop entry
+// point at every shard count; shards is clamped to [1, min(links,
+// 255)]. The loop keeps the arrival stream, the leap clock, the
+// StepLimit sweep, the livelock bound, kills, recycling, injections
+// and StepEnd; the transfer and arrival phases run per shard
+// (olTransfer, olArrive): shard 0 on the caller's goroutine, shards 1
+// and up on workers, with the loop's single-threaded work between the
+// phases.
+func (e *Engine) openLoop(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts, shards int, wantStats bool) (*OpenLoopResult, []ShardStat, error) {
 	if err := opts.validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	shape, err := e.numberAll(tmpls)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	links := shape.links
 	maxRoute := shape.maxRoute
+	shards = max(1, min(shards, int(links), 255)) // owner table is uint8
 
 	graceful := opts.StepLimit > 0
 	horizon := 0
 	if opts.Faults != nil {
 		horizon = opts.Faults.Horizon()
 		if horizon < 0 && !graceful {
-			return nil, fmt.Errorf("netsim: unbounded fault schedule requires OpenLoopOpts.StepLimit")
+			return nil, nil, fmt.Errorf("netsim: unbounded fault schedule requires OpenLoopOpts.StepLimit")
 		}
 	}
 
 	e.growState(0, 0, int(links))
-	e.probe = opts.Probe
-	if e.probe != nil || opts.Faults != nil {
+	probe := opts.Probe
+	if probe != nil || opts.Faults != nil {
 		e.fillExt(tmpls, links)
 	}
 	if opts.Faults != nil {
 		e.markFaults(opts.Faults, links)
 	}
-	if e.probe != nil {
-		e.probe.BeginRun(RunInfo{Messages: -1, Links: int(links), LinkExt: e.ext[:links], Mode: opts.Mode})
+	if probe != nil {
+		probe.BeginRun(RunInfo{Messages: -1, Links: int(links), LinkExt: e.ext[:links], Mode: opts.Mode})
 	}
 
 	e.olReset(len(tmpls))
+	pt := &e.part
+	pt.split(links, shards)
+	st0 := pt.states[0]
+	defer e.olFinish()
+	if shards > 1 {
+		e.olOpts = opts
+		for k := 1; k < shards; k++ {
+			pt.wg.Add(1)
+			go e.olWorker(k)
+		}
+		pt.bar.gather()
+	}
 
 	olr := &OpenLoopResult{}
-	e.res = &olr.Result
-	defer func() {
-		e.res = nil
-		e.probe = nil
-	}()
-
 	nextMsg := int32(0)
 	lastStep := 0 // step of the last successful pull, for re-poll checks
 	pending, havePending := src.Next()
 	if havePending {
 		if pending.Step < 0 {
-			return nil, fmt.Errorf("netsim: arrival step %d is negative", pending.Step)
+			return nil, nil, fmt.Errorf("netsim: arrival step %d is negative", pending.Step)
 		}
 		lastStep = pending.Step
 	}
 
-	// inject places the pending arrival at the given step and returns
-	// the base position to enqueue, or -1 for empty-route templates
-	// (delivered on the spot, latency 0).
-	inject := func(step int) (int32, error) {
-		a := pending
-		if a.Tmpl < 0 || int(a.Tmpl) >= len(tmpls) {
-			return -1, fmt.Errorf("netsim: arrival %d names template %d of %d", nextMsg, a.Tmpl, len(tmpls))
-		}
-		msg := nextMsg
-		nextMsg++
-		if nextMsg < 0 {
-			return -1, fmt.Errorf("netsim: arrival count overflows int32 message ids")
-		}
-		olr.Injected++
-		t := a.Tmpl
-		flits := tmpls[t].Flits
-		hops := int(e.off[t+1] - e.off[t])
-		olr.InjectedHops += flits * hops
-		if hops == 0 {
-			olr.DeliveredMsgs++
-			if e.probe != nil {
-				e.probe.MsgDone(step, msg, true)
+	// injectDue injects every pending arrival due at step, in trace
+	// order, pulling the next after each and enforcing nondecreasing
+	// steps (nextMsg is then the offending arrival's index). An
+	// empty-route template delivers on the spot (latency 0); any other
+	// claims a slot whose base position joins the worklist of the shard
+	// owning its first link. The caller checks that the pending arrival
+	// is due.
+	injectDue := func(step int) error {
+		for havePending && pending.Step == step {
+			t := pending.Tmpl
+			if t < 0 || int(t) >= len(tmpls) {
+				return fmt.Errorf("netsim: arrival %d names template %d of %d", nextMsg, t, len(tmpls))
 			}
-			if opts.Sink != nil && step >= opts.MeasureAfter {
-				opts.Sink.Observe(0)
+			msg := nextMsg
+			nextMsg++
+			if nextMsg < 0 {
+				return fmt.Errorf("netsim: arrival count overflows int32 message ids")
 			}
-			if opts.PerMessage != nil {
-				opts.PerMessage(msg, step, step, true)
+			olr.Injected++
+			flits := tmpls[t].Flits
+			hops := int(e.off[t+1] - e.off[t])
+			olr.InjectedHops += flits * hops
+			if wantStats {
+				for p := e.off[t]; p < e.off[t+1]; p++ {
+					pt.shardOf(e.route[p]).injected += flits
+				}
 			}
-			return -1, nil
+			if hops == 0 {
+				olr.DeliveredMsgs++
+				if probe != nil {
+					probe.MsgDone(step, msg, true)
+				}
+				if opts.Sink != nil && step >= opts.MeasureAfter {
+					opts.Sink.Observe(0)
+				}
+				if opts.PerMessage != nil {
+					opts.PerMessage(msg, step, step, true)
+				}
+			} else {
+				base := e.olClaim(t, msg, flits, step)
+				olr.MaxInFlight = max(olr.MaxInFlight, e.olLive)
+				e.olEnqueue(pt.shardOf(e.olRoute[base]), base)
+			}
+			n, ok := src.Next()
+			if ok {
+				if n.Step < pending.Step {
+					return fmt.Errorf("netsim: arrival %d: steps must be nondecreasing (step %d after %d)", nextMsg, n.Step, pending.Step)
+				}
+				lastStep = n.Step
+			}
+			pending, havePending = n, ok
 		}
-		base := e.olClaim(t, msg, flits, step)
-		olr.MaxInFlight = max(olr.MaxInFlight, e.olLive)
-		return base, nil
-	}
-
-	// advance reads the next arrival, enforcing nondecreasing steps.
-	// advance always runs right after injecting the previous arrival,
-	// so nextMsg is the offending arrival's index.
-	advance := func() (Arrival, bool, error) {
-		n, ok := src.Next()
-		if ok {
-			if n.Step < pending.Step {
-				return n, ok, fmt.Errorf("netsim: arrival %d: steps must be nondecreasing (step %d after %d)", nextMsg, n.Step, pending.Step)
-			}
-			lastStep = n.Step
-		}
-		return n, ok, nil
+		return nil
 	}
 
 	// repoll re-queries an exhausted source. With a listener attached
@@ -348,10 +368,11 @@ func (e *Engine) SimulateOpenLoop(tmpls []*Message, src ArrivalSource, opts Open
 
 	step := 0
 	lastProgress := 0
+	movedPrev := 0 // flits moved before the current step
 	for {
 		if e.olLive == 0 {
 			if err := repoll(); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			if !havePending {
 				break
@@ -368,17 +389,8 @@ func (e *Engine) SimulateOpenLoop(tmpls []*Message, src ArrivalSource, opts Open
 			}
 			// Leap landing: inject everything due now. Bases enqueue in
 			// trace order, which is (message id, hop=0) order already.
-			for havePending && pending.Step == step {
-				base, err := inject(step)
-				if err != nil {
-					return nil, err
-				}
-				if base >= 0 {
-					e.olEnqueue(base)
-				}
-				if pending, havePending, err = advance(); err != nil {
-					return nil, err
-				}
+			if err := injectDue(step); err != nil {
+				return nil, nil, err
 			}
 			lastProgress = step
 			continue
@@ -388,8 +400,9 @@ func (e *Engine) SimulateOpenLoop(tmpls []*Message, src ArrivalSource, opts Open
 		if graceful && step > opts.StepLimit {
 			olr.TimedOut = true
 			// Sweep in ascending message id order — the canonical
-			// failure order shared with the sharded engine and the
-			// reference model (slot order is arrival-history-dependent).
+			// failure order shared with the reference model (slot order
+			// is arrival-history-dependent). The events follow the final
+			// StepEnd.
 			for _, k := range e.olLiveKeys() {
 				s := int32(uint32(k))
 				e.olFailSlot(s, opts.StepLimit, -1, &opts, olr)
@@ -403,148 +416,54 @@ func (e *Engine) SimulateOpenLoop(tmpls []*Message, src ArrivalSource, opts Open
 				slack += h
 			}
 			if step-lastProgress > slack {
-				return nil, fmt.Errorf("netsim: no progress after %d steps", slack)
+				return nil, nil, fmt.Errorf("netsim: no progress after %d steps", slack)
 			}
 		}
 
-		movedBefore := olr.FlitsMoved
-		cur := e.work
-		e.work = e.scratch[:0]
-		arr := e.arrivals[:0]
-		down := e.down[:0]
-		// Transfer phase: identical to the closed-loop engines, over
-		// the arena arrays.
-		for _, l := range cur {
-			if e.credit[l] <= 0 {
-				e.inWork[l] = false
-				continue
-			}
-			if opts.Faults != nil && e.mayFail[l] {
-				if dn, perm := opts.Faults.Status(e.ext[l], step); dn {
-					if !perm {
-						e.work = append(e.work, l)
-						continue
-					}
-					down = append(down, l)
-					e.inWork[l] = false
-					continue
-				}
-			}
-			prev := int32(-1)
-			p := e.qhead[l]
-			for p >= 0 && e.olArrived[p]-e.olCrossed[p] <= 0 {
-				prev = p
-				p = e.olQNext[p]
-			}
-			if p < 0 { // defensive: credit promised a sendable request
-				e.credit[l] = 0
-				e.inWork[l] = false
-				continue
-			}
-			s := e.olPosSlot[p]
-			e.olCrossed[p]++
-			e.credit[l]--
-			olr.FlitsMoved++
-			if e.probe != nil {
-				e.probe.FlitMoved(step, e.olSlotMsg[s], l)
-			}
-			arr = append(arr, p)
-			if e.olCrossed[p] == e.olSlotFl[s] {
-				nx := e.olQNext[p]
-				if prev < 0 {
-					e.qhead[l] = nx
-				} else {
-					e.olQNext[prev] = nx
-				}
-				if nx < 0 {
-					e.qtail[l] = prev
-				}
-				e.qlen[l]--
-				e.olQueued[p] = false
-			}
-			if e.credit[l] > 0 {
-				e.work = append(e.work, l)
-			} else {
-				e.inWork[l] = false
+		// Transfer phase: shard 0 here, shards 1 and up on their
+		// workers; their buffered moves flush sorted by (link, msg).
+		if shards > 1 {
+			pt.step = step
+			pt.bar.release()
+		}
+		e.olTransfer(0, step, &opts)
+		if shards > 1 {
+			pt.bar.gather()
+			if probe != nil {
+				e.olKeys = pt.flushMoves(probe, step, e.olKeys)
 			}
 		}
-		// Kill phase: as in SimulateFaults, permanently-down links
-		// fail their sendable queued messages after the transfer phase,
-		// in a canonical order. Killed slots stay marked dead through
-		// the arrival phase (their flits moved this step must not feed
-		// downstream hops) and are recycled at the end of the step.
+		// Kill phase: as in the closed-loop kernel, permanently-down
+		// links fail their sendable queued messages after the transfer
+		// phase, in ascending dense-link order (shards own ascending
+		// ranges). Killed slots stay marked dead through the arrival
+		// phase (their flits moved this step must not feed downstream
+		// hops) and are recycled at the end of the step.
 		killed := false
-		if len(down) > 0 {
-			slices.Sort(down)
-			for _, l := range down {
-				if opts.Listener != nil {
-					opts.Listener.LinkDown(step, e.ext[l], true)
+		if opts.Faults != nil {
+			for _, st := range pt.states[:shards] {
+				if len(st.down) > 1 {
+					slices.Sort(st.down)
 				}
-				e.olKillQueued(l, step, &opts, olr)
+				for _, l := range st.down {
+					if opts.Listener != nil {
+						opts.Listener.LinkDown(step, e.ext[l], true)
+					}
+					e.olKillQueued(l, step, &opts, olr)
+				}
 			}
 			killed = len(e.olKilled) > 0
 		}
-		e.down = down
-		// Arrival phase. New requests are collected as msg<<32 | position
-		// keys: a slot's positions ascend with hop, so ascending keys are
-		// the documented (message id, hop) FIFO tie-break, whatever slots
-		// recycling has handed out.
-		keys := e.olKeys[:0]
-		for _, p := range arr {
-			s := e.olPosSlot[p]
-			if e.olSlotDead[s] {
-				continue
-			}
-			flits := e.olSlotFl[s]
-			msg := e.olSlotMsg[s]
-			next := p + 1
-			if _, end := e.olSpan(s); next == end {
-				if e.probe != nil {
-					e.probe.FlitDelivered(step, msg)
-				}
-				if e.olCrossed[p] == flits {
-					olr.DeliveredMsgs++
-					if e.probe != nil {
-						e.probe.MsgDone(step, msg, true)
-					}
-					if opts.Sink != nil && e.olSlotArr[s] >= opts.MeasureAfter {
-						opts.Sink.Observe(step - e.olSlotArr[s])
-					}
-					if opts.PerMessage != nil {
-						opts.PerMessage(msg, e.olSlotArr[s], step, true)
-					}
-					// Recycle. Safe immediately: a message delivering at
-					// this step moved no other flit this step (all its
-					// upstream hops finished on earlier steps), so no
-					// other arr entry or enqueue key can reach s.
-					e.olRecycle(s)
-				}
-				continue
-			}
-			switch opts.Mode {
-			case CutThrough:
-				e.olArrived[next]++
-				if e.olQueued[next] {
-					e.addCredit(e.olRoute[next], 1)
-				}
-			case StoreAndForward:
-				e.olBuffer[next]++
-				if e.olBuffer[next] == flits {
-					e.olArrived[next] = flits
-					if e.olQueued[next] {
-						e.addCredit(e.olRoute[next], flits-e.olCrossed[next])
-					}
-				}
-			}
-			if !e.olQueued[next] && e.olArrived[next] > 0 {
-				keys = append(keys, uint64(msg)<<32|uint64(next))
-			}
+		// Arrival phase; at two or more shards the shards' final-hop
+		// arrivals then fold in message-id order.
+		if shards > 1 {
+			pt.bar.release()
 		}
-		slices.Sort(keys)
-		for _, k := range keys {
-			e.olEnqueue(int32(uint32(k)))
+		e.olArrive(0, step, &opts, olr)
+		if shards > 1 {
+			pt.bar.gather()
+			e.olFlushDone(step, &opts, olr)
 		}
-		e.olKeys = keys
 		// Recycle slots killed this step (after the arrival phase so
 		// their dead flags were visible to it; before injections so a
 		// same-step arrival can reuse them).
@@ -558,42 +477,44 @@ func (e *Engine) SimulateOpenLoop(tmpls []*Message, src ArrivalSource, opts Open
 		// this step's kills may have scheduled reroutes, so re-check an
 		// exhausted source first.
 		if err := repoll(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		injected := false
-		for havePending && pending.Step == step {
-			base, err := inject(step)
-			if err != nil {
-				return nil, err
-			}
-			if base >= 0 {
-				e.olEnqueue(base)
-			}
-			injected = true
-			if pending, havePending, err = advance(); err != nil {
-				return nil, err
+		injected := havePending && pending.Step == step
+		if injected {
+			if err := injectDue(step); err != nil {
+				return nil, nil, err
 			}
 		}
-		e.arrivals = arr
-		e.scratch = cur[:0]
-		if e.probe != nil {
-			e.probe.StepEnd(step, e.qlen[:links])
+		if probe != nil {
+			probe.StepEnd(step, e.qlen[:links])
 		}
-		if olr.FlitsMoved > movedBefore || killed || injected {
+		moved := st0.moved
+		if shards > 1 {
+			moved = pt.moved()
+		}
+		if moved > movedPrev || killed || injected {
 			lastProgress = step
 		}
+		movedPrev = moved
 	}
 	if olr.TimedOut {
 		olr.Steps = opts.StepLimit
 	} else {
 		olr.Steps = step
 	}
-	return olr, nil
+	return olr, pt.fold(&olr.Result, wantStats), nil
+}
+
+// olFinish ends a run: its workers, if any, stop, and the engine drops
+// the copy of the caller's options they read.
+func (e *Engine) olFinish() {
+	e.part.stop()
+	e.olOpts = OpenLoopOpts{}
 }
 
 // olReset resets the slot arena for a run over ntmpl templates:
 // truncate (capacity survives across runs) and empty every template's
-// free stack. Shared by the single-shard and sharded open-loop paths.
+// free stack.
 func (e *Engine) olReset(ntmpl int) {
 	e.olSlotTmpl = e.olSlotTmpl[:0]
 	e.olSlotOff = e.olSlotOff[:0]
@@ -660,8 +581,8 @@ func (e *Engine) olRecycle(s int32) {
 
 // olLiveKeys returns every live slot s as a msg<<32 | s key, ascending:
 // the StepLimit sweep's canonical message-id order, shared with the
-// sharded engine and the reference model (slot order is
-// arrival-history-dependent). The slice is the engine's olKeys scratch.
+// reference model (slot order is arrival-history-dependent). The slice
+// is the engine's olKeys scratch.
 func (e *Engine) olLiveKeys() []uint64 {
 	keys := e.olKeys[:0]
 	for s, msg := range e.olSlotMsg {
@@ -707,9 +628,10 @@ func (e *Engine) olNewSlot(t int32, flits int) int32 {
 }
 
 // olEnqueue is enqueue over the arena arrays: appends position p to
-// its link's FIFO, updates the peak queue metric, and activates the
-// link if p brings sendable flits.
-func (e *Engine) olEnqueue(p int32) {
+// its link's FIFO, updates shard st's peak queue metric, and activates
+// the link on st's worklist if p brings sendable flits. st owns the
+// link.
+func (e *Engine) olEnqueue(st *shardState, p int32) {
 	l := e.olRoute[p]
 	if e.qtail[l] < 0 {
 		e.qhead[l] = p
@@ -720,11 +642,11 @@ func (e *Engine) olEnqueue(p int32) {
 	e.olQNext[p] = -1
 	e.olQueued[p] = true
 	e.qlen[l]++
-	if e.qlen[l] > e.res.MaxLinkQueue {
-		e.res.MaxLinkQueue = e.qlen[l]
+	if e.qlen[l] > st.maxQ {
+		st.maxQ = e.qlen[l]
 	}
 	if avail := e.olArrived[p] - e.olCrossed[p]; avail > 0 {
-		e.addCredit(l, avail)
+		e.addShardCredit(st, l, avail)
 	}
 }
 
@@ -750,11 +672,12 @@ func (e *Engine) olKillQueued(l int32, step int, opts *OpenLoopOpts, olr *OpenLo
 
 // olFailSlot marks slot s failed at step: removes its queued requests
 // from their FIFOs, returns their credits, accounts every not-yet-moved
-// flit-hop as dropped, and reports the failure — blame is the external
-// id of the killing link (-1 for StepLimit sweeps), forwarded to the
-// FaultListener. Idempotent per step; the caller recycles the slot once
-// the arrival phase has seen the dead flag. Reports whether this call
-// did the kill.
+// flit-hop as dropped, to the shard owning its link, and reports the
+// failure — blame is the external id of the killing link (-1 for
+// StepLimit sweeps), forwarded to the FaultListener. Runs
+// single-threaded; idempotent per step; the caller recycles the slot
+// once the arrival phase has seen the dead flag. Reports whether this
+// call did the kill.
 func (e *Engine) olFailSlot(s int32, step, blame int, opts *OpenLoopOpts, olr *OpenLoopResult) bool {
 	if e.olSlotDead[s] {
 		return false
@@ -765,9 +688,11 @@ func (e *Engine) olFailSlot(s int32, step, blame int, opts *OpenLoopOpts, olr *O
 	base, end := e.olSpan(s)
 	dropped := 0
 	for p := base; p < end; p++ {
-		dropped += flits - e.olCrossed[p]
+		l := e.olRoute[p]
+		d := flits - e.olCrossed[p]
+		dropped += d
+		e.part.shardOf(l).dropped += d
 		if e.olQueued[p] {
-			l := e.olRoute[p]
 			e.olUnlink(l, p)
 			e.qlen[l]--
 			e.olQueued[p] = false
@@ -778,9 +703,9 @@ func (e *Engine) olFailSlot(s int32, step, blame int, opts *OpenLoopOpts, olr *O
 	}
 	olr.DroppedFlits += dropped
 	msg := e.olSlotMsg[s]
-	if e.probe != nil {
-		e.probe.FlitsDropped(step, msg, dropped)
-		e.probe.MsgDone(step, msg, false)
+	if opts.Probe != nil {
+		opts.Probe.FlitsDropped(step, msg, dropped)
+		opts.Probe.MsgDone(step, msg, false)
 	}
 	if opts.PerMessage != nil {
 		opts.PerMessage(msg, e.olSlotArr[s], step, false)
@@ -789,6 +714,26 @@ func (e *Engine) olFailSlot(s int32, step, blame int, opts *OpenLoopOpts, olr *O
 		opts.Listener.MsgFailed(step, msg, blame)
 	}
 	return true
+}
+
+// olDeliver completes slot s's message at step: counted, reported to
+// the probe, Sink and PerMessage, and recycled. Recycling is safe at
+// once: a message delivering at this step moved no other flit this step
+// (all its upstream hops finished on earlier steps), so no other
+// arrival or enqueue key of the step can reach s.
+func (e *Engine) olDeliver(s int32, step int, opts *OpenLoopOpts, olr *OpenLoopResult) {
+	msg, arr := e.olSlotMsg[s], e.olSlotArr[s]
+	olr.DeliveredMsgs++
+	if opts.Probe != nil {
+		opts.Probe.MsgDone(step, msg, true)
+	}
+	if opts.Sink != nil && arr >= opts.MeasureAfter {
+		opts.Sink.Observe(step - arr)
+	}
+	if opts.PerMessage != nil {
+		opts.PerMessage(msg, arr, step, true)
+	}
+	e.olRecycle(s)
 }
 
 // olUnlink removes position p from dense link l's intrusive FIFO (the

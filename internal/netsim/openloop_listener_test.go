@@ -154,6 +154,33 @@ func TestOpenLoopListenerInert(t *testing.T) {
 	}
 }
 
+// TestOpenLoopListenerLinkDownDenseOrder pins the documented LinkDown
+// order: ascending dense link id, which follows first-seen route
+// order, not external id order. Templates [[5], [3]] number link 5
+// first, so when both die at step 1 LinkDown(5) precedes LinkDown(3),
+// at one shard and at two (one link per shard).
+func TestOpenLoopListenerLinkDownDenseOrder(t *testing.T) {
+	tmpls := []*Message{{Route: []int32{5}, Flits: 2}, {Route: []int32{3}, Flits: 2}}
+	sched := faults.NewSchedule().FailLink(5, 1).FailLink(3, 1)
+	tr := &Trace{Arrivals: []Arrival{{0, 0}, {0, 1}}}
+	want := []lisEvent{
+		{kind: "down", step: 1, link: 5, perm: true},
+		{kind: "fail", step: 1, link: 5, msg: 0},
+		{kind: "down", step: 1, link: 3, perm: true},
+		{kind: "fail", step: 1, link: 3, msg: 1},
+	}
+	for _, shards := range []int{1, 2} {
+		lis := &recListener{}
+		opts := OpenLoopOpts{Mode: CutThrough, Faults: sched, Listener: lis}
+		if _, err := SimulateOpenLoopSharded(tmpls, tr.Source(), opts, shards); err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		if !reflect.DeepEqual(lis.ev, want) {
+			t.Errorf("shards=%d: listener events %v, want %v", shards, lis.ev, want)
+		}
+	}
+}
+
 // rerouteProbeSession is a minimal reacting source+listener: every
 // message killed by link 0 is re-enqueued three steps later on
 // template 1 (the sibling route) — the netsim-level skeleton of the

@@ -1,15 +1,54 @@
 package netsim
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
 )
 
-// FuzzSimulateOpenLoopSharded holds the sharded open-loop fusion
-// bit-identical to the single-shard engine (itself pinned to the naive
-// reference by FuzzSimulateOpenLoop) for random route sets × arrival
-// traces × fault schedules × shard counts {2, 3, 8} in both buffering
+// openLoopGolden runs SimulateOpenLoopReference, which shares no step
+// loop code with the engine, on one input and returns a check holding
+// an engine run of that input to it: same error text, same
+// OpenLoopResult with SkippedSteps masked (the reference never leaps),
+// same per-message records, same latency multiset.
+func openLoopGolden(t *testing.T, tmpls []*Message, tr *Trace, opts OpenLoopOpts) func(label string, got *OpenLoopResult, rec map[int32]msgRec, sink []int, err error) {
+	t.Helper()
+	refRec := map[int32]msgRec{}
+	refSink := &sliceSink{}
+	refOpts := opts
+	refOpts.PerMessage = recordPerMsg(refRec)
+	refOpts.Sink = refSink
+	ref, refErr := SimulateOpenLoopReference(tmpls, tr.Source(), refOpts)
+	slices.Sort(refSink.vals)
+	return func(label string, got *OpenLoopResult, rec map[int32]msgRec, sink []int, err error) {
+		t.Helper()
+		if (refErr == nil) != (err == nil) || err != nil && err.Error() != refErr.Error() {
+			t.Fatalf("%s: error %v, golden model %v", label, err, refErr)
+		}
+		if err != nil {
+			return
+		}
+		masked := *got
+		masked.SkippedSteps = 0
+		if !reflect.DeepEqual(&masked, ref) {
+			t.Fatalf("%s: result diverged from the golden model:\nengine    %+v\nreference %+v", label, masked, *ref)
+		}
+		if !reflect.DeepEqual(rec, refRec) {
+			t.Fatalf("%s: per-message records diverged from the golden model", label)
+		}
+		sorted := slices.Clone(sink)
+		slices.Sort(sorted)
+		if !slices.Equal(sorted, refSink.vals) {
+			t.Fatalf("%s: latency multiset diverged from the golden model", label)
+		}
+	}
+}
+
+// FuzzSimulateOpenLoopSharded holds the open loop at shard counts
+// {2, 3, 8} bit-identical to the same loop at one shard, and every
+// shard count to the naive reference (openLoopGolden), for random
+// route sets × arrival traces × fault schedules in both buffering
 // modes: same OpenLoopResult including SkippedSteps, same per-message
 // (arrival, done, delivered) records, same latency multiset, same
 // error text on the error paths, plus conservation per shard and
@@ -45,6 +84,8 @@ func FuzzSimulateOpenLoopSharded(f *testing.F) {
 				wOpts.Sink = wantSink
 				want, wantErr := SimulateOpenLoop(tmpls, tr.Source(), wOpts)
 				slices.Sort(wantSink.vals)
+				golden := openLoopGolden(t, tmpls, tr, opts)
+				golden(fmt.Sprintf("%v/%+v/shards=1", mode, opts), want, wantRec, wantSink.vals, wantErr)
 				for _, shards := range []int{2, 3, 8} {
 					gotRec := map[int32]msgRec{}
 					gotSink := &sliceSink{}
@@ -52,6 +93,7 @@ func FuzzSimulateOpenLoopSharded(f *testing.F) {
 					gOpts.PerMessage = recordPerMsg(gotRec)
 					gOpts.Sink = gotSink
 					got, stats, gotErr := SimulateOpenLoopShardedStats(tmpls, tr.Source(), gOpts, shards)
+					golden(fmt.Sprintf("%v/%+v/shards=%d", mode, opts, shards), got, gotRec, gotSink.vals, gotErr)
 					if (wantErr == nil) != (gotErr == nil) {
 						t.Fatalf("%v/%+v/shards=%d: error mismatch: single-shard %v, sharded %v",
 							mode, opts, shards, wantErr, gotErr)

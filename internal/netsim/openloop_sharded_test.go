@@ -214,6 +214,41 @@ func TestOpenLoopShardedProbeStream(t *testing.T) {
 	}
 }
 
+// TestOpenLoopShardedProbeStreamOrder pins the open loop's emission
+// order at two or more shards, not only its per-step multisets: the
+// raw stream must equal the one-shard stream with only its runs of
+// moves and of deliveries sorted — moves by (link, msg), then the
+// kills in ascending dense-link order, deliveries by msg, StepEnd, and
+// a StepLimit sweep after the final StepEnd in message-id order.
+func TestOpenLoopShardedProbeStreamOrder(t *testing.T) {
+	for name, tmpls := range shardedWorkloads() {
+		tr := olShardTrace(len(tmpls), 3*len(tmpls)+6, 83)
+		for schedName, sched := range shardedSchedules(tmpls) {
+			for _, mode := range []Mode{StoreAndForward, CutThrough} {
+				for _, limit := range []int{0, 40} {
+					ref := &traceProbe{}
+					opts := OpenLoopOpts{Mode: mode, Faults: sched, StepLimit: limit, Probe: ref}
+					if _, err := SimulateOpenLoop(tmpls, tr.Source(), opts); err != nil {
+						t.Fatalf("%s/%s/%v/limit=%d: %v", name, schedName, mode, limit, err)
+					}
+					want := sortRuns(ref.events)
+					for _, shards := range olShardCounts {
+						got := &traceProbe{}
+						opts.Probe = got
+						if _, err := SimulateOpenLoopSharded(tmpls, tr.Source(), opts, shards); err != nil {
+							t.Fatalf("%s/%s/%v/limit=%d/shards=%d: %v", name, schedName, mode, limit, shards, err)
+						}
+						if !reflect.DeepEqual(got.events, want) {
+							t.Errorf("%s/%s/%v/limit=%d/shards=%d: stream order differs: %s",
+								name, schedName, mode, limit, shards, firstStreamDiff(got.events, want))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestOpenLoopShardedGracefulTimeout pins the StepLimit timeout under
 // shards: in-flight messages fail at the limit, pending arrivals
 // beyond it are never injected, and the whole outcome (result,
@@ -375,7 +410,7 @@ func TestOpenLoopShardedErrors(t *testing.T) {
 // closures, the replay cursor) stays under 96 allocations for 4000
 // messages.
 func TestOpenLoopShardedAllocs(t *testing.T) {
-	sh := &olSharded{e: NewEngine()}
+	e := NewEngine()
 	tmpls := permTemplates(t, 4, 2, 23)
 	const n = 4000
 	tr := &Trace{}
@@ -383,11 +418,11 @@ func TestOpenLoopShardedAllocs(t *testing.T) {
 		tr.Arrivals = append(tr.Arrivals, Arrival{Step: i / 4, Tmpl: int32(i % len(tmpls))})
 	}
 	opts := OpenLoopOpts{Mode: CutThrough}
-	if _, _, err := sh.run(tmpls, tr.Source(), opts, 3, false); err != nil {
+	if _, _, err := e.openLoop(tmpls, tr.Source(), opts, 3, false); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(3, func() {
-		if _, _, err := sh.run(tmpls, tr.Source(), opts, 3, false); err != nil {
+		if _, _, err := e.openLoop(tmpls, tr.Source(), opts, 3, false); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -398,14 +433,14 @@ func TestOpenLoopShardedAllocs(t *testing.T) {
 	t.Logf("warm sharded run: %.0f allocs for %d messages (%.5f per message)", allocs, n, allocs/n)
 }
 
-// TestOpenLoopShardedColdAllocs is TestOpenLoopColdAllocs for an
-// olSharded runner on a fresh engine: the sharded path claims and
+// TestOpenLoopShardedColdAllocs is TestOpenLoopColdAllocs for a
+// three-shard run on a fresh engine: the sharded path claims and
 // recycles slots through the same free stacks.
 func TestOpenLoopShardedColdAllocs(t *testing.T) {
 	checkColdAllocs(t, func() func([]*Message, *Trace) error {
-		sh := &olSharded{e: NewEngine()}
+		e := NewEngine()
 		return func(tmpls []*Message, tr *Trace) error {
-			_, _, err := sh.run(tmpls, tr.Source(), OpenLoopOpts{Mode: CutThrough}, 3, false)
+			_, _, err := e.openLoop(tmpls, tr.Source(), OpenLoopOpts{Mode: CutThrough}, 3, false)
 			return err
 		}
 	})

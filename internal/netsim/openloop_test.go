@@ -300,7 +300,7 @@ func TestOpenLoopRecycling(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		tr.Arrivals = append(tr.Arrivals, Arrival{Step: i * 10, Tmpl: 0})
 	}
-	opt, err := e.SimulateOpenLoop(tmpls, tr.Source(), OpenLoopOpts{Mode: CutThrough})
+	opt, _, err := e.openLoop(tmpls, tr.Source(), OpenLoopOpts{Mode: CutThrough}, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestOpenLoopRecycling(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		burst.Arrivals = append(burst.Arrivals, Arrival{Step: 0, Tmpl: 0})
 	}
-	opt, err = e.SimulateOpenLoop(tmpls, burst.Source(), OpenLoopOpts{Mode: CutThrough})
+	opt, _, err = e.openLoop(tmpls, burst.Source(), OpenLoopOpts{Mode: CutThrough}, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,11 +514,11 @@ func TestOpenLoopAllocs(t *testing.T) {
 		tr.Arrivals = append(tr.Arrivals, Arrival{Step: i / 4, Tmpl: int32(i % len(tmpls))})
 	}
 	opts := OpenLoopOpts{Mode: CutThrough}
-	if _, err := e.SimulateOpenLoop(tmpls, tr.Source(), opts); err != nil {
+	if _, _, err := e.openLoop(tmpls, tr.Source(), opts, 1, false); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := e.SimulateOpenLoop(tmpls, tr.Source(), opts); err != nil {
+		if _, _, err := e.openLoop(tmpls, tr.Source(), opts, 1, false); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -608,7 +608,7 @@ func TestOpenLoopColdAllocs(t *testing.T) {
 	checkColdAllocs(t, func() func([]*Message, *Trace) error {
 		e := NewEngine()
 		return func(tmpls []*Message, tr *Trace) error {
-			_, err := e.SimulateOpenLoop(tmpls, tr.Source(), OpenLoopOpts{Mode: CutThrough})
+			_, _, err := e.openLoop(tmpls, tr.Source(), OpenLoopOpts{Mode: CutThrough}, 1, false)
 			return err
 		}
 	})

@@ -81,7 +81,7 @@ func TestShardedEntryPointsShareEnginePool(t *testing.T) {
 			}},
 		{"SimulateWormhole",
 			func(in poolInput) (any, error) { return SimulateWormhole(in.msgs) },
-			func(in poolInput) (any, error) { return NewEngine().simulateWormhole(in.msgs) }},
+			func(in poolInput) (any, error) { return NewEngine().simulateWormhole(in.msgs, nil) }},
 		{"SimulateSharded",
 			func(in poolInput) (any, error) { return SimulateSharded(in.msgs, CutThrough, 3) },
 			func(in poolInput) (any, error) {
@@ -102,7 +102,8 @@ func TestShardedEntryPointsShareEnginePool(t *testing.T) {
 			},
 			func(in poolInput) (any, error) {
 				return open(in, func(o OpenLoopOpts) (*OpenLoopResult, error) {
-					return NewEngine().SimulateOpenLoop(in.msgs, in.tr.Source(), o)
+					res, _, err := NewEngine().openLoop(in.msgs, in.tr.Source(), o, 1, false)
+					return res, err
 				})
 			}},
 		{"SimulateOpenLoopSharded",
@@ -113,7 +114,7 @@ func TestShardedEntryPointsShareEnginePool(t *testing.T) {
 			},
 			func(in poolInput) (any, error) {
 				return open(in, func(o OpenLoopOpts) (*OpenLoopResult, error) {
-					res, _, err := (&olSharded{e: NewEngine()}).run(in.msgs, in.tr.Source(), o, 3, false)
+					res, _, err := NewEngine().openLoop(in.msgs, in.tr.Source(), o, 3, false)
 					return res, err
 				})
 			}},
@@ -135,13 +136,16 @@ func TestShardedEntryPointsShareEnginePool(t *testing.T) {
 }
 
 // TestShardedRunnerPoolConcurrentCallers has 8 goroutines draw
-// runners from shardedPool at once — SimulateFaults and SimulateProbed
-// run the kernel at one shard on a pooled runner, SimulateFaultsSharded
-// at three — and holds every result to a serial run of the same call.
+// runners from shardedPool and engines from enginePool at once —
+// SimulateFaults and SimulateProbed run the closed-loop kernel at one
+// shard on a pooled runner, SimulateFaultsSharded at three, and
+// SimulateOpenLoopSharded the open loop at three on the engine's
+// partition — and holds every result to a serial run of the same call.
 func TestShardedRunnerPoolConcurrentCallers(t *testing.T) {
 	type outcome struct {
 		faults, sharded *FaultResult
 		probed          *Result
+		open            *OpenLoopResult
 	}
 	run := func(in poolInput) (o outcome, err error) {
 		opts := FaultOpts{Faults: in.sched, StepLimit: 8}
@@ -151,7 +155,10 @@ func TestShardedRunnerPoolConcurrentCallers(t *testing.T) {
 		if o.probed, err = SimulateProbed(in.msgs, StoreAndForward, nopProbe{}); err != nil {
 			return o, err
 		}
-		o.sharded, err = SimulateFaultsSharded(in.msgs, StoreAndForward, opts, 3)
+		if o.sharded, err = SimulateFaultsSharded(in.msgs, StoreAndForward, opts, 3); err != nil {
+			return o, err
+		}
+		o.open, err = SimulateOpenLoopSharded(in.msgs, in.tr.Source(), OpenLoopOpts{Mode: CutThrough, Faults: in.sched, StepLimit: 12}, 3)
 		return o, err
 	}
 	inputs := poolInputs()

@@ -18,9 +18,10 @@ package netsim
 // run does not (for example the dense→external link id table on the
 // fault-free path) is built only when a probe is attached.
 //
-// Probes are called synchronously, one call at a time: from the
-// simulation loop, or at two or more shards from whichever worker runs
-// the step barrier's action. A probe must not retain the slices it is
+// Probes are called synchronously, one call at a time, from the
+// simulation loop on the caller's goroutine, also at two or more
+// shards, where the loop merges the shards' buffered events between
+// phases. A probe must not retain the slices it is
 // handed — they are the engine's live scratch, valid only for the
 // duration of the call. Implementations live in internal/obsv
 // (Recorder, TraceWriter); netsim depends only on the shape.
@@ -82,9 +83,7 @@ func SimulateProbed(msgs []*Message, mode Mode, p Probe) (*Result, error) {
 // attached for the duration of the run.
 func SimulateWormholeProbed(msgs []*Message, p Probe) (*WormholeResult, error) {
 	e := enginePool.get()
-	e.probe = p
-	res, err := e.simulateWormhole(msgs)
-	e.probe = nil
+	res, err := e.simulateWormhole(msgs, p)
 	enginePool.put(e)
 	return res, err
 }

@@ -201,6 +201,9 @@ func (nopProbe) MsgDone(int, int32, bool)     {}
 // warm pool, SimulateFaults allocates only its FaultResult and
 // Outcomes, and SimulateProbed its Result, probe or not: the one-shard
 // kernel they run allocates no ring, runner or method value per call.
+// A warm open-loop run allocates its OpenLoopResult and the trace's
+// replay cursor, plus at three shards one closure per worker
+// goroutine (the WaitGroup and barrier live in the pooled Engine).
 func TestSimulateAllocs(t *testing.T) {
 	msgs := overheadWorkload()
 	e := NewEngine()
@@ -224,11 +227,11 @@ func TestSimulateAllocs(t *testing.T) {
 		l := int32(i % 8)
 		whMsgs[i] = &Message{Route: []int32{l, 8 + l, 16 + l}, Flits: 4}
 	}
-	if _, err := e.simulateWormhole(whMsgs); err != nil {
+	if _, err := e.simulateWormhole(whMsgs, nil); err != nil {
 		t.Fatal(err)
 	}
 	n := testing.AllocsPerRun(10, func() {
-		if _, err := e.simulateWormhole(whMsgs); err != nil {
+		if _, err := e.simulateWormhole(whMsgs, nil); err != nil {
 			t.Error(err)
 		}
 	})
@@ -263,6 +266,22 @@ func TestSimulateAllocs(t *testing.T) {
 	})
 	if n > 1 {
 		t.Errorf("SimulateProbed: %v allocs/run, want ≤ 1", n)
+	}
+
+	tr := &Trace{Arrivals: make([]Arrival, len(msgs))}
+	for i := range msgs {
+		tr.Arrivals[i] = Arrival{Step: 0, Tmpl: int32(i)}
+	}
+	for _, c := range []struct{ shards, want int }{{1, 2}, {3, 4}} {
+		run := func() {
+			if _, err := SimulateOpenLoopSharded(msgs, tr.Source(), OpenLoopOpts{Mode: CutThrough}, c.shards); err != nil {
+				t.Error(err)
+			}
+		}
+		run() // warm the pooled engine at this shard count
+		if n := testing.AllocsPerRun(10, run); n > float64(c.want) {
+			t.Errorf("SimulateOpenLoopSharded at %d shards: %v allocs/run, want ≤ %d", c.shards, n, c.want)
+		}
 	}
 }
 

@@ -9,10 +9,10 @@ import (
 // This file is the closed-loop kernel of every run with faults or a
 // probe — SimulateFaults, SimulateProbed and the sharded entry points
 // — and of SimulateSharded at two or more shards. The dense contiguous
-// link-id space of a run is split into per-shard ranges, each owned by
-// one worker that keeps the intrusive FIFOs, credit counters, and
-// active-link worklist of Engine.Simulate for exactly its links. A
-// simulation step becomes
+// link-id space of a run is split into per-shard ranges (partition),
+// each kept by one goroutine that owns the intrusive FIFOs, credit
+// counters, and active-link worklist of Engine.Simulate for exactly its
+// links. A simulation step becomes
 //
 //	transfer(k) ∥ …  →  [barrier: kills]  →  arrive(k) ∥ …  →  [barrier: step end]
 //
@@ -28,23 +28,25 @@ import (
 // only consumer-owned link state, because a position's enqueue target
 // is its own link.
 //
-// The two barrier actions run single-threaded in whichever worker
-// arrives last: the kill action replays permanently-down links in
-// globally ascending dense-id order, and the step-end action folds
-// per-shard delivery counts, flushes buffered probe events in
-// deterministic order, and decides termination. Everything global is
-// written only there, which is what makes the kernel *bit-identical*
-// across shard counts — same Result, same FaultResult, same
-// Probe-visible distributions — rather than merely statistically
-// equivalent, and bit-identical to Engine.Simulate on fault-free runs.
+// The caller's goroutine coordinates (stepBarrier): it runs shard 0's
+// phases and, between the phases, the step's single-threaded work
+// while the workers of shards 1 and up wait — the kill action replays
+// permanently-down links in globally ascending dense-id order, and the
+// step-end action folds per-shard delivery counts, flushes buffered
+// probe events in deterministic order, and decides termination.
+// Everything global is written only there, which is what makes the
+// kernel *bit-identical* across shard counts — same Result, same
+// FaultResult, same Probe-visible distributions — rather than merely
+// statistically equivalent, and bit-identical to Engine.Simulate on
+// fault-free runs.
 // The equivalence is enforced by TestSimulateShardedEquivalence and
 // FuzzSimulateSharded over the fuzz corpus.
 //
-// One shard runs inline: the worker is the caller's goroutine, the
-// barrier calls its action directly, every next hop is local (no owner
-// lookup), and a probe is called at each event — moves in transfer,
-// kills in the kill action, deliveries and StepEnd in arrive, timeout
-// failures after the last StepEnd — instead of through the buffers.
+// One shard runs inline: no worker, no barrier wait, no owner table
+// (every next hop is local), and a probe is called at each event —
+// moves in transfer, kills in the kill action, deliveries and StepEnd
+// in arrive, timeout failures after the last StepEnd — instead of
+// through the buffers.
 //
 // Determinism argument, in brief:
 //   - FIFO order: same-step enqueues on a link are sorted in ascending
@@ -53,11 +55,11 @@ import (
 //     per-link order.
 //   - Transfer decisions: per link, a function of that link's FIFO and
 //     credits only; worklist order within a step is immaterial.
-//   - Kills: canonical ascending-link order at a barrier, on a kill set
+//   - Kills: canonical ascending-link order between phases, on a kill set
 //     that is invariant across the transfer phase (down links move
 //     nothing, so their sendable sets cannot change mid-phase).
 //   - Probes: at two or more shards, per-shard event buffers are merged
-//     at the step-end barrier sorted by link id (moves) and message id
+//     at the step end sorted by link id (moves) and message id
 //     (deliveries); a link moves at most one flit per step and a
 //     message delivers at most one flit per step, so the sort keys are
 //     unique.
@@ -86,21 +88,21 @@ type ShardStat struct {
 }
 
 // killEvent buffers one message failure's probe events between the
-// kill barrier and the step-end probe flush.
+// closed-loop kernel's kill action and its step-end probe flush.
 type killEvent struct {
 	msg     int32
 	dropped int
 }
 
-// shardState is the worker-local state of one shard. The shard owns
-// dense links [lo, hi) and is the only goroutine that touches their
-// FIFO heads/tails, credits, queue lengths, and worklist outside the
-// single-threaded barrier actions.
+// shardState is the state of one shard, in both kernels. The shard
+// owns dense links [lo, hi) and its goroutine is the only one that
+// touches their FIFO heads/tails, credits, queue lengths, and worklist
+// outside the coordinator's single-threaded step work.
 type shardState struct {
 	lo, hi  int32
 	work    []int32 // active-link worklist (this shard's links only)
 	scratch []int32 // worklist double buffer
-	arr     []int32 // local arrivals of the current step (sharded.arrive adds the peers')
+	arr     []int32 // local arrivals of the current step (arrive adds the peers')
 	enq     []int32 // positions to enqueue this step (own links only)
 	down    []int32 // permanently-down links found this transfer phase
 
@@ -112,83 +114,243 @@ type shardState struct {
 	spill [][]int32   // ring-overflow batches to each destination shard
 
 	// Probe event buffers at two or more shards: packed moves
-	// (link<<32|msg) and deliveries (msg<<1|completed), flushed sorted
-	// at the step-end barrier.
+	// (link<<32|msg), flushed sorted after the transfer phase, and the
+	// closed loop's deliveries (msg<<1|completed), flushed sorted at
+	// the step end.
 	pbMove []uint64
 	pbArrv []uint64
 
-	// done buffers the open-loop slots whose message completed on this
-	// shard's links this step, as msg<<32 | slot keys; the step-end
-	// barrier sorts and folds them in message-id order (the canonical
-	// merge order for LatencySink and PerMessage) and recycles them.
-	// Unused by the closed-loop paths.
+	// done buffers the open loop's final-hop arrivals on this shard's
+	// links at two or more shards, as msg<<32 | slot keys: every
+	// completion (flagged olDoneBit), and with a probe every delivered
+	// flit. The loop sorts and folds them in message-id order (the
+	// canonical merge order for the probe, LatencySink and PerMessage)
+	// and recycles the completed slots.
 	done []uint64
 
 	moved         int
 	maxQ          int
-	deliveredStep int // folded into the run totals at the step barrier
+	deliveredStep int // folded into the run totals at the step end
 	injected      int
 	dropped       int
 	boundary      int
 }
 
-// stepBarrier is a reusable phase barrier for the shard workers: the
-// last arriver runs the phase's action single-threaded under the
-// barrier lock, then releases everyone into the next phase. The lock
-// hand-off orders every pre-barrier write before every post-barrier
-// read, which is the memory-model backbone of the shared flat arrays.
+// stepBarrier separates the phases of a step at two or more shards.
+// The run's own goroutine coordinates: release lets the workers of
+// shards 1 and up into a phase, the coordinator runs shard 0's part of
+// it, and gather waits until every worker has finished its part, so
+// the step's single-threaded work runs between a gather and the next
+// release, on the caller's goroutine. A worker calls wait at the end
+// of each phase and once before its first. The lock hand-off orders
+// every write before a barrier before every read after it, which is
+// the memory-model backbone of the shared flat arrays. With no workers
+// (one shard) gather and release return at once.
 type stepBarrier struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	n     int
-	count int
-	gen   uint64
+	mu      sync.Mutex
+	arrived sync.Cond // the coordinator waits here for the workers
+	resumed sync.Cond // the workers wait here for the next release
+	n       int       // workers: the shards besides shard 0
+	count   int       // workers arrived since the last release
+	gen     uint64
 }
 
 func (b *stepBarrier) init(n int) {
-	b.n = n
-	b.count = 0
-	b.gen = 0
-	if b.cond == nil {
-		b.cond = sync.NewCond(&b.mu)
-	}
+	b.n, b.count, b.gen = n, 0, 0
+	b.arrived.L, b.resumed.L = &b.mu, &b.mu
 }
 
-// wait blocks until all n workers have arrived; the last runs action.
-// A lone worker runs it at once, without the lock.
-func (b *stepBarrier) wait(action func()) {
-	if b.n == 1 {
-		action()
-		return
-	}
+// wait reports a worker done with its phase and blocks until the
+// coordinator's next release.
+func (b *stepBarrier) wait() {
 	b.mu.Lock()
 	g := b.gen
 	b.count++
 	if b.count == b.n {
-		action()
-		b.count = 0
-		b.gen++
-		b.cond.Broadcast()
-		b.mu.Unlock()
-		return
+		b.arrived.Signal()
 	}
 	for b.gen == g {
-		b.cond.Wait()
+		b.resumed.Wait()
 	}
 	b.mu.Unlock()
 }
 
-// sharded holds the partition, barrier, and per-shard states of one
-// run, and the Engine (numbering pass and flat state arrays) it
-// borrows for that run. Run globals below the barrier are written only
-// during setup or inside barrier actions.
-type sharded struct {
-	e      *Engine // lent by the entry point for one run
-	bar    stepBarrier
-	wg     sync.WaitGroup // the workers of shards 1 and up
+// gather blocks the coordinator until every worker has called wait.
+func (b *stepBarrier) gather() {
+	if b.n == 0 {
+		return
+	}
+	b.mu.Lock()
+	for b.count < b.n {
+		b.arrived.Wait()
+	}
+	b.mu.Unlock()
+}
+
+// release lets the waiting workers into the next phase.
+func (b *stepBarrier) release() {
+	if b.n == 0 {
+		return
+	}
+	b.mu.Lock()
+	b.count = 0
+	b.gen++
+	b.resumed.Broadcast()
+	b.mu.Unlock()
+}
+
+// partition is the shard layout of one run, the one type both kernels
+// split a run with — the open loop's kept by the pooled Engine, the
+// closed-loop kernel's by its pooled runner: contiguous dense-id ranges
+// of near-equal size (dense ids follow route order, so ranges inherit
+// whatever locality the route construction has), the per-shard states,
+// and the barrier, WaitGroup, step and stop flag of the workers of
+// shards 1 and up. One shard has no owner table, no rings and no
+// workers.
+type partition struct {
+	n      int // shards of the current run
 	states []*shardState
-	owner  []uint8
+	owner  []uint8 // dense link → owning shard, at two or more shards
 	cuts   []int32
+	bar    stepBarrier
+	wg     sync.WaitGroup
+	step   int  // the step the workers' phases run
+	done   bool // read by the workers after a release: return
+}
+
+// split lays a run of links out over shards, which the caller clamps
+// to [1, min(links, 255)] (the owner table is uint8), and resets every
+// shard's state for the run.
+func (pt *partition) split(links int32, shards int) {
+	pt.n, pt.step, pt.done = shards, 0, false
+	pt.bar.init(shards - 1)
+	pt.cuts = grow(pt.cuts, shards+1)
+	for s := 0; s <= shards; s++ {
+		pt.cuts[s] = int32(int64(links) * int64(s) / int64(shards))
+	}
+	if shards > 1 {
+		pt.owner = grow(pt.owner, int(links))
+		for s := 0; s < shards; s++ {
+			for l := pt.cuts[s]; l < pt.cuts[s+1]; l++ {
+				pt.owner[l] = uint8(s)
+			}
+		}
+	}
+	for len(pt.states) < shards {
+		pt.states = append(pt.states, &shardState{})
+	}
+	for k, st := range pt.states[:shards] {
+		st.lo, st.hi = pt.cuts[k], pt.cuts[k+1]
+		st.work = st.work[:0]
+		st.scratch = st.scratch[:0]
+		st.arr = st.arr[:0]
+		st.enq = st.enq[:0]
+		st.enqKey = st.enqKey[:0]
+		st.down = st.down[:0]
+		st.pbMove = st.pbMove[:0]
+		st.pbArrv = st.pbArrv[:0]
+		st.done = st.done[:0]
+		st.moved, st.maxQ, st.deliveredStep = 0, 0, 0
+		st.injected, st.dropped, st.boundary = 0, 0, 0
+		if shards == 1 {
+			continue
+		}
+		for len(st.out) < shards {
+			st.out = append(st.out, newSPSCRing())
+			st.spill = append(st.spill, nil)
+		}
+		for d := 0; d < shards; d++ {
+			st.out[d].head.Store(0)
+			st.out[d].tail.Store(0)
+			st.spill[d] = st.spill[d][:0]
+		}
+	}
+}
+
+// shardOf returns the state of the shard owning dense link l.
+func (pt *partition) shardOf(l int32) *shardState {
+	if pt.n == 1 {
+		return pt.states[0]
+	}
+	return pt.states[pt.owner[l]]
+}
+
+// moved is the number of flits the run's shards have moved so far.
+func (pt *partition) moved() int {
+	m := 0
+	for _, st := range pt.states[:pt.n] {
+		m += st.moved
+	}
+	return m
+}
+
+// flushMoves emits the shards' buffered moves of one step to probe
+// sorted by (link, message), unique since a link moves at most one
+// flit per step, and returns buf for reuse.
+func (pt *partition) flushMoves(probe Probe, step int, buf []uint64) []uint64 {
+	buf = buf[:0]
+	for _, st := range pt.states[:pt.n] {
+		buf = append(buf, st.pbMove...)
+		st.pbMove = st.pbMove[:0]
+	}
+	slices.Sort(buf)
+	for _, v := range buf {
+		probe.FlitMoved(step, int32(uint32(v)), int32(v>>32))
+	}
+	return buf
+}
+
+// fold adds the shards' moved flits and peak queues to res and, when
+// wantStats, returns the per-shard accounting.
+func (pt *partition) fold(res *Result, wantStats bool) []ShardStat {
+	var stats []ShardStat
+	if wantStats {
+		stats = make([]ShardStat, pt.n)
+	}
+	for k, st := range pt.states[:pt.n] {
+		res.FlitsMoved += st.moved
+		res.MaxLinkQueue = max(res.MaxLinkQueue, st.maxQ)
+		if wantStats {
+			stats[k] = ShardStat{
+				Links:        int(st.hi - st.lo),
+				FlitsMoved:   st.moved,
+				DroppedFlits: st.dropped,
+				InjectedHops: st.injected,
+				BoundaryOut:  st.boundary,
+			}
+		}
+	}
+	return stats
+}
+
+// stop ends the run's workers, if it started any: each returns when
+// this release shows it done.
+func (pt *partition) stop() {
+	if pt.n > 1 {
+		pt.done = true
+		pt.bar.release()
+		pt.wg.Wait()
+	}
+}
+
+// addShardCredit records c newly sendable flits on link l, scheduling
+// the link into shard st's worklist on a zero→positive transition
+// (Engine.addCredit with the worklist redirected to the owning shard).
+func (e *Engine) addShardCredit(st *shardState, l int32, c int) {
+	if e.credit[l] == 0 && c > 0 && !e.inWork[l] {
+		e.inWork[l] = true
+		st.work = append(st.work, l)
+	}
+	e.credit[l] += c
+}
+
+// sharded holds the partition and run globals of one closed-loop
+// kernel run, and the Engine (numbering pass and flat state arrays) it
+// borrows for that run. Run globals are written only during setup or
+// in the coordinator's single-threaded step work.
+type sharded struct {
+	e *Engine // lent by the entry point for one run
+	partition
 
 	msgs     []*Message
 	mode     Mode
@@ -199,9 +361,7 @@ type sharded struct {
 	links    int32
 	limit    int
 	graceful bool
-	step     int
 	remain   int
-	done     bool
 	err      error
 
 	killEv []killEvent
@@ -209,10 +369,14 @@ type sharded struct {
 	arBuf  []uint64
 }
 
-// shardedPool keeps the runners — rings, worklists, owner tables — but
-// no Engine: each run borrows one from enginePool, the pool every
-// other entry point draws from, so a sharded run after a single-shard
-// one finds its buffers already grown.
+// shardedPool keeps the runners — partitions with their rings and
+// worklists — but no Engine: each run borrows one from enginePool, the
+// pool every other entry point draws from, so a sharded run after a
+// single-shard one finds its buffers already grown. The partition stays
+// with the runner, not the borrowed Engine: callers such as
+// SimulateBatch cycle several engines through the pool, and a
+// partition tied to one of them would regrow whenever a run drew
+// another.
 var shardedPool = idlePool[sharded]{new: func() *sharded { return new(sharded) }}
 
 // getSharded takes a runner from shardedPool and lends it an Engine
@@ -327,45 +491,7 @@ func (sh *sharded) run(msgs []*Message, mode Mode, opts FaultOpts, faultPath boo
 	}
 
 	e.growState(len(msgs), shape.total, int(links))
-
-	// Partition: contiguous dense-id ranges of near-equal size. Dense
-	// ids are assigned in route order, so ranges inherit whatever
-	// locality the route construction has.
-	sh.cuts = grow(sh.cuts, shards+1)
-	for s := 0; s <= shards; s++ {
-		sh.cuts[s] = int32(int64(links) * int64(s) / int64(shards))
-	}
-	sh.owner = grow(sh.owner, int(links))
-	for s := 0; s < shards; s++ {
-		for l := sh.cuts[s]; l < sh.cuts[s+1]; l++ {
-			sh.owner[l] = uint8(s)
-		}
-	}
-	for len(sh.states) < shards {
-		sh.states = append(sh.states, &shardState{})
-	}
-	for k := 0; k < shards; k++ {
-		st := sh.states[k]
-		st.lo, st.hi = sh.cuts[k], sh.cuts[k+1]
-		st.work = st.work[:0]
-		st.scratch = st.scratch[:0]
-		st.arr = st.arr[:0]
-		st.enq = st.enq[:0]
-		st.down = st.down[:0]
-		st.pbMove = st.pbMove[:0]
-		st.pbArrv = st.pbArrv[:0]
-		st.moved, st.maxQ, st.deliveredStep = 0, 0, 0
-		st.injected, st.dropped, st.boundary = 0, 0, 0
-		for len(st.out) < shards {
-			st.out = append(st.out, newSPSCRing())
-			st.spill = append(st.spill, nil)
-		}
-		for d := 0; d < shards; d++ {
-			st.out[d].head.Store(0)
-			st.out[d].tail.Store(0)
-			st.spill[d] = st.spill[d][:0]
-		}
-	}
+	sh.split(links, shards)
 
 	sh.msgs = msgs
 	sh.mode = mode
@@ -375,10 +501,8 @@ func (sh *sharded) run(msgs []*Message, mode Mode, opts FaultOpts, faultPath boo
 	sh.limit = limit
 	sh.graceful = graceful
 	sh.step = 1
-	sh.done = false
 	sh.err = nil
 	sh.killEv = sh.killEv[:0]
-	sh.bar.init(shards)
 
 	if faultPath {
 		sh.faults = opts.Faults
@@ -420,25 +544,33 @@ func (sh *sharded) run(msgs []*Message, mode Mode, opts FaultOpts, faultPath boo
 		}
 		e.arrived[p0] = m.Flits
 		sh.remain++
-		sh.enqueue(sh.states[sh.owner[e.route[p0]]], p0)
+		sh.enqueue(sh.shardOf(e.route[p0]), p0)
 	}
 	if wantStats {
 		for p := 0; p < shape.total; p++ {
-			st := sh.states[sh.owner[e.route[p]]]
-			st.injected += e.flits[e.posMsg[p]]
+			sh.shardOf(e.route[p]).injected += e.flits[e.posMsg[p]]
 		}
 	}
 
+	// The caller's goroutine runs shard 0 and, between phases, the
+	// kills and the step end; shards 1 and up run on workers.
 	if sh.remain > 0 {
 		for k := 1; k < shards; k++ {
 			sh.wg.Add(1)
-			go func(k int) {
-				defer sh.wg.Done()
-				sh.worker(k)
-			}(k)
+			go sh.worker(k)
 		}
-		sh.worker(0)
-		sh.wg.Wait()
+		sh.bar.gather()
+		for !sh.done {
+			sh.bar.release()
+			sh.transfer(0)
+			sh.bar.gather()
+			sh.killAction()
+			sh.bar.release()
+			sh.arrive(0)
+			sh.bar.gather()
+			sh.stepEndAction()
+		}
+		sh.stop()
 	}
 	sh.msgs = nil
 	if sh.err != nil {
@@ -446,42 +578,24 @@ func (sh *sharded) run(msgs []*Message, mode Mode, opts FaultOpts, faultPath boo
 	}
 
 	res := sh.res
-	for _, st := range sh.states[:shards] {
-		res.FlitsMoved += st.moved
-		if st.maxQ > res.MaxLinkQueue {
-			res.MaxLinkQueue = st.maxQ
-		}
-	}
+	stats := sh.fold(res, wantStats)
 	res.DeliveredMsgs += countEmptyRoutes(msgs)
-	var stats []ShardStat
-	if wantStats {
-		stats = make([]ShardStat, shards)
-		for k, st := range sh.states[:shards] {
-			stats[k] = ShardStat{
-				Links:        int(st.hi - st.lo),
-				FlitsMoved:   st.moved,
-				DroppedFlits: st.dropped,
-				InjectedHops: st.injected,
-				BoundaryOut:  st.boundary,
-			}
-		}
-	}
 	return res, sh.fr, stats, nil
 }
 
-// worker is the per-shard step loop. All workers run it in lockstep:
-// the two barriers per step separate the transfer phase (producers of
-// boundary flits) from the arrival phase (consumers), with kills and
-// termination decided single-threaded in the barrier actions.
+// worker runs shard k's phases at two or more shards, in lockstep with
+// the coordinator: each release lets it run one phase, transfer
+// (producing boundary flits) and arrive (consuming them) in turn.
 func (sh *sharded) worker(k int) {
+	defer sh.wg.Done()
 	for {
-		sh.transfer(k)
-		sh.bar.wait(sh.killAction)
-		sh.arrive(k)
-		sh.bar.wait(sh.stepEndAction)
+		sh.bar.wait()
 		if sh.done {
 			return
 		}
+		sh.transfer(k)
+		sh.bar.wait()
+		sh.arrive(k)
 	}
 }
 
@@ -494,7 +608,7 @@ func (sh *sharded) transfer(k int) {
 	for d := range st.spill { // reclaim last step's drained batches
 		st.spill[d] = st.spill[d][:0]
 	}
-	inline := sh.bar.n == 1 // one shard: every next hop is local
+	inline := sh.n == 1 // one shard: every next hop is local
 	step := sh.step
 	cur := st.work
 	st.work = st.scratch[:0]
@@ -570,16 +684,17 @@ func (sh *sharded) transfer(k int) {
 	st.scratch = cur[:0]
 }
 
-// killAction is the first barrier's action: fail the sendable queued
-// messages of every permanently-down link found this step, in
-// globally ascending dense-link order (shards own ascending ranges, so
-// iterating shards in order with each batch sorted gives the global
-// order). Runs single-threaded; it may touch any shard's FIFO state.
+// killAction is the step's work after the transfer phase: fail the
+// sendable queued messages of every permanently-down link found this
+// step, in globally ascending dense-link order (shards own ascending
+// ranges, so iterating shards in order with each batch sorted gives
+// the global order). Runs single-threaded; it may touch any shard's
+// FIFO state.
 func (sh *sharded) killAction() {
 	if sh.faults == nil {
 		return
 	}
-	for _, st := range sh.states[:sh.bar.n] {
+	for _, st := range sh.states[:sh.n] {
 		if len(st.down) == 0 {
 			continue
 		}
@@ -615,8 +730,8 @@ func (sh *sharded) failQueued(l int32) int {
 // extLink, or -1 for a timeout), removes its queued requests from
 // their FIFOs, returns their credits, and accounts every not-yet-moved
 // flit-hop as dropped, to the shard owning its link. Both callers run
-// single-threaded in a barrier action. Idempotent: returns 1 only on
-// the first kill.
+// single-threaded between phases. Idempotent: returns 1 only on the
+// first kill.
 func (sh *sharded) failMessage(mi int32, extLink, step int) int {
 	e := sh.e
 	if e.dead[mi] {
@@ -629,7 +744,7 @@ func (sh *sharded) failMessage(mi int32, extLink, step int) int {
 	for p := e.off[mi]; p < e.off[mi+1]; p++ {
 		d := e.flits[mi] - e.crossed[p]
 		dropped += d
-		sh.states[sh.owner[e.route[p]]].dropped += d
+		sh.shardOf(e.route[p]).dropped += d
 		if e.queued[p] {
 			l := e.route[p]
 			e.unlink(l, p)
@@ -642,7 +757,7 @@ func (sh *sharded) failMessage(mi int32, extLink, step int) int {
 	}
 	sh.fr.DroppedFlits += dropped
 	if sh.probe != nil {
-		if sh.bar.n == 1 {
+		if sh.n == 1 {
 			sh.probe.FlitsDropped(step, mi, dropped)
 			sh.probe.MsgDone(step, mi, false)
 		} else {
@@ -661,7 +776,7 @@ func (sh *sharded) failMessage(mi int32, extLink, step int) int {
 func (sh *sharded) arrive(k int) {
 	e := sh.e
 	st := sh.states[k]
-	for s2, peer := range sh.states[:sh.bar.n] {
+	for s2, peer := range sh.states[:sh.n] {
 		if s2 == k {
 			continue
 		}
@@ -675,7 +790,7 @@ func (sh *sharded) arrive(k int) {
 		}
 		st.arr = append(st.arr, peer.spill[k]...)
 	}
-	inline := sh.bar.n == 1
+	inline := sh.n == 1
 	st.enq = st.enq[:0]
 	for _, p := range st.arr {
 		mi := e.posMsg[p]
@@ -711,14 +826,14 @@ func (sh *sharded) arrive(k int) {
 		case CutThrough:
 			e.arrived[next]++
 			if e.queued[next] {
-				sh.addCredit(st, e.route[next], 1)
+				e.addShardCredit(st, e.route[next], 1)
 			}
 		case StoreAndForward:
 			e.buffer[next]++
 			if e.buffer[next] == e.flits[mi] {
 				e.arrived[next] = e.flits[mi]
 				if e.queued[next] {
-					sh.addCredit(st, e.route[next], e.flits[mi]-e.crossed[next])
+					e.addShardCredit(st, e.route[next], e.flits[mi]-e.crossed[next])
 				}
 			}
 		}
@@ -737,8 +852,8 @@ func (sh *sharded) arrive(k int) {
 	}
 }
 
-// enqueue and addCredit mirror the Engine methods with the worklist
-// and peak-queue metric redirected to the owning shard.
+// enqueue mirrors Engine.enqueue with the worklist and peak-queue
+// metric redirected to the owning shard.
 func (sh *sharded) enqueue(st *shardState, p int32) {
 	e := sh.e
 	l := e.route[p]
@@ -755,32 +870,23 @@ func (sh *sharded) enqueue(st *shardState, p int32) {
 		st.maxQ = e.qlen[l]
 	}
 	if avail := e.arrived[p] - e.crossed[p]; avail > 0 {
-		sh.addCredit(st, l, avail)
+		e.addShardCredit(st, l, avail)
 	}
 }
 
-func (sh *sharded) addCredit(st *shardState, l int32, c int) {
-	e := sh.e
-	if e.credit[l] == 0 && c > 0 && !e.inWork[l] {
-		e.inWork[l] = true
-		st.work = append(st.work, l)
-	}
-	e.credit[l] += c
-}
-
-// stepEndAction is the second barrier's action: fold per-shard
-// delivery counts, flush the buffered probe events of two or more
-// shards as one canonical stream, and decide termination, as
+// stepEndAction is the step's work after the arrival phase: fold
+// per-shard delivery counts, flush the buffered probe events of two or
+// more shards as one canonical stream, and decide termination, as
 // Engine.Simulate's loop does (plus the graceful-timeout failure
 // sweep).
 func (sh *sharded) stepEndAction() {
-	for _, st := range sh.states[:sh.bar.n] {
+	for _, st := range sh.states[:sh.n] {
 		d := st.deliveredStep
 		st.deliveredStep = 0
 		sh.remain -= d
 		sh.res.DeliveredMsgs += d
 	}
-	if sh.probe != nil && sh.bar.n > 1 {
+	if sh.probe != nil && sh.n > 1 {
 		sh.flushProbe()
 	}
 	if sh.remain == 0 {
@@ -823,23 +929,14 @@ func (sh *sharded) stepEndAction() {
 func (sh *sharded) flushProbe() {
 	e := sh.e
 	step := sh.step
-	mv := sh.mvBuf[:0]
-	for _, st := range sh.states[:sh.bar.n] {
-		mv = append(mv, st.pbMove...)
-		st.pbMove = st.pbMove[:0]
-	}
-	slices.Sort(mv)
-	for _, v := range mv {
-		sh.probe.FlitMoved(step, int32(uint32(v)), int32(v>>32))
-	}
-	sh.mvBuf = mv
+	sh.mvBuf = sh.flushMoves(sh.probe, step, sh.mvBuf)
 	for _, ev := range sh.killEv {
 		sh.probe.FlitsDropped(step, ev.msg, ev.dropped)
 		sh.probe.MsgDone(step, ev.msg, false)
 	}
 	sh.killEv = sh.killEv[:0]
 	ar := sh.arBuf[:0]
-	for _, st := range sh.states[:sh.bar.n] {
+	for _, st := range sh.states[:sh.n] {
 		ar = append(ar, st.pbArrv...)
 		st.pbArrv = st.pbArrv[:0]
 	}

@@ -268,6 +268,73 @@ func TestShardedProbeStreamEquivalence(t *testing.T) {
 	}
 }
 
+// sortRuns returns a one-shard probe stream in the order the kernels
+// emit at two or more shards: each maximal run of moves sorted by
+// (link, msg) and each maximal run of deliveries (FlitDelivered and
+// delivered MsgDone) by (msg, flit before done), every other event
+// left where it is. At one shard those runs follow the worklist.
+func sortRuns(ev []probeEvent) []probeEvent {
+	out := append([]probeEvent(nil), ev...)
+	class := func(e probeEvent) int {
+		switch e.kind {
+		case "move":
+			return 1
+		case "flit", "done+":
+			return 2
+		}
+		return 0
+	}
+	for i := 0; i < len(out); {
+		c, j := class(out[i]), i+1
+		for c != 0 && j < len(out) && class(out[j]) == c && out[j].step == out[i].step {
+			j++
+		}
+		run := out[i:j]
+		sort.Slice(run, func(a, b int) bool {
+			if run[a].k1 != run[b].k1 {
+				return run[a].k1 < run[b].k1
+			}
+			return run[a].k2 < run[b].k2
+		})
+		i = j
+	}
+	return out
+}
+
+// TestShardedProbeStreamOrder pins the closed-loop kernel's emission
+// order at two or more shards, not only its per-step multisets: the
+// raw stream must equal the one-shard stream with only its runs of
+// moves and of deliveries sorted — moves by (link, msg), then the
+// kills in kill order, deliveries by msg, StepEnd, and a timeout sweep
+// after the final StepEnd.
+func TestShardedProbeStreamOrder(t *testing.T) {
+	for name, msgs := range shardedWorkloads() {
+		for schedName, sched := range shardedSchedules(msgs) {
+			for _, mode := range []Mode{StoreAndForward, CutThrough} {
+				for _, limit := range []int{0, 3} {
+					ref := &traceProbe{}
+					opts := FaultOpts{Faults: sched, StepLimit: limit, Probe: ref}
+					if _, err := SimulateFaults(msgs, mode, opts); err != nil {
+						t.Fatalf("%s/%s/%v/limit=%d: %v", name, schedName, mode, limit, err)
+					}
+					want := sortRuns(ref.events)
+					for _, shards := range shardCounts {
+						got := &traceProbe{}
+						opts.Probe = got
+						if _, err := SimulateFaultsSharded(msgs, mode, opts, shards); err != nil {
+							t.Fatalf("%s/%s/%v/limit=%d/shards=%d: %v", name, schedName, mode, limit, shards, err)
+						}
+						if !reflect.DeepEqual(got.events, want) {
+							t.Errorf("%s/%s/%v/limit=%d/shards=%d: stream order differs: %s",
+								name, schedName, mode, limit, shards, firstStreamDiff(got.events, want))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func firstStreamDiff(got, want []probeEvent) string {
 	n := len(got)
 	if len(want) < n {

@@ -52,12 +52,14 @@ func (e *ErrDeadlock) Error() string {
 // so a warm call allocates nothing beyond the result.
 func SimulateWormhole(msgs []*Message) (*WormholeResult, error) {
 	e := enginePool.get()
-	res, err := e.simulateWormhole(msgs)
+	res, err := e.simulateWormhole(msgs, nil)
 	enginePool.put(e)
 	return res, err
 }
 
-func (e *Engine) simulateWormhole(msgs []*Message) (*WormholeResult, error) {
+// simulateWormhole is the wormhole model on this Engine; probe, when
+// non-nil, observes the run.
+func (e *Engine) simulateWormhole(msgs []*Message, probe Probe) (*WormholeResult, error) {
 	// Dense link numbering over the routes (the same numberAll pass as
 	// Engine.Simulate; ids are assigned in first-appearance order,
 	// matching the original map-based pass) and flat position state.
@@ -66,9 +68,9 @@ func (e *Engine) simulateWormhole(msgs []*Message) (*WormholeResult, error) {
 		return nil, err
 	}
 	total, links := shape.total, int(shape.links)
-	if e.probe != nil {
+	if probe != nil {
 		e.fillExt(msgs, int32(links))
-		e.beginProbe(e.probe, msgs, int32(links), 0, true)
+		e.beginProbe(probe, msgs, int32(links), 0, true)
 	}
 	route, off := e.route, e.off
 
@@ -192,11 +194,11 @@ func (e *Engine) simulateWormhole(msgs []*Message) (*WormholeResult, error) {
 			crossed[p]++
 			res.FlitsMoved++
 			progress = true
-			if e.probe != nil {
+			if probe != nil {
 				mi := e.posMsg[p]
-				e.probe.FlitMoved(step, mi, route[p])
+				probe.FlitMoved(step, mi, route[p])
 				if p == off[mi+1]-1 {
-					e.probe.FlitDelivered(step, mi)
+					probe.FlitDelivered(step, mi)
 				}
 			}
 		}
@@ -226,13 +228,13 @@ func (e *Engine) simulateWormhole(msgs []*Message) (*WormholeResult, error) {
 				done[mi] = true
 				remaining--
 				res.DeliveredMsgs++
-				if e.probe != nil {
-					e.probe.MsgDone(step, int32(mi), true)
+				if probe != nil {
+					probe.MsgDone(step, int32(mi), true)
 				}
 			}
 		}
-		if e.probe != nil {
-			e.probe.StepEnd(step, waitLen[:links])
+		if probe != nil {
+			probe.StepEnd(step, waitLen[:links])
 		}
 		if !progress && remaining > 0 {
 			return nil, &ErrDeadlock{Step: step, Blocked: remaining}
