@@ -17,6 +17,11 @@ import (
 	"multipath/internal/obsv"
 )
 
+// shrunk lists the experiments the init below runs at sizes other
+// than EXPERIMENTS.md's; TestAllExperimentsProduceTables checks every
+// other table against the file.
+var shrunk = map[string]bool{"E25": true, "E26": true, "E27": true, "E29": true}
+
 // The E25 shard sweep defaults to Q_16/Q_20 hosts — minutes of wall
 // clock that the regression gate does not need. Simulating Q_10 at a
 // few shard counts exercises the identical code paths. The tables
@@ -50,19 +55,29 @@ func init() {
 var hostDependent = regexp.MustCompile(`GOMAXPROCS|CPU|\d(ns|µs|ms|s)\b`)
 
 // Every experiment must run cleanly and produce a non-trivial table
-// with no host-dependent cell or note; this is the regression gate for
+// with no host-dependent cell or note, and every table run at its file
+// sizes must equal its section of EXPERIMENTS.md, so a change that
+// moves a reproduced value fails here; this is the regression gate for
 // EXPERIMENTS.md regeneration. Running through runExperiments with
 // parallelism on also exercises the worker-pool path end to end.
 func TestAllExperimentsProduceTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite is slow")
 	}
+	doc, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var atFileSize []*table
 	for _, o := range runExperiments(experimentList(), true) {
 		if o.err != nil {
 			t.Errorf("%s: %v", o.exp.id, o.err)
 			continue
 		}
 		tab := o.tab
+		if !shrunk[o.exp.id] {
+			atFileSize = append(atFileSize, tab)
+		}
 		if tab.id != o.exp.id {
 			t.Errorf("%s: outcome carries table id %q", o.exp.id, tab.id)
 		}
@@ -79,6 +94,9 @@ func TestAllExperimentsProduceTables(t *testing.T) {
 				t.Errorf("%s: host-dependent %q in %q", o.exp.id, m, l)
 			}
 		}
+	}
+	for _, d := range diffTables(string(doc), atFileSize) {
+		t.Error(d)
 	}
 }
 

@@ -157,7 +157,8 @@ func runE24() (*table, error) {
 	}
 	tab.note("theorem cases: width-path traffic, %d flits per guest edge, cut-through, n=%d; "+
 		"fault-sweep cases: the E23 configuration observed through selfheal.Config.Probe, one run per "+
-		"(embedding, p, seed) with absolute steps. The probe-OFF overhead contract (≤2%%) is asserted in internal/netsim.",
+		"(embedding, p, seed) with absolute steps. Probe-off runs are the same kernel with its nil-checked probe sites untaken: "+
+		"TestSimulateAllocs pins their allocations, FuzzSimulateProbed pins that a probe never changes a result, and perfbench's drain workload measures their cost.",
 		obsFlits, obsN)
 	return tab, nil
 }

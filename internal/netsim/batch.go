@@ -13,19 +13,20 @@ type BatchJob struct {
 	Mode Mode
 	// Shards, when > 1, runs this job through the partitioned engine
 	// (SimulateSharded) with that many shard workers — for batches of
-	// few huge jobs rather than many small ones. 0 or 1 uses the
-	// single-shard engine; results are bit-identical either way.
-	// Negative values are rejected by SimulateBatch.
+	// few huge jobs rather than many small ones. 0 or 1 runs one shard;
+	// results are bit-identical either way. Negative values are
+	// rejected by SimulateBatch.
 	Shards int
 }
 
 // SimulateBatch runs independent simulations across GOMAXPROCS worker
-// goroutines, each holding a pooled Engine for the whole batch so
-// scratch buffers amortize across jobs. results[i] corresponds to
-// jobs[i] regardless of scheduling, and every simulation is itself
-// deterministic, so the output is identical to running the jobs
-// serially. On failure the error names the lowest-indexed failing job;
-// results for jobs that completed are still returned.
+// goroutines. Each job is SimulateSharded at its Shards count, on an
+// Engine borrowed from the shared pool, so scratch buffers amortize
+// across jobs. results[i] corresponds to jobs[i] regardless of
+// scheduling, and every simulation is itself deterministic, so the
+// output is identical to running the jobs serially. On failure the
+// error names the lowest-indexed failing job; results for jobs that
+// completed are still returned.
 func SimulateBatch(jobs []BatchJob) ([]*Result, error) {
 	results := make([]*Result, len(jobs))
 	for i := range jobs {
@@ -50,18 +51,12 @@ func SimulateBatch(jobs []BatchJob) ([]*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e := enginePool.get()
-			defer enginePool.put(e)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(jobs) {
 					return
 				}
-				if jobs[i].Shards > 1 {
-					results[i], errs[i] = SimulateSharded(jobs[i].Msgs, jobs[i].Mode, jobs[i].Shards)
-				} else {
-					results[i], errs[i] = e.Simulate(jobs[i].Msgs, jobs[i].Mode)
-				}
+				results[i], errs[i] = SimulateSharded(jobs[i].Msgs, jobs[i].Mode, jobs[i].Shards)
 			}
 		}()
 	}

@@ -1,9 +1,6 @@
 package netsim
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Engine is the reusable high-throughput core behind every simulator
 // of this package. All per-run state lives in flat, densely indexed
@@ -25,20 +22,18 @@ import (
 // first queued request with an available flit crosses; requests
 // enqueued on the same step are ordered by message id (then hop).
 //
-// Its step loops are Simulate (closed loop, no faults, no probe), the
-// open loop (openLoop, every open-loop entry point at every shard
-// count) and the wormhole model; closed-loop runs with faults or a
-// probe run the closed-loop kernel of sharded.go over an Engine's
-// state.
+// Its step loops are the closed-loop kernel (cl, sharded.go: every
+// closed-loop entry point at every shard count), the open loop
+// (openLoop, every open-loop entry point at every shard count) and the
+// wormhole model. Both buffered loops split a run over the Engine's
+// one partition.
 //
 // An Engine is not safe for concurrent use. Every package-level entry
 // point — Simulate, SimulateFaults, SimulateWormhole, SimulateBatch,
 // SimulateOpenLoop and all the sharded variants — borrows its Engine
 // from one pool (enginePool, an idlePool the garbage collector never
 // empties) for the run and returns it after, so whichever entry point
-// runs next finds buffers already grown by the last; hold a private
-// Engine only when a single goroutine runs many simulations back to
-// back.
+// runs next finds buffers already grown by the last.
 type Engine struct {
 	// Link-id numbering. The dense table path is used for the common
 	// case of small non-negative external ids (hypercube EdgeIDs are
@@ -71,12 +66,6 @@ type Engine struct {
 	credit []int // immediately sendable flits across queued requests
 	qlen   []int // requests currently enqueued
 	inWork []bool
-
-	// Worklist double buffer, per-step arrival batch, enqueue batch.
-	work     []int32
-	scratch  []int32
-	arrivals []int32
-	enq      []int32
 
 	// Fault-path scratch: dense link id → external id for fault
 	// queries, blame and probes; the closed-loop kernel's per-message
@@ -128,10 +117,13 @@ type Engine struct {
 	// at two or more shards; cleared when the run ends.
 	olOpts OpenLoopOpts
 
-	// part is the shard layout of the open loop's runs (shard 0 alone
-	// at one shard): per-shard worklists, arrival batches and rings,
-	// kept warm across runs like every other buffer here.
+	// part is the shard layout of both buffered loops' runs (shard 0
+	// alone at one shard): per-shard worklists, arrival batches and
+	// rings, kept warm across runs like every other buffer here. An
+	// Engine runs one simulation at a time, so the loops share it.
 	part partition
+	// cl is the closed-loop kernel's run state over part.
+	cl sharded
 
 	// Wormhole scratch (SimulateWormhole shares the numbering pass and
 	// the crossed array; the channel-holding state below is its own).
@@ -144,17 +136,17 @@ type Engine struct {
 	whWaitTail     []int32
 	whWaitLen      []int
 	whMoves        []int32
-
-	res *Result
 }
 
-// NewEngine returns an empty Engine; buffers grow on first use.
-func NewEngine() *Engine {
-	return &Engine{sparse: make(map[int]int32)}
+// newEngine returns an empty Engine; buffers grow on first use.
+func newEngine() *Engine {
+	e := &Engine{sparse: make(map[int]int32)}
+	e.cl.e, e.cl.partition = e, &e.part
+	return e
 }
 
-// enginePool serves every entry point, the sharded runners included.
-var enginePool = idlePool[Engine]{new: NewEngine}
+// enginePool serves every entry point.
+var enginePool = idlePool[Engine]{new: newEngine}
 
 // stepLimit bounds a legitimate run: once a message has fully crossed
 // hop j-1, its request at hop j is queued with available flits, so
@@ -180,8 +172,8 @@ type routeShape struct {
 
 // numberAll validates the messages and runs the contiguous
 // link-numbering pass in one scan, returning the run's shape. Every
-// engine path (Simulate, simulateWormhole, the open loop, and the
-// closed-loop kernel) starts here, so flit validation and numbering
+// engine path (the closed-loop kernel, the open loop and
+// simulateWormhole) starts here, so flit validation and numbering
 // cannot drift between them. A warm engine performs no allocation in
 // this pass (pinned by TestNumberAllNoAllocs).
 func (e *Engine) numberAll(msgs []*Message) (routeShape, error) {
@@ -210,134 +202,6 @@ func (e *Engine) numberAll(msgs []*Message) (routeShape, error) {
 	}
 	sh.links = e.number(msgs, sh.total, minID, maxID)
 	return sh, nil
-}
-
-// Simulate runs the synchronous simulation on this Engine's scratch
-// buffers. Semantics and results are identical to SimulateReference;
-// see the package documentation for the model. It has no fault or
-// probe hook: those runs take the closed-loop kernel (sharded.go).
-func (e *Engine) Simulate(msgs []*Message, mode Mode) (*Result, error) {
-	shape, err := e.numberAll(msgs)
-	if err != nil {
-		return nil, err
-	}
-	totalFlits, maxRoute := shape.totalFlits, shape.maxRoute
-	e.growState(len(msgs), shape.total, int(shape.links))
-
-	res := &Result{}
-	e.res = res
-	remaining := 0
-	for i, m := range msgs {
-		e.flits[i] = m.Flits
-		p0, p1 := e.off[i], e.off[i+1]
-		if p0 == p1 {
-			continue
-		}
-		e.arrived[p0] = m.Flits
-		remaining++
-		e.enqueue(p0)
-	}
-
-	limit := stepLimit(totalFlits, maxRoute, len(msgs))
-	step := 0
-	for remaining > 0 {
-		step++
-		if step > limit {
-			return nil, fmt.Errorf("netsim: no progress after %d steps", limit)
-		}
-		cur := e.work
-		e.work = e.scratch[:0]
-		arr := e.arrivals[:0]
-		// Transfer phase: only links with sendable flits are visited.
-		for _, l := range cur {
-			if e.credit[l] <= 0 {
-				e.inWork[l] = false
-				continue
-			}
-			prev := int32(-1)
-			p := e.qhead[l]
-			for p >= 0 && e.arrived[p]-e.crossed[p] <= 0 {
-				prev = p
-				p = e.qnext[p]
-			}
-			if p < 0 { // defensive: credit promised a sendable request
-				e.credit[l] = 0
-				e.inWork[l] = false
-				continue
-			}
-			e.crossed[p]++
-			e.credit[l]--
-			res.FlitsMoved++
-			arr = append(arr, p)
-			if e.crossed[p] == e.flits[e.posMsg[p]] {
-				nx := e.qnext[p]
-				if prev < 0 {
-					e.qhead[l] = nx
-				} else {
-					e.qnext[prev] = nx
-				}
-				if nx < 0 {
-					e.qtail[l] = prev
-				}
-				e.qlen[l]--
-				e.queued[p] = false
-			}
-			if e.credit[l] > 0 {
-				e.work = append(e.work, l)
-			} else {
-				e.inWork[l] = false
-			}
-		}
-		// Credit arrivals after all transfers resolved so a flit moves
-		// at most one link per step. Credits, deliveries, and the
-		// worklist are order-independent; only the order in which new
-		// requests join a link's FIFO is observable. Each position
-		// arrives at most once per step, so the enqueue set is
-		// duplicate-free — sort just that (typically far smaller than
-		// the arrival batch) into ascending position order, which is
-		// (message id, hop) order: the documented FIFO tie-break.
-		enq := e.enq[:0]
-		for _, p := range arr {
-			mi := e.posMsg[p]
-			next := p + 1
-			if next == e.off[mi+1] {
-				if e.crossed[p] == e.flits[mi] {
-					remaining--
-					res.DeliveredMsgs++
-				}
-				continue
-			}
-			switch mode {
-			case CutThrough:
-				e.arrived[next]++
-				if e.queued[next] {
-					e.addCredit(e.route[next], 1)
-				}
-			case StoreAndForward:
-				e.buffer[next]++
-				if e.buffer[next] == e.flits[mi] {
-					e.arrived[next] = e.flits[mi]
-					if e.queued[next] {
-						e.addCredit(e.route[next], e.flits[mi]-e.crossed[next])
-					}
-				}
-			}
-			if !e.queued[next] && e.arrived[next] > 0 {
-				enq = append(enq, next)
-			}
-		}
-		slices.Sort(enq)
-		for _, p := range enq {
-			e.enqueue(p)
-		}
-		e.enq = enq
-		e.arrivals = arr
-		e.scratch = cur[:0]
-	}
-	res.Steps = step
-	res.DeliveredMsgs += countEmptyRoutes(msgs)
-	e.res = nil
-	return res, nil
 }
 
 // number runs the contiguous link-numbering pass, filling off, route,
@@ -411,9 +275,9 @@ func (e *Engine) denseID(id int) (int32, bool) {
 	return e.denseOf[id], true
 }
 
-// growState sizes and resets the per-position, per-link, and worklist
-// scratch for a run with the given shape.
-func (e *Engine) growState(nMsgs, total, links int) {
+// growState sizes and resets the per-position and per-link state for
+// a run with the given shape.
+func (e *Engine) growState(total, links int) {
 	e.arrived = grow(e.arrived, total)
 	e.crossed = grow(e.crossed, total)
 	e.buffer = grow(e.buffer, total)
@@ -437,39 +301,6 @@ func (e *Engine) growState(nMsgs, total, links int) {
 		e.qlen[l] = 0
 		e.inWork[l] = false
 	}
-	e.work = e.work[:0]
-	e.scratch = e.scratch[:0]
-}
-
-// enqueue appends position p to its link's FIFO, updates the peak
-// queue metric, and activates the link if p brings sendable flits.
-func (e *Engine) enqueue(p int32) {
-	l := e.route[p]
-	if e.qtail[l] < 0 {
-		e.qhead[l] = p
-	} else {
-		e.qnext[e.qtail[l]] = p
-	}
-	e.qtail[l] = p
-	e.qnext[p] = -1
-	e.queued[p] = true
-	e.qlen[l]++
-	if e.qlen[l] > e.res.MaxLinkQueue {
-		e.res.MaxLinkQueue = e.qlen[l]
-	}
-	if avail := e.arrived[p] - e.crossed[p]; avail > 0 {
-		e.addCredit(l, avail)
-	}
-}
-
-// addCredit records c newly sendable flits on link l, scheduling the
-// link into the next step's worklist on a zero→positive transition.
-func (e *Engine) addCredit(l int32, c int) {
-	if e.credit[l] == 0 && c > 0 && !e.inWork[l] {
-		e.inWork[l] = true
-		e.work = append(e.work, l)
-	}
-	e.credit[l] += c
 }
 
 func grow[T int | int32 | uint32 | uint8 | bool](s []T, n int) []T {

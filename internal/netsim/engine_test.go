@@ -85,7 +85,7 @@ func TestEngineMatchesReference(t *testing.T) {
 // A single Engine reused across runs of different shapes must behave
 // exactly like a fresh one (scratch reset, link renumbering, pooling).
 func TestEngineReuseAcrossRuns(t *testing.T) {
-	e := NewEngine()
+	e := newEngine()
 	q := hypercube.New(5)
 	rng := rand.New(rand.NewSource(3))
 	workloads := [][]*Message{
@@ -100,7 +100,7 @@ func TestEngineReuseAcrossRuns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := e.Simulate(msgs, mode)
+			got, err := simulateOn(e, msgs, mode)
 			if err != nil {
 				t.Fatalf("workload %d: %v", i, err)
 			}

@@ -140,7 +140,7 @@ func TestFaultSetShardedEquivalence(t *testing.T) {
 						var fr *FaultResult
 						var err error
 						if shards == 1 {
-							e := NewEngine()
+							e := newEngine()
 							preRun(t, e, c.pre)
 							fr, err = simulateFaultsOn(e, c.msgs, mode, o)
 						} else {
@@ -168,7 +168,7 @@ func TestFaultSetShardedEquivalence(t *testing.T) {
 						src := faultSetTrace(len(c.msgs)).Source()
 						var err error
 						if shards == 1 {
-							e := NewEngine()
+							e := newEngine()
 							preRun(t, e, c.pre)
 							out.Res, _, err = e.openLoop(c.msgs, src, o, 1, false)
 						} else {

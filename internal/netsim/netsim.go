@@ -22,15 +22,15 @@
 //
 // The simulation core is a dense, worklist-driven Engine: a numbering
 // pass gives links contiguous ids, per-link FIFOs live in flat reusable
-// slices, and each step touches only links that can move a flit. Three
-// buffered step loops run on it: Engine.Simulate, the bare closed loop;
-// the closed-loop kernel of every run with faults, a probe or shards;
-// and the open loop, one loop at every shard count whose transfer and
-// arrival phases run per shard. Every entry point — closed-loop,
-// open-loop, wormhole, and their sharded forms — borrows its Engine
-// from one pool that the garbage collector never empties, so a warm
-// Engine's buffers serve whichever simulation runs next; SimulateBatch
-// fans independent simulations out across GOMAXPROCS workers. The original
+// slices, and each step touches only links that can move a flit. Two
+// buffered step loops run on it, each one loop at every shard count
+// whose transfer and arrival phases run per shard over the Engine's
+// one partition: the closed-loop kernel of every closed-loop run, and
+// the open loop. Every entry point — closed-loop, open-loop, wormhole,
+// and their sharded forms — borrows its Engine from one pool that the
+// garbage collector never empties, so a warm Engine's buffers serve
+// whichever simulation runs next; SimulateBatch fans independent
+// simulations out across GOMAXPROCS workers. The original
 // map-scanning simulator is retained as SimulateReference — the golden
 // model for equivalence tests and old-vs-new benchmarks.
 package netsim
@@ -101,15 +101,15 @@ type Result struct {
 // Simulate runs the synchronous simulation to completion. Messages
 // with empty routes (source = destination) complete at step 0. The
 // step limit guards against livelock bugs; it scales with the total
-// work so legitimate runs never hit it (see stepLimit).
+// work so legitimate runs never hit it (see stepLimit). Semantics and
+// results are identical to SimulateReference.
 //
-// Simulate is safe for concurrent use: each call borrows a pooled
-// Engine, so scratch buffers are reused across calls without locking.
+// It runs the closed-loop kernel (sharded.go) at one shard, inline on
+// the caller's goroutine, with no fault or probe hook taken. Simulate
+// is safe for concurrent use: each call borrows a pooled Engine, so
+// scratch buffers are reused across calls without locking.
 func Simulate(msgs []*Message, mode Mode) (*Result, error) {
-	e := enginePool.get()
-	res, err := e.Simulate(msgs, mode)
-	enginePool.put(e)
-	return res, err
+	return SimulateSharded(msgs, mode, 1)
 }
 
 func countEmptyRoutes(msgs []*Message) int {

@@ -70,7 +70,10 @@ type Arrival struct {
 // schedule reroute arrivals, so exhaustion is re-checked at every
 // injection point. Arrivals produced by a re-poll must still respect
 // the nondecreasing-step contract relative to everything returned
-// before. Listener-off runs never re-poll.
+// before, and may not lie in the past: a re-polled arrival's step must
+// be at or after the step the engine re-polls at (the step whose
+// failure callbacks just ran), or the run returns an error naming the
+// arrival, its step and that step. Listener-off runs never re-poll.
 type ArrivalSource interface {
 	// Next returns the next arrival, or ok=false when the source is
 	// exhausted.
@@ -253,7 +256,7 @@ func (e *Engine) openLoop(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts
 		}
 	}
 
-	e.growState(0, 0, int(links))
+	e.growState(0, int(links))
 	probe := opts.Probe
 	if probe != nil || opts.Faults != nil {
 		e.fillExt(tmpls, links)
@@ -345,12 +348,14 @@ func (e *Engine) openLoop(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts
 		return nil
 	}
 
-	// repoll re-queries an exhausted source. With a listener attached
-	// the source may be a reacting session that schedules reroute
-	// arrivals from failure callbacks, so ok=false is never final; the
-	// engine asks again at every injection decision point. Listener-off
-	// runs keep the historical one-ahead pull pattern untouched.
-	repoll := func() error {
+	// repoll re-queries an exhausted source at step. With a listener
+	// attached the source may be a reacting session that schedules
+	// reroute arrivals from failure callbacks, so ok=false is never
+	// final; the engine asks again at every injection decision point.
+	// An arrival re-polled for a step before step could never be
+	// injected, so it is an error. Listener-off runs keep the historical
+	// one-ahead pull pattern untouched.
+	repoll := func(step int) error {
 		if havePending || opts.Listener == nil {
 			return nil
 		}
@@ -360,6 +365,9 @@ func (e *Engine) openLoop(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts
 		}
 		if n.Step < lastStep {
 			return fmt.Errorf("netsim: arrival %d: steps must be nondecreasing (step %d after %d)", nextMsg, n.Step, lastStep)
+		}
+		if n.Step < step {
+			return fmt.Errorf("netsim: arrival %d: re-polled at step %d for past step %d", nextMsg, step, n.Step)
 		}
 		pending, havePending = n, true
 		lastStep = n.Step
@@ -371,7 +379,7 @@ func (e *Engine) openLoop(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts
 	movedPrev := 0 // flits moved before the current step
 	for {
 		if e.olLive == 0 {
-			if err := repoll(); err != nil {
+			if err := repoll(step); err != nil {
 				return nil, nil, err
 			}
 			if !havePending {
@@ -476,7 +484,7 @@ func (e *Engine) openLoop(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts
 		// this is the (message id, hop) order too. A listener reacting to
 		// this step's kills may have scheduled reroutes, so re-check an
 		// exhausted source first.
-		if err := repoll(); err != nil {
+		if err := repoll(step); err != nil {
 			return nil, nil, err
 		}
 		injected := havePending && pending.Step == step

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"time"
 
 	"multipath/internal/faults"
 )
@@ -53,11 +54,22 @@ func listenerTrace() *Trace {
 // on a faulty, timing-out run: (1) attaching a non-reacting listener
 // never changes results, per-message records, or latency sinks, at
 // shard counts {1, 2, 3, 8}; (2) the event stream is identical —
-// same events, same order — at every shard count, with LinkDown
-// ascending by link within a step and StepLimit sweeps blaming link
-// -1 in ascending message order.
+// same events, same order — at every shard count, with LinkDown in
+// ascending dense link order within a step (first crossing in template
+// order) and StepLimit sweeps blaming link -1 in ascending message
+// order.
 func TestOpenLoopListenerInert(t *testing.T) {
 	tmpls := listenerTmpls()
+	// dense ranks each external link by its first crossing in template
+	// order, the numbering pass's order.
+	dense := map[int]int{}
+	for _, m := range tmpls {
+		for _, id := range m.Route {
+			if _, ok := dense[int(id)]; !ok {
+				dense[int(id)] = len(dense)
+			}
+		}
+	}
 	sched := faults.NewSchedule().
 		FailLink(2, 4).
 		FailLinkTransient(5, 3, 9).
@@ -109,8 +121,8 @@ func TestOpenLoopListenerInert(t *testing.T) {
 		}
 
 		// Shape of the canonical stream: at least one kill and one
-		// sweep; within a step LinkDown links ascend and sweep
-		// failures ascend by message id; kills blame a real link.
+		// sweep; within a step LinkDown links ascend in dense order and
+		// sweep failures ascend by message id; kills blame a real link.
 		downs, kills, sweeps := 0, 0, 0
 		lastDownStep, lastDownLink := -1, -1
 		lastSweepMsg := int32(-1)
@@ -122,7 +134,7 @@ func TestOpenLoopListenerInert(t *testing.T) {
 				if !ev.perm {
 					t.Fatalf("%v: transient outage reported as LinkDown: %+v", mode, ev)
 				}
-				if ev.step == lastDownStep && ev.link <= lastDownLink {
+				if ev.step == lastDownStep && dense[ev.link] <= dense[lastDownLink] {
 					t.Fatalf("%v: LinkDown out of canonical order: %+v", mode, ev)
 				}
 				lastDownStep, lastDownLink = ev.step, ev.link
@@ -330,5 +342,48 @@ func (s *chainSession) MsgFailed(step int, msg int32, link int) {
 	last := s.queue[len(s.queue)-1]
 	if int(last.Tmpl) < 2 {
 		s.queue = append(s.queue, Arrival{Step: step + 2, Tmpl: last.Tmpl + 1})
+	}
+}
+
+// pastSession answers every failure at step 4 or later with an arrival
+// on template 1 at step 1, a step the run has already passed.
+type pastSession struct{ chainSession }
+
+func (s *pastSession) MsgFailed(step int, msg int32, link int) {
+	if step >= 4 {
+		s.queue = append(s.queue, Arrival{Step: 1, Tmpl: 1})
+	}
+}
+
+// TestOpenLoopListenerRepollPastStep pins that every run ends: a
+// re-polled arrival for a past step could never be injected, so the
+// run returns an error naming the arrival, its step and the current
+// step, at every shard count. The message arriving at step 1 waits
+// for link 3, permanently down from step 4, and dies at step 5; the
+// session answers with an arrival at step 1. The timer bounds the test
+// should the loop wait for that arrival forever once nothing is live.
+func TestOpenLoopListenerRepollPastStep(t *testing.T) {
+	tmpls := []*Message{
+		{Route: []int32{0, 1, 2, 3, 4, 5}, Flits: 1},
+		{Route: []int32{7}, Flits: 1},
+	}
+	sched := faults.NewSchedule().FailLink(3, 4)
+	const want = "netsim: arrival 1: re-polled at step 5 for past step 1"
+	for _, shards := range []int{1, 2, 3} {
+		ses := &pastSession{chainSession{queue: []Arrival{{Step: 1, Tmpl: 0}}}}
+		opts := OpenLoopOpts{Mode: CutThrough, Faults: sched, Listener: ses}
+		errc := make(chan error, 1)
+		go func() {
+			_, err := SimulateOpenLoopSharded(tmpls, ses, opts, shards)
+			errc <- err
+		}()
+		select {
+		case err := <-errc:
+			if err == nil || err.Error() != want {
+				t.Errorf("shards=%d: err %v, want %q", shards, err, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("shards=%d: the run did not return within 10 s", shards)
+		}
 	}
 }

@@ -98,7 +98,7 @@ func (e *Engine) olWorker(k int) {
 
 // olTransfer is the transfer phase of shard k: per active link the
 // first queued request with an available flit crosses, as in the
-// closed-loop engines, over the arena arrays. A permanently-down link
+// closed-loop kernel, over the arena arrays. A permanently-down link
 // joins st.down for the loop's kill phase. At one shard every moved
 // flit joins the shard's arrivals and the probe sees each move; at two
 // or more a flit whose next hop another shard owns goes to that
@@ -186,7 +186,7 @@ func (e *Engine) olTransfer(k, step int, opts *OpenLoopOpts) {
 			st.boundary++
 			o := pt.owner[d]
 			if !st.out[o].push(p) {
-				st.spill[o] = append(st.spill[o], p)
+				st.spillTo(o, p)
 			}
 		}
 	}

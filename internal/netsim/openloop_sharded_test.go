@@ -410,7 +410,7 @@ func TestOpenLoopShardedErrors(t *testing.T) {
 // closures, the replay cursor) stays under 96 allocations for 4000
 // messages.
 func TestOpenLoopShardedAllocs(t *testing.T) {
-	e := NewEngine()
+	e := newEngine()
 	tmpls := permTemplates(t, 4, 2, 23)
 	const n = 4000
 	tr := &Trace{}
@@ -438,7 +438,7 @@ func TestOpenLoopShardedAllocs(t *testing.T) {
 // recycles slots through the same free stacks.
 func TestOpenLoopShardedColdAllocs(t *testing.T) {
 	checkColdAllocs(t, func() func([]*Message, *Trace) error {
-		e := NewEngine()
+		e := newEngine()
 		return func(tmpls []*Message, tr *Trace) error {
 			_, _, err := e.openLoop(tmpls, tr.Source(), OpenLoopOpts{Mode: CutThrough}, 3, false)
 			return err

@@ -294,7 +294,7 @@ func TestOpenLoopGracefulTimeout(t *testing.T) {
 // in-flight window, not the injected total: 200 sequential transfers
 // reuse one slot.
 func TestOpenLoopRecycling(t *testing.T) {
-	e := NewEngine()
+	e := newEngine()
 	tmpls := []*Message{{Route: []int32{0, 1, 2}, Flits: 2}}
 	tr := &Trace{}
 	for i := 0; i < 200; i++ {
@@ -506,7 +506,7 @@ func TestRecordArrivals(t *testing.T) {
 // injects 4000 messages; the per-run constant (result struct, a few
 // escaping closures, the replay cursor) stays under 64 allocations.
 func TestOpenLoopAllocs(t *testing.T) {
-	e := NewEngine()
+	e := newEngine()
 	tmpls := permTemplates(t, 4, 2, 23)
 	const n = 4000
 	tr := &Trace{}
@@ -606,7 +606,7 @@ func checkColdAllocs(t *testing.T, newRunner func() func([]*Message, *Trace) err
 
 func TestOpenLoopColdAllocs(t *testing.T) {
 	checkColdAllocs(t, func() func([]*Message, *Trace) error {
-		e := NewEngine()
+		e := newEngine()
 		return func(tmpls []*Message, tr *Trace) error {
 			_, _, err := e.openLoop(tmpls, tr.Source(), OpenLoopOpts{Mode: CutThrough}, 1, false)
 			return err

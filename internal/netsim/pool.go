@@ -5,8 +5,9 @@ import (
 	"sync"
 )
 
-// idlePool keeps idle run state — Engines and the sharded runners —
-// between runs, so a warm run allocates almost nothing. It is one LIFO
+// idlePool keeps idle Engines, each with the closed-loop kernel's
+// runner and the partition both buffered loops share, between runs, so
+// a warm run allocates almost nothing. It is one LIFO
 // stack shared by every P, and the garbage collector never empties it:
 // a caller that runs simulations back to back gets back the value it
 // returned last, buffers already grown to its inputs, whichever P it

@@ -48,9 +48,10 @@ func poolInputs() []poolInput {
 
 // TestShardedEntryPointsShareEnginePool interleaves every pooled entry
 // point over inputs of three sizes and holds each outcome to the same
-// run on a fresh Engine. One Engine pool serves them all — the sharded
-// runners borrow from it too — so state that one entry point leaves in
-// an Engine and another reads would show up here.
+// run on a fresh Engine. One Engine pool serves them all — the
+// closed-loop kernel's runner and both loops' partition are part of
+// the Engine — so state that one entry point leaves in an Engine and
+// another reads would show up here.
 func TestShardedEntryPointsShareEnginePool(t *testing.T) {
 	inputs := poolInputs()
 
@@ -73,19 +74,19 @@ func TestShardedEntryPointsShareEnginePool(t *testing.T) {
 	}{
 		{"Simulate",
 			func(in poolInput) (any, error) { return Simulate(in.msgs, StoreAndForward) },
-			func(in poolInput) (any, error) { return NewEngine().Simulate(in.msgs, StoreAndForward) }},
+			func(in poolInput) (any, error) { return simulateOn(newEngine(), in.msgs, StoreAndForward) }},
 		{"SimulateFaults",
 			func(in poolInput) (any, error) { return SimulateFaults(in.msgs, CutThrough, faultOpts(in)) },
 			func(in poolInput) (any, error) {
-				return simulateFaultsOn(NewEngine(), in.msgs, CutThrough, faultOpts(in))
+				return simulateFaultsOn(newEngine(), in.msgs, CutThrough, faultOpts(in))
 			}},
 		{"SimulateWormhole",
 			func(in poolInput) (any, error) { return SimulateWormhole(in.msgs) },
-			func(in poolInput) (any, error) { return NewEngine().simulateWormhole(in.msgs, nil) }},
+			func(in poolInput) (any, error) { return newEngine().simulateWormhole(in.msgs, nil) }},
 		{"SimulateSharded",
 			func(in poolInput) (any, error) { return SimulateSharded(in.msgs, CutThrough, 3) },
 			func(in poolInput) (any, error) {
-				res, _, _, err := (&sharded{e: NewEngine()}).run(in.msgs, CutThrough, FaultOpts{}, false, 3, false)
+				res, _, _, err := newEngine().cl.run(in.msgs, CutThrough, FaultOpts{}, false, 3, false)
 				return res, err
 			}},
 		{"SimulateFaultsSharded",
@@ -93,7 +94,7 @@ func TestShardedEntryPointsShareEnginePool(t *testing.T) {
 				return SimulateFaultsSharded(in.msgs, StoreAndForward, faultOpts(in), 3)
 			},
 			func(in poolInput) (any, error) {
-				_, fr, _, err := (&sharded{e: NewEngine()}).run(in.msgs, StoreAndForward, faultOpts(in), true, 3, false)
+				_, fr, _, err := newEngine().cl.run(in.msgs, StoreAndForward, faultOpts(in), true, 3, false)
 				return fr, err
 			}},
 		{"SimulateOpenLoop",
@@ -102,7 +103,7 @@ func TestShardedEntryPointsShareEnginePool(t *testing.T) {
 			},
 			func(in poolInput) (any, error) {
 				return open(in, func(o OpenLoopOpts) (*OpenLoopResult, error) {
-					res, _, err := NewEngine().openLoop(in.msgs, in.tr.Source(), o, 1, false)
+					res, _, err := newEngine().openLoop(in.msgs, in.tr.Source(), o, 1, false)
 					return res, err
 				})
 			}},
@@ -114,7 +115,7 @@ func TestShardedEntryPointsShareEnginePool(t *testing.T) {
 			},
 			func(in poolInput) (any, error) {
 				return open(in, func(o OpenLoopOpts) (*OpenLoopResult, error) {
-					res, _, err := NewEngine().openLoop(in.msgs, in.tr.Source(), o, 3, false)
+					res, _, err := newEngine().openLoop(in.msgs, in.tr.Source(), o, 3, false)
 					return res, err
 				})
 			}},
@@ -135,12 +136,12 @@ func TestShardedEntryPointsShareEnginePool(t *testing.T) {
 	}
 }
 
-// TestShardedRunnerPoolConcurrentCallers has 8 goroutines draw
-// runners from shardedPool and engines from enginePool at once —
-// SimulateFaults and SimulateProbed run the closed-loop kernel at one
-// shard on a pooled runner, SimulateFaultsSharded at three, and
-// SimulateOpenLoopSharded the open loop at three on the engine's
-// partition — and holds every result to a serial run of the same call.
+// TestShardedRunnerPoolConcurrentCallers has 8 goroutines draw engines
+// from enginePool at once — SimulateFaults and SimulateProbed run the
+// closed-loop kernel at one shard on a pooled engine,
+// SimulateFaultsSharded at three, and SimulateOpenLoopSharded the open
+// loop at three, each on the engine's partition — and holds every
+// result to a serial run of the same call.
 func TestShardedRunnerPoolConcurrentCallers(t *testing.T) {
 	type outcome struct {
 		faults, sharded *FaultResult
@@ -193,11 +194,11 @@ func TestShardedRunnerPoolConcurrentCallers(t *testing.T) {
 }
 
 // TestEnginePoolStaysWarm pins what keeps back-to-back runs steady: the
-// pools hand a caller that runs one simulation after another the Engine
-// and sharded runner it returned last, and garbage collections empty
-// neither. A run repeated after two collections — enough for a
-// sync.Pool to drop everything idle, and the arena to regrow from
-// empty — allocates no more than a plain repeat.
+// pool hands a caller that runs one simulation after another the
+// Engine it returned last, and garbage collections do not empty it. A
+// run repeated after two collections — enough for a sync.Pool to drop
+// everything idle, and the arena to regrow from empty — allocates no
+// more than a plain repeat.
 func TestEnginePoolStaysWarm(t *testing.T) {
 	tmpls, tr := coldWorkload(4096)
 	for _, shards := range []int{1, 2} {

@@ -10,11 +10,10 @@ package netsim
 // SimulateProbed, FaultOpts.Probe, or the sharded entry points, all
 // served by the closed-loop kernel (sharded.go); open-loop runs
 // through OpenLoopOpts.Probe; wormhole runs through
-// SimulateWormholeProbed. Simulate, the bare closed-loop loop, has no
-// probe call site at all. Every call site is guarded by a nil-check,
-// so a run with no probe attached pays only untaken branches, and
-// attaching a probe never changes a result (asserted by the
-// equivalence fuzzers). All the bookkeeping a probe needs that a bare
+// SimulateWormholeProbed. Simulate is the same kernel with no probe
+// attached. Every call site is guarded by a nil-check, so a run with
+// no probe attached pays only untaken branches, and attaching a probe
+// never changes a result (asserted by the equivalence fuzzers). All the bookkeeping a probe needs that a bare
 // run does not (for example the dense→external link id table on the
 // fault-free path) is built only when a probe is attached.
 //

@@ -26,8 +26,9 @@ type spscRing struct {
 }
 
 // ringCap is the per-pair ring capacity (entries, power of two). With
-// at most 255 shards the worst-case footprint is pairs·ringCap·4B;
-// at the benchmarked 8 shards it is 64·4096·4B = 1 MiB.
+// at most 255 shards the worst-case footprint is pairs·ringCap·4B,
+// where a shard keeps no ring to itself; at the benchmarked 8 shards
+// it is 56·4096·4B ≈ 0.9 MiB.
 const ringCap = 1 << 12
 
 func newSPSCRing() *spscRing {

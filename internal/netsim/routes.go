@@ -70,32 +70,3 @@ func PermutationMessages(q *hypercube.Q, perm []int, flits int) []*Message {
 	}
 	return msgs
 }
-
-// FilterFaultyRoutes splits messages into those whose routes avoid the
-// failed links and those that would cross one — connecting the §1
-// fault-tolerance story to the simulator: with IDA pieces spread over
-// disjoint paths, dropped messages cost redundancy, not delivery.
-//
-// A nil predicate means no link is faulty: every message lands in ok.
-// Messages with empty routes never cross a link, so they are always
-// kept. Both returned slices are nil when their partition is empty.
-func FilterFaultyRoutes(msgs []*Message, faulty func(link int) bool) (ok, dropped []*Message) {
-	if faulty == nil {
-		faulty = func(int) bool { return false }
-	}
-	for _, m := range msgs {
-		bad := false
-		for _, id := range m.Route {
-			if faulty(int(id)) {
-				bad = true
-				break
-			}
-		}
-		if bad {
-			dropped = append(dropped, m)
-		} else {
-			ok = append(ok, m)
-		}
-	}
-	return ok, dropped
-}

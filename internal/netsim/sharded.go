@@ -6,13 +6,13 @@ import (
 	"sync"
 )
 
-// This file is the closed-loop kernel of every run with faults or a
-// probe — SimulateFaults, SimulateProbed and the sharded entry points
-// — and of SimulateSharded at two or more shards. The dense contiguous
-// link-id space of a run is split into per-shard ranges (partition),
-// each kept by one goroutine that owns the intrusive FIFOs, credit
-// counters, and active-link worklist of Engine.Simulate for exactly its
-// links. A simulation step becomes
+// This file is the closed-loop kernel, the one closed loop behind
+// every closed-loop entry point — Simulate, SimulateBatch,
+// SimulateFaults, SimulateProbed and the sharded entry points — at
+// every shard count. The dense contiguous link-id space of a run is
+// split into per-shard ranges (partition), each kept by one goroutine
+// that owns the intrusive FIFOs, credit counters, and active-link
+// worklist of exactly its links. A simulation step is
 //
 //	transfer(k) ∥ …  →  [barrier: kills]  →  arrive(k) ∥ …  →  [barrier: step end]
 //
@@ -37,10 +37,9 @@ import (
 // Everything global is written only there, which is what makes the
 // kernel *bit-identical* across shard counts — same Result, same
 // FaultResult, same Probe-visible distributions — rather than merely
-// statistically equivalent, and bit-identical to Engine.Simulate on
-// fault-free runs.
-// The equivalence is enforced by TestSimulateShardedEquivalence and
-// FuzzSimulateSharded over the fuzz corpus.
+// statistically equivalent. The equivalence is enforced by
+// TestSimulateShardedEquivalence and FuzzSimulateSharded over the fuzz
+// corpus, and FuzzSimulate holds the kernel to SimulateReference.
 //
 // One shard runs inline: no worker, no barrier wait, no owner table
 // (every next hop is local), and a probe is called at each event —
@@ -200,13 +199,12 @@ func (b *stepBarrier) release() {
 }
 
 // partition is the shard layout of one run, the one type both kernels
-// split a run with — the open loop's kept by the pooled Engine, the
-// closed-loop kernel's by its pooled runner: contiguous dense-id ranges
-// of near-equal size (dense ids follow route order, so ranges inherit
-// whatever locality the route construction has), the per-shard states,
-// and the barrier, WaitGroup, step and stop flag of the workers of
-// shards 1 and up. One shard has no owner table, no rings and no
-// workers.
+// split a run with, kept by the pooled Engine: contiguous dense-id
+// ranges of near-equal size (dense ids follow route order, so ranges
+// inherit whatever locality the route construction has), the per-shard
+// states, and the barrier, WaitGroup, step and stop flag of the
+// workers of shards 1 and up. One shard has no owner table, no rings
+// and no workers.
 type partition struct {
 	n      int // shards of the current run
 	states []*shardState
@@ -220,7 +218,11 @@ type partition struct {
 
 // split lays a run of links out over shards, which the caller clamps
 // to [1, min(links, 255)] (the owner table is uint8), and resets every
-// shard's state for the run.
+// shard's state for the run. Each shard's worklists and batches grow
+// once here to its own link count, so an Engine meeting a new shard
+// count does not double them up from empty step by step; sizing them
+// by the run's total link count would multiply the per-link memory by
+// the shard count.
 func (pt *partition) split(links int32, shards int) {
 	pt.n, pt.step, pt.done = shards, 0, false
 	pt.bar.init(shards - 1)
@@ -241,10 +243,11 @@ func (pt *partition) split(links int32, shards int) {
 	}
 	for k, st := range pt.states[:shards] {
 		st.lo, st.hi = pt.cuts[k], pt.cuts[k+1]
-		st.work = st.work[:0]
-		st.scratch = st.scratch[:0]
-		st.arr = st.arr[:0]
-		st.enq = st.enq[:0]
+		own := int(st.hi - st.lo)
+		st.work = slices.Grow(st.work[:0], own)
+		st.scratch = slices.Grow(st.scratch[:0], own)
+		st.arr = slices.Grow(st.arr[:0], own)
+		st.enq = slices.Grow(st.enq[:0], own)
 		st.enqKey = st.enqKey[:0]
 		st.down = st.down[:0]
 		st.pbMove = st.pbMove[:0]
@@ -255,16 +258,39 @@ func (pt *partition) split(links int32, shards int) {
 		if shards == 1 {
 			continue
 		}
-		for len(st.out) < shards {
-			st.out = append(st.out, newSPSCRing())
-			st.spill = append(st.spill, nil)
+		if len(st.out) < shards {
+			// A shard never sends to itself: its own slot keeps no ring.
+			out := make([]*spscRing, shards)
+			copy(out, st.out)
+			for d := len(st.out); d < shards; d++ {
+				if d != k {
+					out[d] = newSPSCRing()
+				}
+			}
+			st.out = out
+			st.spill = append(st.spill, make([][]int32, shards-len(st.spill))...)
 		}
-		for d := 0; d < shards; d++ {
-			st.out[d].head.Store(0)
-			st.out[d].tail.Store(0)
+		for d, r := range st.out[:shards] {
+			if r != nil {
+				r.head.Store(0)
+				r.tail.Store(0)
+			}
 			st.spill[d] = st.spill[d][:0]
 		}
 	}
+}
+
+// spillTo appends boundary position p to the spill batch for shard d,
+// once that pair's ring is full. The batch grows by doubling from one
+// ring's capacity: plain append grows a large slice by about 1.25x, so
+// a cold Engine's first sharded run on a whole cube would spend dozens
+// of allocations per shard pair growing its spills.
+func (st *shardState) spillTo(d uint8, p int32) {
+	s := st.spill[d]
+	if len(s) == cap(s) {
+		s = slices.Grow(s, max(len(s), ringCap))
+	}
+	st.spill[d] = append(s, p)
 }
 
 // shardOf returns the state of the shard owning dense link l.
@@ -334,8 +360,8 @@ func (pt *partition) stop() {
 }
 
 // addShardCredit records c newly sendable flits on link l, scheduling
-// the link into shard st's worklist on a zero→positive transition
-// (Engine.addCredit with the worklist redirected to the owning shard).
+// the link into shard st's worklist, the owning shard's, on a
+// zero→positive transition.
 func (e *Engine) addShardCredit(st *shardState, l int32, c int) {
 	if e.credit[l] == 0 && c > 0 && !e.inWork[l] {
 		e.inWork[l] = true
@@ -344,13 +370,13 @@ func (e *Engine) addShardCredit(st *shardState, l int32, c int) {
 	e.credit[l] += c
 }
 
-// sharded holds the partition and run globals of one closed-loop
-// kernel run, and the Engine (numbering pass and flat state arrays) it
-// borrows for that run. Run globals are written only during setup or
-// in the coordinator's single-threaded step work.
+// sharded is the closed-loop kernel's run state, a part of the Engine
+// whose numbering pass, flat state arrays and partition it runs on.
+// Run globals are written only during setup or in the coordinator's
+// single-threaded step work.
 type sharded struct {
-	e *Engine // lent by the entry point for one run
-	partition
+	e *Engine // the Engine holding this runner
+	*partition
 
 	msgs     []*Message
 	mode     Mode
@@ -369,31 +395,18 @@ type sharded struct {
 	arBuf  []uint64
 }
 
-// shardedPool keeps the runners — partitions with their rings and
-// worklists — but no Engine: each run borrows one from enginePool, the
-// pool every other entry point draws from, so a sharded run after a
-// single-shard one finds its buffers already grown. The partition stays
-// with the runner, not the borrowed Engine: callers such as
-// SimulateBatch cycle several engines through the pool, and a
-// partition tied to one of them would regrow whenever a run drew
-// another.
-var shardedPool = idlePool[sharded]{new: func() *sharded { return new(sharded) }}
-
-// getSharded takes a runner from shardedPool and lends it an Engine
-// from enginePool for one run; release returns both, first dropping
-// the run's references to caller-owned objects so an idle runner
-// keeps none of them alive.
+// getSharded borrows an Engine from enginePool for one closed-loop run
+// and returns its runner; release returns the Engine, first dropping
+// the run's references to caller-owned objects so an idle Engine keeps
+// none of them alive.
 func getSharded() *sharded {
-	sh := shardedPool.get()
-	sh.e = enginePool.get()
-	return sh
+	return &enginePool.get().cl
 }
 
 func (sh *sharded) release() {
-	enginePool.put(sh.e)
-	sh.e, sh.msgs, sh.faults, sh.res, sh.fr = nil, nil, nil, nil, nil
+	sh.msgs, sh.faults, sh.res, sh.fr = nil, nil, nil, nil
 	sh.probe, sh.err = nil, nil
-	shardedPool.put(sh)
+	enginePool.put(sh.e)
 }
 
 // negativeShards is the error every sharded entry point returns for a
@@ -404,14 +417,11 @@ func negativeShards(shards int) error {
 
 // SimulateSharded is Simulate partitioned across shards worker
 // goroutines. Results are bit-identical to Simulate for every shard
-// count; shards 0 and 1 run Simulate itself, and negative shard counts
-// are an error, as in every sharded entry point.
+// count; shards 0 and 1 run the kernel inline, as Simulate does, and
+// negative shard counts are an error, as in every sharded entry point.
 func SimulateSharded(msgs []*Message, mode Mode, shards int) (*Result, error) {
 	if shards < 0 {
 		return nil, negativeShards(shards)
-	}
-	if shards <= 1 {
-		return Simulate(msgs, mode)
 	}
 	sh := getSharded()
 	res, _, _, err := sh.run(msgs, mode, FaultOpts{}, false, shards, false)
@@ -452,18 +462,6 @@ func SimulateFaultsSharded(msgs []*Message, mode Mode, opts FaultOpts, shards in
 	return fr, err
 }
 
-// SimulateShardedStats is SimulateSharded plus the per-shard
-// accounting (load balance, boundary traffic, conservation).
-func SimulateShardedStats(msgs []*Message, mode Mode, shards int) (*Result, []ShardStat, error) {
-	if shards < 0 {
-		return nil, nil, negativeShards(shards)
-	}
-	sh := getSharded()
-	res, _, stats, err := sh.run(msgs, mode, FaultOpts{}, false, shards, true)
-	sh.release()
-	return res, stats, err
-}
-
 // run is the shared core of every entry point of the kernel. faultPath
 // selects SimulateFaults semantics (Outcomes, kills, graceful
 // timeout); opts is ignored otherwise except for opts.Probe. The shard
@@ -490,7 +488,7 @@ func (sh *sharded) run(msgs []*Message, mode Mode, opts FaultOpts, faultPath boo
 		limit = stepLimit(shape.totalFlits, shape.maxRoute, len(msgs)) + h
 	}
 
-	e.growState(len(msgs), shape.total, int(links))
+	e.growState(shape.total, int(links))
 	sh.split(links, shards)
 
 	sh.msgs = msgs
@@ -599,9 +597,10 @@ func (sh *sharded) worker(k int) {
 	}
 }
 
-// transfer runs Engine.Simulate's transfer phase over this shard's
-// active links, routing each moved flit either to the local arrival
-// batch or across a shard boundary.
+// transfer is the transfer phase over this shard's active links: per
+// link, the first queued request with an available flit crosses. Each
+// moved flit goes either to the local arrival batch or across a shard
+// boundary.
 func (sh *sharded) transfer(k int) {
 	e := sh.e
 	st := sh.states[k]
@@ -610,19 +609,20 @@ func (sh *sharded) transfer(k int) {
 	}
 	inline := sh.n == 1 // one shard: every next hop is local
 	step := sh.step
+	owner, faults, probe := sh.owner, sh.faults, sh.probe
 	cur := st.work
-	st.work = st.scratch[:0]
-	st.arr = st.arr[:0]
+	work := st.scratch[:0]
+	arr := st.arr[:0]
 	st.down = st.down[:0]
 	for _, l := range cur {
 		if e.credit[l] <= 0 {
 			e.inWork[l] = false
 			continue
 		}
-		if sh.faults != nil && e.mayFail[l] {
-			if dn, perm := sh.faults.Status(e.ext[l], step); dn {
+		if faults != nil && e.mayFail[l] {
+			if dn, perm := faults.Status(e.ext[l], step); dn {
 				if !perm {
-					st.work = append(st.work, l)
+					work = append(work, l)
 					continue
 				}
 				st.down = append(st.down, l)
@@ -645,9 +645,9 @@ func (sh *sharded) transfer(k int) {
 		e.credit[l]--
 		st.moved++
 		mi := e.posMsg[p]
-		if sh.probe != nil {
+		if probe != nil {
 			if inline {
-				sh.probe.FlitMoved(step, mi, l)
+				probe.FlitMoved(step, mi, l)
 			} else {
 				st.pbMove = append(st.pbMove, uint64(uint32(l))<<32|uint64(uint32(mi)))
 			}
@@ -666,21 +666,22 @@ func (sh *sharded) transfer(k int) {
 			e.queued[p] = false
 		}
 		if e.credit[l] > 0 {
-			st.work = append(st.work, l)
+			work = append(work, l)
 		} else {
 			e.inWork[l] = false
 		}
 		next := p + 1
-		if inline || next == e.off[mi+1] || sh.owner[e.route[next]] == uint8(k) {
-			st.arr = append(st.arr, p)
+		if inline || next == e.off[mi+1] || owner[e.route[next]] == uint8(k) {
+			arr = append(arr, p)
 		} else {
 			st.boundary++
-			d := sh.owner[e.route[next]]
+			d := owner[e.route[next]]
 			if !st.out[d].push(p) {
-				st.spill[d] = append(st.spill[d], p)
+				st.spillTo(d, p)
 			}
 		}
 	}
+	st.work, st.arr = work, arr
 	st.scratch = cur[:0]
 }
 
@@ -768,8 +769,8 @@ func (sh *sharded) failMessage(mi int32, extLink, step int) int {
 }
 
 // arrive appends every peer's ring and spill batch destined here to
-// this shard's local arrivals, then applies Engine.Simulate's arrival
-// rules to each flit in that order: delivery bookkeeping on the final
+// this shard's local arrivals, then applies the arrival rules to each
+// flit in that order: delivery bookkeeping on the final
 // hop, otherwise buffering and credits at the next hop. Every link
 // touched (credit, FIFO enqueue) is owned by this shard, because a
 // position's enqueue target is its own link.
@@ -791,20 +792,21 @@ func (sh *sharded) arrive(k int) {
 		st.arr = append(st.arr, peer.spill[k]...)
 	}
 	inline := sh.n == 1
-	st.enq = st.enq[:0]
+	fr, probe, mode, step := sh.fr, sh.probe, sh.mode, sh.step
+	enq := st.enq[:0]
 	for _, p := range st.arr {
 		mi := e.posMsg[p]
-		if sh.fr != nil && e.dead[mi] {
+		if fr != nil && e.dead[mi] {
 			continue // killed this step: crossing counted, arrival absorbed
 		}
 		next := p + 1
 		if next == e.off[mi+1] {
 			done := e.crossed[p] == e.flits[mi]
-			if sh.probe != nil {
+			if probe != nil {
 				if inline {
-					sh.probe.FlitDelivered(sh.step, mi)
+					probe.FlitDelivered(step, mi)
 					if done {
-						sh.probe.MsgDone(sh.step, mi, true)
+						probe.MsgDone(step, mi, true)
 					}
 				} else {
 					v := uint64(uint32(mi)) << 1
@@ -816,13 +818,13 @@ func (sh *sharded) arrive(k int) {
 			}
 			if done {
 				st.deliveredStep++
-				if sh.fr != nil {
-					sh.fr.Outcomes[mi] = Outcome{Delivered: true, Step: sh.step, FailedLink: -1}
+				if fr != nil {
+					fr.Outcomes[mi] = Outcome{Delivered: true, Step: step, FailedLink: -1}
 				}
 			}
 			continue
 		}
-		switch sh.mode {
+		switch mode {
 		case CutThrough:
 			e.arrived[next]++
 			if e.queued[next] {
@@ -838,22 +840,24 @@ func (sh *sharded) arrive(k int) {
 			}
 		}
 		if !e.queued[next] && e.arrived[next] > 0 {
-			st.enq = append(st.enq, next)
+			enq = append(enq, next)
 		}
 	}
 	// Same-step enqueues in ascending position order: equal to the
 	// one-shard global sort restricted to this shard's links.
-	slices.Sort(st.enq)
-	for _, p := range st.enq {
+	slices.Sort(enq)
+	for _, p := range enq {
 		sh.enqueue(st, p)
 	}
-	if sh.probe != nil && inline {
-		sh.probe.StepEnd(sh.step, e.qlen[:sh.links])
+	st.enq = enq
+	if probe != nil && inline {
+		probe.StepEnd(step, e.qlen[:sh.links])
 	}
 }
 
-// enqueue mirrors Engine.enqueue with the worklist and peak-queue
-// metric redirected to the owning shard.
+// enqueue appends position p to its link's FIFO, updates the owning
+// shard st's peak queue metric, and activates the link on st's
+// worklist if p brings sendable flits.
 func (sh *sharded) enqueue(st *shardState, p int32) {
 	e := sh.e
 	l := e.route[p]
@@ -876,9 +880,9 @@ func (sh *sharded) enqueue(st *shardState, p int32) {
 
 // stepEndAction is the step's work after the arrival phase: fold
 // per-shard delivery counts, flush the buffered probe events of two or
-// more shards as one canonical stream, and decide termination, as
-// Engine.Simulate's loop does (plus the graceful-timeout failure
-// sweep).
+// more shards as one canonical stream, and decide termination: done
+// once every message finished, an error past the livelock bound, or
+// the graceful-timeout failure sweep at FaultOpts.StepLimit.
 func (sh *sharded) stepEndAction() {
 	for _, st := range sh.states[:sh.n] {
 		d := st.deliveredStep

@@ -2,8 +2,10 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -376,15 +378,17 @@ func TestShardedProbedFaultFree(t *testing.T) {
 // TestShardedStatsConservation checks the per-shard invariant on the
 // fault-free path: every shard's moved flits equal its injected
 // flit-hops (everything delivers), the shard link counts partition the
-// link space, and the per-shard sums reproduce the global Result.
+// link space, and the per-shard sums reproduce the global Result. The
+// per-shard stats come from the kernel directly, on one Engine.
 func TestShardedStatsConservation(t *testing.T) {
 	msgs := shardedWorkloads()["permutation-q5"]
 	want, err := Simulate(msgs, CutThrough)
 	if err != nil {
 		t.Fatal(err)
 	}
+	e := newEngine()
 	for _, shards := range []int{1, 2, 3, 8} {
-		res, stats, err := SimulateShardedStats(msgs, CutThrough, shards)
+		res, _, stats, err := e.cl.run(msgs, CutThrough, FaultOpts{}, false, shards, true)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -410,10 +414,16 @@ func TestShardedStatsConservation(t *testing.T) {
 	}
 }
 
-// simulateFaultsOn is SimulateFaults on engine e instead of a pooled
-// one: the closed-loop kernel at one shard.
+// simulateOn and simulateFaultsOn are Simulate and SimulateFaults on
+// engine e instead of a pooled one: the closed-loop kernel at one
+// shard.
+func simulateOn(e *Engine, msgs []*Message, mode Mode) (*Result, error) {
+	res, _, _, err := e.cl.run(msgs, mode, FaultOpts{}, false, 1, false)
+	return res, err
+}
+
 func simulateFaultsOn(e *Engine, msgs []*Message, mode Mode, opts FaultOpts) (*FaultResult, error) {
-	_, fr, _, err := (&sharded{e: e}).run(msgs, mode, opts, true, 1, false)
+	_, fr, _, err := e.cl.run(msgs, mode, opts, true, 1, false)
 	return fr, err
 }
 
@@ -424,7 +434,7 @@ func simulateFaultsOn(e *Engine, msgs []*Message, mode Mode, opts FaultOpts) (*F
 func TestShardedStatsConservationWithFaults(t *testing.T) {
 	msgs := shardedWorkloads()["shared-bottleneck"]
 	sched := faults.NewSchedule().FailLink(9, 2)
-	sh := &sharded{e: NewEngine()}
+	sh := &newEngine().cl
 	_, fr, stats, err := sh.run(msgs, CutThrough, FaultOpts{Faults: sched}, true, 4, true)
 	if err != nil {
 		t.Fatal(err)
@@ -476,6 +486,46 @@ func TestShardedPoolReuse(t *testing.T) {
 	}
 }
 
+// coldSplitAllocs bounds a two-shard closed run on an Engine that has
+// run only at one shard: the second shard's state, its worklists and
+// batches grown once to its link count, the owner table, the rings and
+// spill batches, the worker and the Result (18 allocations on Q_12).
+// Doubling the shards' worklists and batches up from empty step by
+// step would cost 82 or more there.
+const coldSplitAllocs = 48
+
+// TestShardedColdSplitAllocs pins what lets one Engine pool serve
+// every shard count: the first run of an Engine at a new shard count
+// grows each shard's worklists and batches once, in partition.split,
+// so it allocates a small constant however many links the run has.
+func TestShardedColdSplitAllocs(t *testing.T) {
+	q := hypercube.New(12)
+	rng := rand.New(rand.NewSource(5))
+	msgs := PermutationMessages(q, RandomPermutation(rng, q.Nodes()), 4)
+	// As in lastRunAllocs: another goroutine can allocate mid-count,
+	// which only ever adds, so the count is the least of three.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		e := newEngine()
+		if _, err := simulateOn(e, msgs, CutThrough); err != nil {
+			t.Fatal(err)
+		}
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		if _, _, _, err := e.cl.run(msgs, CutThrough, FaultOpts{}, false, 2, false); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		least = min(least, ms.Mallocs-before)
+	}
+	t.Logf("first two-shard run after a one-shard run: %d allocs", least)
+	if least > coldSplitAllocs {
+		t.Errorf("first two-shard run after a one-shard run allocated %d times, want ≤ %d", least, coldSplitAllocs)
+	}
+}
+
 // TestShardedErrorPaths pins the error contracts: invalid flits and
 // the unbounded-schedule guard.
 func TestShardedErrorPaths(t *testing.T) {
@@ -505,10 +555,6 @@ func TestShardedRejectsNegativeShards(t *testing.T) {
 		},
 		"SimulateFaultsSharded": func(k int) error {
 			_, err := SimulateFaultsSharded(msgs, CutThrough, FaultOpts{}, k)
-			return err
-		},
-		"SimulateShardedStats": func(k int) error {
-			_, _, err := SimulateShardedStats(msgs, CutThrough, k)
 			return err
 		},
 		"SimulateOpenLoopSharded": func(k int) error {
@@ -545,7 +591,7 @@ func TestNumberAllNoAllocs(t *testing.T) {
 	q := hypercube.New(4)
 	rng := rand.New(rand.NewSource(3))
 	msgs := PermutationMessages(q, RandomPermutation(rng, q.Nodes()), 2)
-	e := NewEngine()
+	e := newEngine()
 	if _, err := e.numberAll(msgs); err != nil {
 		t.Fatal(err)
 	}

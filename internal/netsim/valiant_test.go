@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"multipath/internal/faults"
 	"multipath/internal/hypercube"
 )
 
@@ -130,59 +129,5 @@ func TestBroadcastOddDimension(t *testing.T) {
 	}
 	if _, err := Simulate(msgs, CutThrough); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFilterFaultyRoutes(t *testing.T) {
-	msgs := []*Message{
-		{Route: []int32{1, 2}, Flits: 1},
-		{Route: []int32{3}, Flits: 1},
-		{Route: nil, Flits: 1},
-	}
-	ok, dropped := FilterFaultyRoutes(msgs, func(l int) bool { return l == 2 })
-	if len(ok) != 2 || len(dropped) != 1 {
-		t.Fatalf("ok=%d dropped=%d", len(ok), len(dropped))
-	}
-	if dropped[0] != msgs[0] {
-		t.Error("wrong message dropped")
-	}
-}
-
-func TestFilterFaultyRoutesEdgeCases(t *testing.T) {
-	empty := &Message{Route: nil, Flits: 1}
-	routed := &Message{Route: []int32{4, 5}, Flits: 1}
-	msgs := []*Message{empty, routed}
-
-	// Nil predicate: nothing is faulty, everything is kept in order.
-	ok, dropped := FilterFaultyRoutes(msgs, nil)
-	if len(ok) != 2 || dropped != nil {
-		t.Fatalf("nil predicate: ok=%d dropped=%v", len(ok), dropped)
-	}
-	if ok[0] != empty || ok[1] != routed {
-		t.Fatal("nil predicate reordered messages")
-	}
-
-	// All links faulty: every routed message drops, empty routes
-	// survive (they cross no link), and the ok slice stays nil-free.
-	ok, dropped = FilterFaultyRoutes(msgs, func(int) bool { return true })
-	if len(ok) != 1 || ok[0] != empty {
-		t.Fatalf("all-faulty kept %d: %v", len(ok), ok)
-	}
-	if len(dropped) != 1 || dropped[0] != routed {
-		t.Fatalf("all-faulty dropped %d", len(dropped))
-	}
-
-	// No messages: both partitions are nil.
-	ok, dropped = FilterFaultyRoutes(nil, func(int) bool { return true })
-	if ok != nil || dropped != nil {
-		t.Fatalf("empty input: ok=%v dropped=%v", ok, dropped)
-	}
-
-	// Schedule-backed predicate: the static EverDown view plugs in
-	// directly as the filter.
-	sched := faults.NewSchedule().FailLink(4, 10)
-	ok, dropped = FilterFaultyRoutes(msgs, sched.EverDown)
-	if len(ok) != 1 || len(dropped) != 1 || dropped[0] != routed {
-		t.Fatalf("schedule predicate: ok=%d dropped=%d", len(ok), len(dropped))
 	}
 }

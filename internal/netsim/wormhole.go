@@ -60,8 +60,8 @@ func SimulateWormhole(msgs []*Message) (*WormholeResult, error) {
 // simulateWormhole is the wormhole model on this Engine; probe, when
 // non-nil, observes the run.
 func (e *Engine) simulateWormhole(msgs []*Message, probe Probe) (*WormholeResult, error) {
-	// Dense link numbering over the routes (the same numberAll pass as
-	// Engine.Simulate; ids are assigned in first-appearance order,
+	// Dense link numbering over the routes (the numberAll pass of every
+	// engine path; ids are assigned in first-appearance order,
 	// matching the original map-based pass) and flat position state.
 	shape, err := e.numberAll(msgs)
 	if err != nil {
