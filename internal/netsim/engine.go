@@ -136,6 +136,15 @@ type Engine struct {
 	whWaitTail     []int32
 	whWaitLen      []int
 	whMoves        []int32
+
+	// Active-link lists of a probed run (listActive, probeStepEnd):
+	// listing is set for a probed buffered run and read at every
+	// enqueue; listed flags each dense link on its shard's list; active
+	// is the list StepEnd receives at two or more shards (the shards'
+	// lists merged) and in the wormhole model (every link).
+	listing bool
+	listed  []bool
+	active  []int32
 }
 
 // newEngine returns an empty Engine; buffers grow on first use.

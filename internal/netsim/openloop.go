@@ -271,6 +271,7 @@ func (e *Engine) openLoop(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts
 	e.olReset(len(tmpls))
 	pt := &e.part
 	pt.split(links, shards)
+	e.listActive(probe != nil)
 	st0 := pt.states[0]
 	defer e.olFinish()
 	if shards > 1 {
@@ -494,7 +495,7 @@ func (e *Engine) openLoop(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts
 			}
 		}
 		if probe != nil {
-			probe.StepEnd(step, e.qlen[:links])
+			e.probeStepEnd(probe, step, links)
 		}
 		moved := st0.moved
 		if shards > 1 {
@@ -636,9 +637,9 @@ func (e *Engine) olNewSlot(t int32, flits int) int32 {
 }
 
 // olEnqueue is enqueue over the arena arrays: appends position p to
-// its link's FIFO, updates shard st's peak queue metric, and activates
-// the link on st's worklist if p brings sendable flits. st owns the
-// link.
+// its link's FIFO, updates shard st's peak queue metric, lists the link
+// on st's active list on a probed run, and activates the link on st's
+// worklist if p brings sendable flits. st owns the link.
 func (e *Engine) olEnqueue(st *shardState, p int32) {
 	l := e.olRoute[p]
 	if e.qtail[l] < 0 {
@@ -652,6 +653,10 @@ func (e *Engine) olEnqueue(st *shardState, p int32) {
 	e.qlen[l]++
 	if e.qlen[l] > st.maxQ {
 		st.maxQ = e.qlen[l]
+	}
+	if e.listing && !e.listed[l] {
+		e.listed[l] = true
+		st.active = append(st.active, l)
 	}
 	if avail := e.olArrived[p] - e.olCrossed[p]; avail > 0 {
 		e.addShardCredit(st, l, avail)

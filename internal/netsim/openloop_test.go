@@ -33,7 +33,7 @@ func (s *sliceSink) Observe(v int) { s.vals = append(s.vals, v) }
 type doneProbe struct{ done map[int32]int }
 
 func (p *doneProbe) BeginRun(RunInfo)                    {}
-func (p *doneProbe) StepEnd(int, []int)                  {}
+func (p *doneProbe) StepEnd(int, []int, []int32)         {}
 func (p *doneProbe) FlitMoved(int, int32, int32)         {}
 func (p *doneProbe) FlitDelivered(int, int32)            {}
 func (p *doneProbe) FlitsDropped(int, int32, int)        {}

@@ -26,7 +26,7 @@ func overheadWorkload() []*Message {
 type nopProbe struct{}
 
 func (nopProbe) BeginRun(RunInfo)             {}
-func (nopProbe) StepEnd(int, []int)           {}
+func (nopProbe) StepEnd(int, []int, []int32)  {}
 func (nopProbe) FlitMoved(int, int32, int32)  {}
 func (nopProbe) FlitDelivered(int, int32)     {}
 func (nopProbe) FlitsDropped(int, int32, int) {}

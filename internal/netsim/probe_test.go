@@ -1,15 +1,55 @@
 package netsim
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"multipath/internal/faults"
 )
 
+// activeCheck asserts StepEnd's active-link contract at every step:
+// active repeats no link and holds every link whose queue is non-empty
+// and every link FlitMoved named since the previous StepEnd. It panics
+// on a breach, so every test and fuzzer that runs a probe embedding it
+// fails.
+type activeCheck struct {
+	moved []int32
+	seen  []bool
+}
+
+func (c *activeCheck) begin() { c.moved = c.moved[:0] }
+
+func (c *activeCheck) move(link int32) { c.moved = append(c.moved, link) }
+
+func (c *activeCheck) check(step int, queueLen []int, active []int32) {
+	c.seen = append(c.seen[:0], make([]bool, len(queueLen))...)
+	for _, l := range active {
+		if l < 0 || int(l) >= len(queueLen) {
+			panic(fmt.Sprintf("step %d: active link %d out of range [0, %d)", step, l, len(queueLen)))
+		}
+		if c.seen[l] {
+			panic(fmt.Sprintf("step %d: active lists link %d twice", step, l))
+		}
+		c.seen[l] = true
+	}
+	for l, q := range queueLen {
+		if q > 0 && !c.seen[l] {
+			panic(fmt.Sprintf("step %d: link %d has queue %d but is not active", step, l, q))
+		}
+	}
+	for _, l := range c.moved {
+		if !c.seen[l] {
+			panic(fmt.Sprintf("step %d: link %d moved a flit but is not active", step, l))
+		}
+	}
+	c.moved = c.moved[:0]
+}
+
 // recordingProbe exercises every Probe hook and cross-checks the event
 // stream's internal consistency against the run's Result.
 type recordingProbe struct {
+	activeCheck
 	begun     int
 	info      RunInfo
 	linkExt   []int
@@ -27,9 +67,11 @@ func (r *recordingProbe) BeginRun(info RunInfo) {
 	r.begun++
 	r.info = info
 	r.linkExt = append(r.linkExt[:0], info.LinkExt...)
+	r.begin()
 }
 
-func (r *recordingProbe) StepEnd(step int, queueLen []int) {
+func (r *recordingProbe) StepEnd(step int, queueLen []int, active []int32) {
+	r.check(step, queueLen, active)
 	r.steps++
 	if step != r.lastStep+1 {
 		panic("StepEnd steps not consecutive")
@@ -50,6 +92,7 @@ func (r *recordingProbe) FlitMoved(step int, msg, link int32) {
 	if int(link) >= r.info.Links {
 		panic("FlitMoved link out of range")
 	}
+	r.move(link)
 }
 
 func (r *recordingProbe) FlitDelivered(step int, msg int32) { r.delivers++ }
@@ -141,7 +184,22 @@ func TestSimulateProbedMatchesBare(t *testing.T) {
 	}
 }
 
+// TestSimulateWormholeProbed runs the wormhole model under both test
+// probes, so the StepEnd active-link contract is checked on it too:
+// on probeWorkloads with recordingProbe, and on the sharded tests'
+// workloads (e-cube permutation routes included) with traceProbe.
 func TestSimulateWormholeProbed(t *testing.T) {
+	for name, msgs := range shardedWorkloads() {
+		bare, bErr := SimulateWormhole(msgs)
+		tp := &traceProbe{}
+		probed, pErr := SimulateWormholeProbed(msgs, tp)
+		if (bErr == nil) != (pErr == nil) {
+			t.Fatalf("%s: error mismatch %v vs %v", name, bErr, pErr)
+		}
+		if bErr == nil && !reflect.DeepEqual(bare, probed) {
+			t.Errorf("%s: probe changed wormhole result\nbare   %+v\nprobed %+v", name, bare, probed)
+		}
+	}
 	for wi, msgs := range probeWorkloads() {
 		bare, bErr := SimulateWormhole(msgs)
 		rp := &recordingProbe{}

@@ -102,7 +102,7 @@ type shardState struct {
 	work    []int32 // active-link worklist (this shard's links only)
 	scratch []int32 // worklist double buffer
 	arr     []int32 // local arrivals of the current step (arrive adds the peers')
-	enq     []int32 // positions to enqueue this step (own links only)
+	enq     []int32 // the closed loop's positions to enqueue this step (own links only)
 	down    []int32 // permanently-down links found this transfer phase
 
 	// enqKey is the open loop's enq: msg<<32 | position keys, sorted
@@ -133,6 +133,11 @@ type shardState struct {
 	injected      int
 	dropped       int
 	boundary      int
+
+	// active lists, on a probed run, this shard's links that entered
+	// their queue since the last StepEnd or were non-empty at it, each
+	// once (Engine.listed); see Engine.probeStepEnd.
+	active []int32
 }
 
 // stepBarrier separates the phases of a step at two or more shards.
@@ -218,11 +223,13 @@ type partition struct {
 
 // split lays a run of links out over shards, which the caller clamps
 // to [1, min(links, 255)] (the owner table is uint8), and resets every
-// shard's state for the run. Each shard's worklists and batches grow
-// once here to its own link count, so an Engine meeting a new shard
-// count does not double them up from empty step by step; sizing them
-// by the run's total link count would multiply the per-link memory by
-// the shard count.
+// shard's state for the run. Each shard's worklists and arrival batch
+// grow once here to its own link count, so an Engine meeting a new
+// shard count does not double them up from empty step by step; sizing
+// them by the run's total link count would multiply the per-link
+// memory by the shard count. What only one loop or only a probed run
+// reads grows the same way where that run starts: the closed loop's
+// enq in sharded.run, the active lists in listActive.
 func (pt *partition) split(links int32, shards int) {
 	pt.n, pt.step, pt.done = shards, 0, false
 	pt.bar.init(shards - 1)
@@ -247,7 +254,6 @@ func (pt *partition) split(links int32, shards int) {
 		st.work = slices.Grow(st.work[:0], own)
 		st.scratch = slices.Grow(st.scratch[:0], own)
 		st.arr = slices.Grow(st.arr[:0], own)
-		st.enq = slices.Grow(st.enq[:0], own)
 		st.enqKey = st.enqKey[:0]
 		st.down = st.down[:0]
 		st.pbMove = st.pbMove[:0]
@@ -490,6 +496,10 @@ func (sh *sharded) run(msgs []*Message, mode Mode, opts FaultOpts, faultPath boo
 
 	e.growState(shape.total, int(links))
 	sh.split(links, shards)
+	for _, st := range sh.states[:shards] {
+		st.enq = slices.Grow(st.enq[:0], int(st.hi-st.lo))
+	}
+	e.listActive(opts.Probe != nil)
 
 	sh.msgs = msgs
 	sh.mode = mode
@@ -851,13 +861,14 @@ func (sh *sharded) arrive(k int) {
 	}
 	st.enq = enq
 	if probe != nil && inline {
-		probe.StepEnd(step, e.qlen[:sh.links])
+		e.probeStepEnd(probe, step, sh.links)
 	}
 }
 
 // enqueue appends position p to its link's FIFO, updates the owning
-// shard st's peak queue metric, and activates the link on st's
-// worklist if p brings sendable flits.
+// shard st's peak queue metric, lists the link on st's active list on
+// a probed run, and activates the link on st's worklist if p brings
+// sendable flits.
 func (sh *sharded) enqueue(st *shardState, p int32) {
 	e := sh.e
 	l := e.route[p]
@@ -872,6 +883,10 @@ func (sh *sharded) enqueue(st *shardState, p int32) {
 	e.qlen[l]++
 	if e.qlen[l] > st.maxQ {
 		st.maxQ = e.qlen[l]
+	}
+	if e.listing && !e.listed[l] {
+		e.listed[l] = true
+		st.active = append(st.active, l)
 	}
 	if avail := e.arrived[p] - e.crossed[p]; avail > 0 {
 		e.addShardCredit(st, l, avail)
@@ -929,7 +944,8 @@ func (sh *sharded) stepEndAction() {
 // unique per step since a link moves at most one flit per step — then
 // the kill batch in its canonical order, then deliveries sorted by
 // message id (a message delivers at most one flit per step), then the
-// step-end queue sample over the full link range.
+// step-end queue sample over the full link range with the shards'
+// active links.
 func (sh *sharded) flushProbe() {
 	e := sh.e
 	step := sh.step
@@ -953,5 +969,5 @@ func (sh *sharded) flushProbe() {
 		}
 	}
 	sh.arBuf = ar
-	sh.probe.StepEnd(step, e.qlen[:sh.links])
+	e.probeStepEnd(sh.probe, step, sh.links)
 }

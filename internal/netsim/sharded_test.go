@@ -168,8 +168,11 @@ type probeEvent struct {
 	qlen  []int
 }
 
-// traceProbe records the full event stream for comparison.
+// traceProbe records the full event stream for comparison and checks
+// StepEnd's active-link contract (activeCheck) at every step; active
+// itself is not recorded, since its order may differ by shard count.
 type traceProbe struct {
+	activeCheck
 	info   RunInfo
 	infoOK bool
 	events []probeEvent
@@ -179,9 +182,11 @@ func (p *traceProbe) BeginRun(info RunInfo) {
 	p.infoOK = true
 	p.info = info
 	p.info.LinkExt = append([]int(nil), info.LinkExt...)
+	p.begin()
 }
 
-func (p *traceProbe) StepEnd(step int, queueLen []int) {
+func (p *traceProbe) StepEnd(step int, queueLen []int, active []int32) {
+	p.check(step, queueLen, active)
 	p.events = append(p.events, probeEvent{
 		step: step, phase: 3, kind: "stepEnd",
 		qlen: append([]int(nil), queueLen...),
@@ -190,6 +195,7 @@ func (p *traceProbe) StepEnd(step int, queueLen []int) {
 
 func (p *traceProbe) FlitMoved(step int, msg, link int32) {
 	p.events = append(p.events, probeEvent{step: step, phase: 0, k1: int(link), k2: int(msg), kind: "move"})
+	p.move(link)
 }
 
 func (p *traceProbe) FlitDelivered(step int, msg int32) {
@@ -496,8 +502,9 @@ const coldSplitAllocs = 48
 
 // TestShardedColdSplitAllocs pins what lets one Engine pool serve
 // every shard count: the first run of an Engine at a new shard count
-// grows each shard's worklists and batches once, in partition.split,
-// so it allocates a small constant however many links the run has.
+// grows each shard's worklists and batches once, in partition.split
+// and (the enqueue batch) at the start of the closed kernel's run, so
+// it allocates a small constant however many links the run has.
 func TestShardedColdSplitAllocs(t *testing.T) {
 	q := hypercube.New(12)
 	rng := rand.New(rand.NewSource(5))
@@ -523,6 +530,38 @@ func TestShardedColdSplitAllocs(t *testing.T) {
 	t.Logf("first two-shard run after a one-shard run: %d allocs", least)
 	if least > coldSplitAllocs {
 		t.Errorf("first two-shard run after a one-shard run allocated %d times, want ≤ %d", least, coldSplitAllocs)
+	}
+}
+
+// TestOpenLoopLeavesEnqUngrown pins that only the closed loop sizes
+// its enqueue batch (shardState.enq): one-shard open-loop runs on an
+// Engine, fresh or after a small closed run, leave its capacity as
+// they found it, where a split that grew it would hold one idle int32
+// per link of every open-loop run.
+func TestOpenLoopLeavesEnqUngrown(t *testing.T) {
+	q := hypercube.New(8)
+	rng := rand.New(rand.NewSource(9))
+	tmpls := PermutationMessages(q, RandomPermutation(rng, q.Nodes()), 2)
+	tr := olShardTrace(len(tmpls), 2*len(tmpls), 4)
+	e := newEngine()
+	openRun := func() int {
+		if _, _, err := e.openLoop(tmpls, tr.Source(), OpenLoopOpts{Mode: CutThrough}, 1, false); err != nil {
+			t.Fatal(err)
+		}
+		return cap(e.part.states[0].enq)
+	}
+	if c := openRun(); c != 0 {
+		t.Fatalf("open-loop run on a fresh Engine grew enq to capacity %d", c)
+	}
+	small := []*Message{{Route: []int32{0, 1, 2}, Flits: 2}, {Route: []int32{2, 1}, Flits: 1}}
+	if _, err := simulateOn(e, small, CutThrough); err != nil {
+		t.Fatal(err)
+	}
+	before := cap(e.part.states[0].enq)
+	for range 2 {
+		if after := openRun(); after != before {
+			t.Fatalf("warm one-shard open-loop run moved enq's capacity from %d to %d", before, after)
+		}
 	}
 }
 

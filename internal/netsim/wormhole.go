@@ -71,6 +71,12 @@ func (e *Engine) simulateWormhole(msgs []*Message, probe Probe) (*WormholeResult
 	if probe != nil {
 		e.fillExt(msgs, int32(links))
 		e.beginProbe(probe, msgs, int32(links), 0, true)
+		// StepEnd lists every link as active: the model keeps no
+		// worklist, and its step already costs O(links).
+		e.active = e.active[:0]
+		for l := int32(0); l < int32(links); l++ {
+			e.active = append(e.active, l)
+		}
 	}
 	route, off := e.route, e.off
 
@@ -234,7 +240,7 @@ func (e *Engine) simulateWormhole(msgs []*Message, probe Probe) (*WormholeResult
 			}
 		}
 		if probe != nil {
-			probe.StepEnd(step, waitLen[:links])
+			probe.StepEnd(step, waitLen[:links], e.active)
 		}
 		if !progress && remaining > 0 {
 			return nil, &ErrDeadlock{Step: step, Blocked: remaining}

@@ -31,9 +31,9 @@ func (m multi) BeginRun(info netsim.RunInfo) {
 	}
 }
 
-func (m multi) StepEnd(step int, queueLen []int) {
+func (m multi) StepEnd(step int, queueLen []int, active []int32) {
 	for _, p := range m {
-		p.StepEnd(step, queueLen)
+		p.StepEnd(step, queueLen, active)
 	}
 }
 

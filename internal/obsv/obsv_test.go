@@ -323,8 +323,8 @@ func TestProbeDoesNotPerturbResults(t *testing.T) {
 func TestRecorderLinkQueueDepth(t *testing.T) {
 	rec := NewRecorderOpts(RecorderOpts{LinkQueues: true})
 	rec.BeginRun(netsim.RunInfo{Messages: 1, Links: 2, LinkExt: []int{4, 9}})
-	rec.StepEnd(0, []int{3, 1})
-	rec.StepEnd(1, []int{5, 0})
+	rec.StepEnd(0, []int{3, 1}, []int32{0, 1})
+	rec.StepEnd(1, []int{5, 0}, []int32{0, 1})
 
 	s, ok := rec.LinkQueueDepth(4)
 	if !ok || s.Sum != 8 || s.N != 2 || s.Max != 5 || s.Mean() != 4 {

@@ -28,9 +28,13 @@ type RecorderOpts struct {
 	// idle behind a long one, so this is a separate opt-in. Stats are
 	// kept in flat slices indexed by external link id, grown once per
 	// run in BeginRun (memory O(max external id seen) — exact and cheap
-	// for the dense hypercube ids, the intended use). Links with a
-	// negative external id, which netsim accepts, are not accumulated:
-	// LinkQueueDepth reports them unobserved.
+	// for the dense hypercube ids, the intended use). The sum and max
+	// are updated per active link per step; the count, which within a
+	// run is the run's step count for every link, is kept once per run
+	// and added to each of the run's links when the next run begins, at
+	// Reset, and before LinkQueueDepth or EachLinkQueueDepth reads it.
+	// Links with a negative external id, which netsim accepts, are not
+	// accumulated: LinkQueueDepth reports them unobserved.
 	LinkQueues bool
 }
 
@@ -90,6 +94,9 @@ type Recorder struct {
 	lqSum []uint64
 	lqN   []uint64
 	lqMax []int
+	// lqSteps is the current run's StepEnd count not yet added to lqN
+	// (foldLinkQueues).
+	lqSteps uint64
 
 	// Per-run scratch, rebuilt by BeginRun.
 	ext   []int // copy of the run's dense→external id table
@@ -126,6 +133,7 @@ func NewRecorderOpts(opts RecorderOpts) *Recorder {
 // BeginRun implements netsim.Probe.
 func (r *Recorder) BeginRun(info netsim.RunInfo) {
 	r.Runs++
+	r.foldLinkQueues()
 	r.ext = append(r.ext[:0], info.LinkExt...)
 	if cap(r.moved) < info.Links {
 		r.moved = make([]int, info.Links)
@@ -153,54 +161,90 @@ func (r *Recorder) growLinkQueues(n int) {
 	}
 }
 
-// StepEnd implements netsim.Probe: it samples every link's queue depth
-// and closes the step's utilization window. It costs one sequential
-// scan of queueLen plus per-link work for busy links only: without
-// LinkUtil, a link with an empty queue that moved no flit this step
-// adds nothing but its zero sample, and those samples enter
-// QueueDepth in one bulk count.
-func (r *Recorder) StepEnd(step int, queueLen []int) {
-	r.Steps++
-	busy, idle := 0, 0
-	bulk := r.util == nil
-	for l, q := range queueLen {
-		m := r.moved[l]
-		if bulk && q == 0 && m == 0 {
-			idle++
-			if r.opts.LinkQueues {
-				if id := r.ext[l]; id >= 0 {
-					r.lqN[id]++
-				}
-			}
-			continue
-		}
-		r.QueueDepth.Observe(q)
-		if m > 0 {
-			busy++
-		}
-		if r.util != nil {
-			s := r.util[r.ext[l]]
-			if s == nil {
-				s = NewSeries(r.opts.UtilCap)
-				r.util[r.ext[l]] = s
-			}
-			s.Add(float64(m))
-		}
-		if r.opts.LinkQueues {
-			if id := r.ext[l]; id >= 0 {
-				r.lqSum[id] += uint64(q)
-				r.lqN[id]++
-				if q > r.lqMax[id] {
-					r.lqMax[id] = q
-				}
-			}
-		}
-		r.moved[l] = 0
+// foldLinkQueues adds the current run's pending step count to the
+// LinkQueues sample count of each of its links: within a run every
+// link is sampled once per step.
+func (r *Recorder) foldLinkQueues() {
+	if r.lqSteps == 0 {
+		return
 	}
-	r.QueueDepth.observeZeros(idle)
+	for _, id := range r.ext {
+		if id >= 0 {
+			r.lqN[id] += r.lqSteps
+		}
+	}
+	r.lqSteps = 0
+}
+
+// denseDiv sets where StepEnd stops visiting the active list: once
+// more than 1/denseDiv of the links are active, it scans. On Q_16-sized
+// steps (BenchmarkRecorderStepEnd) a scattered active link costs about
+// ten times a scanned idle one. A variable only so that tests can force
+// either path.
+var denseDiv = 8
+
+// StepEnd implements netsim.Probe: it samples every link's queue depth
+// and closes the step's utilization window. Without LinkUtil it visits
+// the active links only: every other link has an empty queue and moved
+// no flit, so its zero samples enter QueueDepth in one bulk count and
+// its LinkQueues count in the per-run step count. When many links are
+// active (denseDiv), one sequential scan that skips idle links costs
+// less than visiting the active links in their scattered list order,
+// so StepEnd scans instead; both give the same samples. LinkUtil needs
+// a sample for every link, so it scans them all.
+func (r *Recorder) StepEnd(step int, queueLen []int, active []int32) {
+	r.Steps++
+	if r.opts.LinkQueues {
+		r.lqSteps++
+	}
+	busy := 0
+	if bulk := r.util == nil; bulk && denseDiv*len(active) <= len(queueLen) {
+		for _, l := range active {
+			if r.sample(int(l), queueLen[l]) {
+				busy++
+			}
+		}
+		r.QueueDepth.observeZeros(len(queueLen) - len(active))
+	} else {
+		idle := 0
+		for l, q := range queueLen {
+			if bulk && q == 0 && r.moved[l] == 0 {
+				idle++
+			} else if r.sample(l, q) {
+				busy++
+			}
+		}
+		r.QueueDepth.observeZeros(idle)
+	}
 	if len(queueLen) > 0 {
 		r.BusyFraction.Add(float64(busy) / float64(len(queueLen)))
 	}
+}
+
+// sample observes dense link l's step-end queue length q and the flits
+// it moved this step, clears that count, and reports whether the link
+// was busy.
+func (r *Recorder) sample(l, q int) bool {
+	m := r.moved[l]
+	r.moved[l] = 0
+	r.QueueDepth.Observe(q)
+	if r.util != nil {
+		s := r.util[r.ext[l]]
+		if s == nil {
+			s = NewSeries(r.opts.UtilCap)
+			r.util[r.ext[l]] = s
+		}
+		s.Add(float64(m))
+	}
+	if r.opts.LinkQueues {
+		if id := r.ext[l]; id >= 0 {
+			r.lqSum[id] += uint64(q)
+			if q > r.lqMax[id] {
+				r.lqMax[id] = q
+			}
+		}
+	}
+	return m > 0
 }
 
 // FlitMoved implements netsim.Probe.
@@ -253,6 +297,7 @@ func (r *Recorder) UtilizationOf(link int) (*Series, bool) {
 // external link id and whether that link was ever observed. Requires
 // RecorderOpts.LinkQueues.
 func (r *Recorder) LinkQueueDepth(link int) (LinkQueueStat, bool) {
+	r.foldLinkQueues()
 	if link < 0 || link >= len(r.lqN) || r.lqN[link] == 0 {
 		return LinkQueueStat{}, false
 	}
@@ -262,6 +307,7 @@ func (r *Recorder) LinkQueueDepth(link int) (LinkQueueStat, bool) {
 // EachLinkQueueDepth calls fn for every observed link in ascending
 // external-id order. Requires RecorderOpts.LinkQueues.
 func (r *Recorder) EachLinkQueueDepth(fn func(link int, s LinkQueueStat)) {
+	r.foldLinkQueues()
 	for id, n := range r.lqN {
 		if n > 0 {
 			fn(id, LinkQueueStat{Sum: r.lqSum[id], N: n, Max: r.lqMax[id]})

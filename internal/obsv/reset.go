@@ -35,6 +35,7 @@ func (r *Recorder) Reset() {
 	clear(r.lqSum)
 	clear(r.lqN)
 	clear(r.lqMax)
+	r.lqSteps = 0
 	r.ext = r.ext[:0]
 	for i := range r.moved {
 		r.moved[i] = 0

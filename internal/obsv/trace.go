@@ -59,10 +59,12 @@ func (t *TraceWriter) BeginRun(info netsim.RunInfo) {
 }
 
 // StepEnd implements netsim.Probe: a per-step digest (peak and count of
-// non-empty queues), not the full queue vector.
-func (t *TraceWriter) StepEnd(step int, queueLen []int) {
+// non-empty queues), not the full queue vector. Every non-empty queue
+// is on an active link, so the digest reads the active links only.
+func (t *TraceWriter) StepEnd(step int, queueLen []int, active []int32) {
 	maxq, queued := 0, 0
-	for _, q := range queueLen {
+	for _, l := range active {
+		q := queueLen[l]
 		if q > 0 {
 			queued++
 		}

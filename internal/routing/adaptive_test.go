@@ -20,8 +20,8 @@ func TestAdaptiveObserveSteersAwayFromCongestion(t *testing.T) {
 
 	rec := obsv.NewRecorderOpts(obsv.RecorderOpts{LinkQueues: true})
 	rec.BeginRun(netsim.RunInfo{Messages: 1, Links: 2, LinkExt: []int{hot, cold}})
-	rec.StepEnd(0, []int{9, 0})
-	rec.StepEnd(1, []int{7, 1})
+	rec.StepEnd(0, []int{9, 0}, []int32{0, 1})
+	rec.StepEnd(1, []int{7, 1}, []int32{0, 1})
 	a.Observe(rec)
 
 	// Hot's observed mean is 8, cold's 0.5: the first 8 routes pay

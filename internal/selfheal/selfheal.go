@@ -29,7 +29,6 @@
 package selfheal
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -234,23 +233,64 @@ type retryEntry struct {
 	prev int16
 }
 
+// before is the heap order: step, then seq. seq is unique per session,
+// so the order is total and the pop sequence is fixed.
+func (a retryEntry) before(b retryEntry) bool {
+	if a.step != b.step {
+		return a.step < b.step
+	}
+	return a.seq < b.seq
+}
+
+// retryHeap is a binary min-heap of retry entries, typed so that a push
+// or pop moves entries in place instead of boxing one in an interface
+// value; a warm push-and-pop pair allocates nothing.
 type retryHeap []retryEntry
 
-func (h retryHeap) Len() int { return len(h) }
-func (h retryHeap) Less(i, j int) bool {
-	if h[i].step != h[j].step {
-		return h[i].step < h[j].step
+// push adds x, sifting it up from the last leaf.
+func (h *retryHeap) push(x retryEntry) {
+	q := append(*h, x)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !x.before(q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
 	}
-	return h[i].seq < h[j].seq
+	q[i] = x
+	*h = q
 }
-func (h retryHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *retryHeap) Push(x any)   { *h = append(*h, x.(retryEntry)) }
-func (h *retryHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+// pop removes and returns the least entry; the heap must be non-empty.
+// The last leaf moves to the root and sifts down.
+func (h *retryHeap) pop() retryEntry {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	x := q[n]
+	q = q[:n]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(q[c]) {
+			c = r
+		}
+		if !q[c].before(x) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	if n > 0 {
+		q[i] = x
+	}
+	*h = q
+	return top
 }
 
 // bundle is one guest edge's path group: template ids in path order
@@ -395,7 +435,7 @@ func (s *session) Next() (netsim.Arrival, bool) {
 			s.newTransfer(a)
 			return s.emitPiece(), true
 		}
-		re := heap.Pop(&s.rq).(retryEntry)
+		re := s.rq.pop()
 		tr := &s.transfers[re.t]
 		path := int(re.path)
 		if s.pathDead(&s.bundles[tr.bundle], path) {
@@ -506,7 +546,7 @@ func (s *session) MsgFailed(step int, msg int32, link int) {
 		tr.done, tr.abandoned = true, true
 		return
 	}
-	heap.Push(&s.rq, retryEntry{step: rstep, seq: s.seq, t: m.t, path: int16(next), prev: m.path})
+	s.rq.push(retryEntry{step: rstep, seq: s.seq, t: m.t, path: int16(next), prev: m.path})
 	s.seq++
 }
 

@@ -108,9 +108,11 @@ type (
 	// FaultSimResult is SimulateFaults' result: Result plus per-message
 	// outcomes and failure accounting.
 	FaultSimResult = netsim.FaultResult
-	// Probe observes a simulation (per-step queue samples, flit
-	// moves/drops, message completions); attaching one never changes
-	// the simulation's results.
+	// Probe observes a simulation (per-step queue samples with the
+	// step's active links, flit moves/drops, message completions);
+	// attaching one never changes the simulation's results. StepEnd
+	// lists every link that is non-empty or moved a flit, so a probe
+	// can treat the rest as idle.
 	Probe = netsim.Probe
 	// Recorder aggregates probe events into flit/message-latency and
 	// queue-depth histograms plus utilization series.
