@@ -75,6 +75,7 @@ fuzz-short:
 	$(GO) test -run=^$$ -fuzz=FuzzDisperseReconstruct -fuzztime=$(FUZZTIME) ./internal/ida
 	$(GO) test -run=^$$ -fuzz=FuzzGFInverse -fuzztime=$(FUZZTIME) ./internal/ida
 	$(GO) test -run=^$$ -fuzz=FuzzArenaRoundTrip -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run=^$$ -fuzz=FuzzDenseMetrics -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzSelfHealOpenLoop -fuzztime=$(FUZZTIME) ./internal/selfheal
 	$(GO) test -run=^$$ -fuzz=FuzzStrategyRoutes -fuzztime=$(FUZZTIME) ./internal/routing
 

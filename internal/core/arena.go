@@ -329,48 +329,12 @@ func assemble(q *hypercube.Q, guest *graph.Graph, vertexMap []hypercube.Node, pa
 		edgeOff: edgeOff,
 		maxLen:  maxLen,
 	}
-	// Stamp the fingerprint from the dense arrays — the same mixing
-	// sequence Embedding.fingerprint performs over VertexMap and Paths,
-	// but without chasing path headers — and adopt the cache.
-	rc.fp = fingerprintDense(q, vertexMap, edgeOff, pathOff, nodes)
+	// Stamp the fingerprint over the new path views and adopt the cache.
+	rc.fp = e.fingerprint()
 	rcMu.Lock()
 	e.rc = rc
 	rcMu.Unlock()
 	return e, nil
-}
-
-// fingerprintDense computes Embedding.fingerprint over the dense
-// arena form. It must mix exactly the same sequence of values; the
-// arena round-trip tests pin the two against each other.
-func fingerprintDense(q *hypercube.Q, vertexMap []hypercube.Node, edgeOff, pathOff []int32, nodes []hypercube.Node) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(x uint64) {
-		h ^= x
-		h *= prime
-	}
-	mix(uint64(q.Dims()))
-	mix(uint64(len(vertexMap)))
-	for _, v := range vertexMap {
-		mix(uint64(v))
-	}
-	m := len(edgeOff) - 1
-	mix(uint64(m))
-	for i := 0; i < m; i++ {
-		first, past := edgeOff[i], edgeOff[i+1]
-		mix(uint64(past - first))
-		for p := first; p < past; p++ {
-			mix(uint64(pathOff[p+1] - pathOff[p] + 1)) // node count
-			s, e := int(pathOff[p])+int(p), int(pathOff[p+1])+int(p)+1
-			for _, v := range nodes[s:e] {
-				mix(uint64(v))
-			}
-		}
-	}
-	return h
 }
 
 // BuildParallel builds an embedding by calling emit(i, a) for every

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"multipath/internal/netsim"
 )
@@ -17,44 +16,83 @@ import (
 // is the maximum path length; otherwise an error describes the first
 // collision.
 //
-// The check runs step by step over the cached routes: a pooled counter
-// slice claims each step's host edges in parallel, then a second pass
-// re-zeroes exactly the claimed entries. A collision falls back to the
-// reference implementation for the original error message.
+// The check is collides' serial pass over the cached routes. A
+// collision falls back to the reference implementation for the original
+// error message.
 func (e *Embedding) SynchronizedCost() (int, error) {
 	rc, err := e.routes()
-	if err != nil {
-		return e.SynchronizedCostReference()
-	}
-	totalPaths := len(rc.pathOff) - 1
-	cp := getCounts(e.Host.DirectedEdges())
-	defer putCounts(cp)
-	counts := *cp
-	var collide atomic.Bool
-	for t := 0; t < rc.maxLen && !collide.Load(); t++ {
-		parallelFor(totalPaths, 256, func(lo, hi int) {
-			for p := lo; p < hi; p++ {
-				at := rc.pathOff[p] + int32(t)
-				if at < rc.pathOff[p+1] {
-					if atomic.AddInt32(&counts[rc.ids[at]], 1) == 2 {
-						collide.Store(true)
-					}
-				}
-			}
-		})
-		parallelFor(totalPaths, 256, func(lo, hi int) {
-			for p := lo; p < hi; p++ {
-				at := rc.pathOff[p] + int32(t)
-				if at < rc.pathOff[p+1] {
-					atomic.StoreInt32(&counts[rc.ids[at]], 0)
-				}
-			}
-		})
-	}
-	if collide.Load() {
+	if err != nil || rc.collides(e.Host.DirectedEdges()) {
 		return e.SynchronizedCostReference()
 	}
 	return rc.maxLen, nil
+}
+
+// collides reports whether two hops of the synchronized schedule cross
+// one of the hostEdges directed host edges at the same step. It keys
+// the hops in windows of w = min(L, collideWindow) steps, L the longest
+// path: hop t of a path, in the window from step s, is the key
+// id·w+(t−s). One serial pass over the paths per window sets each key's
+// bit in a pooled bitset of hostEdges·w bits, and a key already set is
+// a collision. So the bitset is never larger than one int32 counter per
+// edge, and every paper construction takes one window. A serial pass
+// needs no atomics, so the cache misses of consecutive hops overlap.
+func (rc *routeCache) collides(hostEdges int) bool {
+	w := min(rc.maxLen, collideWindow)
+	bp := keyBitsets.get(hostEdges * w)
+	defer keyBitsets.put(bp)
+	for s := 0; s < rc.maxLen; s += w {
+		if rc.collidesIn(*bp, s, w) {
+			return true
+		}
+	}
+	return false
+}
+
+// collideWindow is the most steps one collides pass keys: a bitset of
+// hostEdges·32 bits is the size of one int32 counter per edge.
+const collideWindow = 32
+
+// collidesIn is collides' pass over the window of w steps from step s.
+// Before returning, it zeroes bits whole when the bitset has no more
+// words than the visited paths have hops, which is every paper
+// construction, and clears the visited keys otherwise.
+func (rc *routeCache) collidesIn(bits []uint64, s, w int) bool {
+	paths := len(rc.pathOff) - 1
+	collide := false
+scan:
+	for p := 0; p < paths; p++ {
+		for t, id := range rc.window(p, s, w) {
+			k := uint(id)*uint(w) + uint(t)
+			if bits[k>>6]&(1<<(k&63)) != 0 {
+				collide, paths = true, p+1
+				break scan
+			}
+			bits[k>>6] |= 1 << (k & 63)
+		}
+	}
+	if len(bits) <= int(rc.pathOff[paths]) {
+		clear(bits)
+		return collide
+	}
+	for p := 0; p < paths; p++ {
+		for t, id := range rc.window(p, s, w) {
+			k := uint(id)*uint(w) + uint(t)
+			bits[k>>6] &^= 1 << (k & 63)
+		}
+	}
+	return collide
+}
+
+// window returns path p's ids at the w steps from step s.
+func (rc *routeCache) window(p, s, w int) []int32 {
+	ids := rc.ids[rc.pathOff[p]:rc.pathOff[p+1]]
+	if w == rc.maxLen { // one window holds every path whole
+		return ids
+	}
+	if s >= len(ids) {
+		return nil
+	}
+	return ids[s:min(s+w, len(ids))]
 }
 
 // PPacketCost simulates one phase in which every guest edge carries p
@@ -77,11 +115,11 @@ func (e *Embedding) PPacketCost(p int) (int, error) {
 	if p < 1 {
 		return 0, fmt.Errorf("core: p must be positive")
 	}
-	msgs, err := e.packetMessages(p)
+	rc, err := e.routes()
 	if err != nil {
 		return 0, err
 	}
-	res, err := netsim.Simulate(msgs, netsim.StoreAndForward)
+	res, err := netsim.Simulate(rc.packetMessages(p), netsim.StoreAndForward)
 	if err != nil {
 		return 0, fmt.Errorf("core: packet simulation: %w", err)
 	}
@@ -90,21 +128,22 @@ func (e *Embedding) PPacketCost(p int) (int, error) {
 
 // PPacketCosts measures PPacketCost for every p in ps with one
 // netsim.SimulateBatch call, fanning the independent simulations out
-// across GOMAXPROCS pooled engines. Results are identical to calling
-// PPacketCost serially for each p.
+// across GOMAXPROCS pooled engines. The route cache is read once for
+// the whole sweep. Results are identical to calling PPacketCost
+// serially for each p.
 func (e *Embedding) PPacketCosts(ps []int) ([]int, error) {
 	for _, p := range ps {
 		if p < 1 {
 			return nil, fmt.Errorf("core: p must be positive")
 		}
 	}
+	rc, err := e.routes()
+	if err != nil {
+		return nil, err
+	}
 	jobs := make([]netsim.BatchJob, len(ps))
 	for k, p := range ps {
-		msgs, err := e.packetMessages(p)
-		if err != nil {
-			return nil, err
-		}
-		jobs[k] = netsim.BatchJob{Msgs: msgs, Mode: netsim.StoreAndForward}
+		jobs[k] = netsim.BatchJob{Msgs: rc.packetMessages(p), Mode: netsim.StoreAndForward}
 	}
 	results, err := netsim.SimulateBatch(jobs)
 	if err != nil {
@@ -117,20 +156,17 @@ func (e *Embedding) PPacketCosts(ps []int) ([]int, error) {
 	return costs, nil
 }
 
-// packetMessages builds the p-packet workload: for each guest edge, p
-// one-flit messages spread round-robin over the edge's paths in path
-// order, skipping zero-length routes (co-located endpoints deliver at
-// cost 0). Message order is injection order, which is what the engine
-// uses to break same-step ties. Routes alias the route cache's id
+// packetMessages builds the p-packet workload over the cached routes:
+// for each guest edge, p one-flit messages spread round-robin over the
+// edge's paths in path order, skipping zero-length routes (co-located
+// endpoints deliver at cost 0). Message order is injection order, which
+// is what the engine uses to break same-step ties. Routes alias the id
 // arena, so the whole workload costs two allocations: the message
 // headers and the pointers to them.
-func (e *Embedding) packetMessages(p int) ([]*netsim.Message, error) {
-	rc, err := e.routes()
-	if err != nil {
-		return nil, err
-	}
+func (rc *routeCache) packetMessages(p int) []*netsim.Message {
+	m := len(rc.edgeOff) - 1
 	nMsgs := 0
-	for i := range e.Paths {
+	for i := 0; i < m; i++ {
 		first, past := rc.edgeOff[i], rc.edgeOff[i+1]
 		if first == past {
 			continue
@@ -144,7 +180,7 @@ func (e *Embedding) packetMessages(p int) ([]*netsim.Message, error) {
 	}
 	msgs := make([]*netsim.Message, 0, nMsgs)
 	hdrs := make([]netsim.Message, nMsgs)
-	for i := range e.Paths {
+	for i := 0; i < m; i++ {
 		first, past := rc.edgeOff[i], rc.edgeOff[i+1]
 		if first == past {
 			continue
@@ -159,7 +195,7 @@ func (e *Embedding) packetMessages(p int) ([]*netsim.Message, error) {
 			msgs = append(msgs, &hdrs[len(msgs)])
 		}
 	}
-	return msgs, nil
+	return msgs
 }
 
 // OnePacketCostBounds returns the §3 sandwich for the one-packet cost:

@@ -11,14 +11,13 @@
 //
 // The verifiers share a dense route cache (see routecache.go): every
 // path's host-edge ids are computed once into a flat int32 arena, and
-// the metrics run as parallel passes over it with pooled scratch, so a
-// warm verification allocates almost nothing. The original map-based
+// each metric runs as one pass over it with pooled scratch, so a warm
+// verification allocates almost nothing. The original map-based
 // verifiers survive in reference.go as golden models.
 package core
 
 import (
 	"fmt"
-	"slices"
 	"sync/atomic"
 
 	"multipath/internal/graph"
@@ -141,40 +140,15 @@ func (e *Embedding) MinDilation() int {
 // edge-disjoint and returns the minimum number of paths assigned to any
 // guest edge. An error identifies the first overlap found.
 //
-// The check runs in parallel over guest edges: each worker sorts the
-// edge's cached ids into pooled scratch and scans for an adjacent
-// duplicate, so no per-call maps are built. On any violation the
-// reference implementation re-derives the exact original error.
+// The check is overlaps' one parallel pass over the cached ids; on any
+// violation the reference implementation re-derives the exact original
+// error.
 func (e *Embedding) Width() (int, error) {
 	rc, err := e.routes()
-	if err != nil {
+	if err != nil || rc.overlaps(e.Host.DirectedEdges()) {
 		return e.WidthReference()
 	}
 	m := len(e.Paths)
-	var dup atomic.Bool
-	parallelFor(m, 16, func(lo, hi int) {
-		sp := getScratch(64)
-		defer putScratch(sp)
-		for i := lo; i < hi; i++ {
-			ids := rc.edgeIDs(i)
-			if len(ids) < 2 {
-				continue
-			}
-			s := append((*sp)[:0], ids...)
-			slices.Sort(s)
-			for k := 1; k < len(s); k++ {
-				if s[k] == s[k-1] {
-					dup.Store(true)
-					*sp = s
-					return
-				}
-			}
-			*sp = s
-		}
-	})
-	if dup.Load() {
-		return e.WidthReference()
-	}
 	width := -1
 	for i := 0; i < m; i++ {
 		if c := int(rc.edgeOff[i+1] - rc.edgeOff[i]); width < 0 || c < width {
@@ -185,6 +159,45 @@ func (e *Embedding) Width() (int, error) {
 		width = 0
 	}
 	return width, nil
+}
+
+// overlaps reports whether some guest edge's ids repeat a directed host
+// edge of the hostEdges: two of its paths share one, or one path
+// crosses one twice. The pass runs in parallel over guest edges. Each
+// worker takes a pooled bitset of hostEdges bits, tests and sets the
+// bit of every id of an edge, and clears exactly that edge's bits
+// before the next edge and on every exit, so the bitset goes back to
+// the pool all-zero.
+func (rc *routeCache) overlaps(hostEdges int) bool {
+	var dup atomic.Bool
+	parallelFor(len(rc.edgeOff)-1, 16, func(lo, hi int) {
+		bp := edgeBitsets.get(hostEdges)
+		defer edgeBitsets.put(bp)
+		bits := *bp
+		for i := lo; i < hi && !dup.Load(); i++ {
+			ids := rc.edgeIDs(i)
+			if len(ids) < 2 {
+				continue
+			}
+			for k, id := range ids {
+				if bits[id>>6]&(1<<(uint(id)&63)) != 0 {
+					clearIDs(bits, ids[:k])
+					dup.Store(true)
+					return
+				}
+				bits[id>>6] |= 1 << (uint(id) & 63)
+			}
+			clearIDs(bits, ids)
+		}
+	})
+	return dup.Load()
+}
+
+// clearIDs clears the bits of ids.
+func clearIDs(bits []uint64, ids []int32) {
+	for _, id := range ids {
+		bits[id>>6] &^= 1 << (uint(id) & 63)
+	}
 }
 
 // Congestion returns the maximum, over directed host edges, of the

@@ -14,9 +14,12 @@ import (
 // of directed host-edge ids traversed by the embedding's paths; the old
 // implementations re-derived those ids with Host.PathEdgeIDs on every
 // call and counted them in maps. The cache computes the ids once, packs
-// them into one flat arena, and lets the metrics run as parallel passes
-// over int32 slices with pooled scratch — the same design as the
-// netsim engine.
+// them into one flat arena, and lets the metrics run as passes over
+// int32 slices with pooled scratch — the same design as the netsim
+// engine. A pass is parallel where the work splits cleanly (Width's
+// guest edges) or counts with atomics (Congestion's ids), and serial
+// where a shared bitset would otherwise need atomics (SynchronizedCost's
+// (edge, step) keys).
 //
 // Layout: ids holds every path's edge ids back to back. Path p (in
 // flattened order: all paths of guest edge 0, then guest edge 1, ...)
@@ -40,30 +43,66 @@ var rcMu sync.Mutex
 // fingerprint hashes everything the route cache depends on (FNV-1a
 // over host dimension, vertex map, and path structure + contents), so
 // in-place mutation of a path between metric calls is detected and the
-// cache rebuilt. The walk is allocation-free and linear in the total
-// path length — far cheaper than one map-based metric pass.
+// cache rebuilt. The header (host dimension, vertex map, guest-edge
+// count) is one serial chain. The guest edges are hashed in blocks of
+// fpBlockEdges, and the block hashes are combined by a wrapping sum, so
+// the value does not depend on how many workers ran. One block, or
+// GOMAXPROCS 1, hashes inline and allocates nothing; more blocks fan
+// out through parallelFor. The walk is linear in the total path length.
 func (e *Embedding) fingerprint() uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(x uint64) {
-		h ^= x
-		h *= prime
-	}
-	mix(uint64(e.Host.Dims()))
-	mix(uint64(len(e.VertexMap)))
+	h := fnvMix(fnvOffset, uint64(e.Host.Dims()))
+	h = fnvMix(h, uint64(len(e.VertexMap)))
 	for _, v := range e.VertexMap {
-		mix(uint64(v))
+		h = fnvMix(h, uint64(v))
 	}
-	mix(uint64(len(e.Paths)))
-	for _, ps := range e.Paths {
-		mix(uint64(len(ps)))
+	m := len(e.Paths)
+	h = fnvMix(h, uint64(m))
+	blocks := (m + fpBlockEdges - 1) / fpBlockEdges
+	var sum uint64
+	if blocks <= 1 || runtime.GOMAXPROCS(0) == 1 {
+		for b := 0; b < blocks; b++ {
+			sum += e.fpBlock(b)
+		}
+	} else {
+		var total atomic.Uint64
+		parallelFor(blocks, 1, func(lo, hi int) {
+			var s uint64
+			for b := lo; b < hi; b++ {
+				s += e.fpBlock(b)
+			}
+			total.Add(s)
+		})
+		sum = total.Load()
+	}
+	return fnvMix(h, sum)
+}
+
+// fpBlockEdges is the number of guest edges one fingerprint block
+// hashes. The blocks, not the workers, define the value, so it does not
+// depend on GOMAXPROCS.
+const fpBlockEdges = 4096
+
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnvMix is one FNV-1a step.
+func fnvMix(h, x uint64) uint64 { return (h ^ x) * fnvPrime }
+
+// fpBlock hashes block b of the guest edges: per guest edge its path
+// count, then per path its node count and nodes. The chain starts from
+// the offset basis mixed with b, so that blocks of equal contents hash
+// differently and the sum of the block hashes still changes when two
+// blocks exchange their contents.
+func (e *Embedding) fpBlock(b int) uint64 {
+	h := fnvMix(fnvOffset, uint64(b))
+	for _, ps := range e.Paths[b*fpBlockEdges : min((b+1)*fpBlockEdges, len(e.Paths))] {
+		h = fnvMix(h, uint64(len(ps)))
 		for _, p := range ps {
-			mix(uint64(len(p)))
+			h = fnvMix(h, uint64(len(p)))
 			for _, v := range p {
-				mix(uint64(v))
+				h = fnvMix(h, uint64(v))
 			}
 		}
 	}
@@ -226,8 +265,9 @@ func atomicMin(p *int64, v int64) {
 }
 
 // Pooled scratch for metric passes. Slices come out all-zero and must
-// go back all-zero: every user clears exactly the entries it touched
-// (with atomics when the pass was parallel) before returning them.
+// go back all-zero: every user clears the entries it touched (with
+// atomics when the pass was parallel over one shared slice), or the
+// whole slice when that is cheaper, before returning them.
 
 var countsPool = sync.Pool{New: func() any { return new([]int32) }}
 
@@ -243,12 +283,23 @@ func getCounts(n int) *[]int32 {
 
 func putCounts(cp *[]int32) { countsPool.Put(cp) }
 
-var bitsetPool = sync.Pool{New: func() any { return new([]uint64) }}
+// bitsetPool hands out zeroed bitsets. Bitsets of one bit per directed
+// host edge and SynchronizedCost's larger (edge, step) bitsets come
+// from separate pools, so neither size displaces the other.
+type bitsetPool struct{ pool sync.Pool }
 
-// getBitset returns a zeroed bitset covering n bits.
-func getBitset(n int) *[]uint64 {
+var (
+	edgeBitsets bitsetPool // one bit per directed host edge: Width, StepUtilization
+	keyBitsets  bitsetPool // (edge, step) keys: SynchronizedCost
+)
+
+// get returns a zeroed bitset covering n bits.
+func (p *bitsetPool) get(n int) *[]uint64 {
 	w := (n + 63) / 64
-	bp := bitsetPool.Get().(*[]uint64)
+	bp, _ := p.pool.Get().(*[]uint64)
+	if bp == nil {
+		bp = new([]uint64)
+	}
 	if cap(*bp) < w {
 		*bp = make([]uint64, w)
 	}
@@ -256,19 +307,4 @@ func getBitset(n int) *[]uint64 {
 	return bp
 }
 
-func putBitset(bp *[]uint64) { bitsetPool.Put(bp) }
-
-var scratchPool = sync.Pool{New: func() any { return new([]int32) }}
-
-// getScratch returns a length-0 id buffer with at least the given
-// capacity; contents need not be zeroed before return.
-func getScratch(capacity int) *[]int32 {
-	sp := scratchPool.Get().(*[]int32)
-	if cap(*sp) < capacity {
-		*sp = make([]int32, 0, capacity)
-	}
-	*sp = (*sp)[:0]
-	return sp
-}
-
-func putScratch(sp *[]int32) { scratchPool.Put(sp) }
+func (p *bitsetPool) put(bp *[]uint64) { p.pool.Put(bp) }

@@ -15,8 +15,8 @@ func (e *Embedding) StepUtilization() ([]float64, error) {
 		return nil, err
 	}
 	steps := rc.maxLen
-	bp := getBitset(e.Host.DirectedEdges())
-	defer putBitset(bp)
+	bp := edgeBitsets.get(e.Host.DirectedEdges())
+	defer edgeBitsets.put(bp)
 	bits := *bp
 	totalPaths := len(rc.pathOff) - 1
 	total := float64(e.Host.DirectedEdges())

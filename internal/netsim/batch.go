@@ -1,8 +1,10 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -22,11 +24,13 @@ type BatchJob struct {
 // SimulateBatch runs independent simulations across GOMAXPROCS worker
 // goroutines. Each job is SimulateSharded at its Shards count, on an
 // Engine borrowed from the shared pool, so scratch buffers amortize
-// across jobs. results[i] corresponds to jobs[i] regardless of
-// scheduling, and every simulation is itself deterministic, so the
-// output is identical to running the jobs serially. On failure the
-// error names the lowest-indexed failing job; results for jobs that
-// completed are still returned.
+// across jobs. Workers take the jobs largest first — most messages
+// first, ties by index — so the longest job starts at once rather than
+// after the shorter ones listed before it. results[i] corresponds to
+// jobs[i] regardless of scheduling, and every simulation is itself
+// deterministic, so the output is identical to running the jobs
+// serially. On failure the error names the lowest-indexed failing job;
+// results for jobs that completed are still returned.
 func SimulateBatch(jobs []BatchJob) ([]*Result, error) {
 	results := make([]*Result, len(jobs))
 	for i := range jobs {
@@ -44,6 +48,7 @@ func SimulateBatch(jobs []BatchJob) ([]*Result, error) {
 	if workers < 1 {
 		workers = 1
 	}
+	order := batchOrder(jobs)
 	errs := make([]error, len(jobs))
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -52,10 +57,11 @@ func SimulateBatch(jobs []BatchJob) ([]*Result, error) {
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(jobs) {
+				k := int(next.Add(1)) - 1
+				if k >= len(jobs) {
 					return
 				}
+				i := order[k]
 				results[i], errs[i] = SimulateSharded(jobs[i].Msgs, jobs[i].Mode, jobs[i].Shards)
 			}
 		}()
@@ -67,4 +73,17 @@ func SimulateBatch(jobs []BatchJob) ([]*Result, error) {
 		}
 	}
 	return results, nil
+}
+
+// batchOrder returns the job indices largest first: most messages
+// first, ties by index.
+func batchOrder(jobs []BatchJob) []int {
+	order := make([]int, len(jobs))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cmp.Compare(len(jobs[b].Msgs), len(jobs[a].Msgs))
+	})
+	return order
 }

@@ -3,6 +3,8 @@ package netsim
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"multipath/internal/hypercube"
@@ -229,5 +231,55 @@ func TestSimulateBatchEmptyAndError(t *testing.T) {
 		{Msgs: []*Message{{Route: []int32{1}, Flits: 1}}, Mode: CutThrough, Shards: -2},
 	}); err == nil {
 		t.Error("negative shard count accepted")
+	}
+}
+
+// TestSimulateBatchLargestFirstKeepsIndex pins the batch order: jobs
+// start largest first, yet every result stays at its job's index and
+// the error names the lowest-indexed failing job, here a small job
+// listed before a large failing one.
+func TestSimulateBatchLargestFirstKeepsIndex(t *testing.T) {
+	q := hypercube.New(5)
+	rng := rand.New(rand.NewSource(5))
+	perm := func(flits int) []*Message {
+		return PermutationMessages(q, RandomPermutation(rng, q.Nodes()), flits)
+	}
+	bad := func(msgs []*Message) []*Message {
+		msgs[len(msgs)-1] = &Message{Route: msgs[len(msgs)-1].Route, Flits: 0}
+		return msgs
+	}
+	small := []*Message{{Route: []int32{1}, Flits: 0}}
+	large := bad(append(perm(2), perm(2)...))
+	jobs := []BatchJob{
+		{Msgs: perm(1)[:3], Mode: CutThrough},
+		{Msgs: small, Mode: StoreAndForward},
+		{Msgs: perm(3), Mode: StoreAndForward},
+		{Msgs: large, Mode: CutThrough},
+		{Msgs: perm(2)[:9], Mode: CutThrough, Shards: 2},
+		{Msgs: perm(1)[:9], Mode: StoreAndForward},
+	}
+	if got, want := batchOrder(jobs), []int{3, 2, 4, 5, 0, 1}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("batch order %v, want %v", got, want)
+	}
+	for _, procs := range []int{1, 2, 4} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			res, err := SimulateBatch(jobs)
+			if err == nil || !strings.Contains(err.Error(), "batch job 1:") {
+				t.Fatalf("GOMAXPROCS %d: error %v, want batch job 1", procs, err)
+			}
+			for i, job := range jobs {
+				want, werr := SimulateSharded(job.Msgs, job.Mode, job.Shards)
+				if werr != nil {
+					if res[i] != nil {
+						t.Errorf("GOMAXPROCS %d: failing job %d has result %+v", procs, i, res[i])
+					}
+					continue
+				}
+				if !reflect.DeepEqual(res[i], want) {
+					t.Errorf("GOMAXPROCS %d: job %d: batch %+v != serial %+v", procs, i, res[i], want)
+				}
+			}
+		}()
 	}
 }
