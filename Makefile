@@ -69,6 +69,7 @@ fuzz-short:
 	$(GO) test -run=^$$ -fuzz=FuzzSimulateSharded -fuzztime=$(FUZZTIME) ./internal/netsim
 	$(GO) test -run=^$$ -fuzz=FuzzSimulateOpenLoop$$ -fuzztime=$(FUZZTIME) ./internal/netsim
 	$(GO) test -run=^$$ -fuzz=FuzzSimulateOpenLoopSharded -fuzztime=$(FUZZTIME) ./internal/netsim
+	$(GO) test -run=^$$ -fuzz=FuzzOpenLoopLiveness -fuzztime=$(FUZZTIME) ./internal/netsim
 	$(GO) test -run=^$$ -fuzz=FuzzGrayRoundTrip -fuzztime=$(FUZZTIME) ./internal/bitutil
 	$(GO) test -run=^$$ -fuzz=FuzzMomentFlip -fuzztime=$(FUZZTIME) ./internal/bitutil
 	$(GO) test -run=^$$ -fuzz=FuzzPrefixConsistency -fuzztime=$(FUZZTIME) ./internal/bitutil

@@ -120,6 +120,12 @@ func run(n, flits int, seed int64, strategy string, obs bool, tracePath string, 
 	if shards < 0 {
 		return fmt.Errorf("-shards must be nonnegative, got %d", shards)
 	}
+	if windows < 1 {
+		return fmt.Errorf("-windows must be at least 1, got %d", windows)
+	}
+	if math.IsNaN(ol.faultP) || ol.faultP < 0 || ol.faultP > 1 {
+		return fmt.Errorf("-fault-p must be in [0,1], got %v", ol.faultP)
+	}
 	mc, err := multipath.CCCMultiCopy(n)
 	if err != nil {
 		return err
@@ -316,9 +322,6 @@ func arrivalTrace(ol openLoopCfg, seed int64, ntmpl int) (*netsim.Trace, error) 
 // -fault-seed / -fault-burst flags for a template pool spanning
 // numLinks directed links, or nil when faults are off.
 func faultSchedule(ol openLoopCfg, numLinks int) (*faults.Schedule, error) {
-	if ol.faultP < 0 || ol.faultP > 1 {
-		return nil, fmt.Errorf("-fault-p must be in [0,1], got %v", ol.faultP)
-	}
 	if ol.faultP == 0 {
 		if ol.faultBurst != "" {
 			return nil, fmt.Errorf("-fault-burst needs -fault-p > 0")

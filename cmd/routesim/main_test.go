@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -139,6 +140,13 @@ func TestRunRejectsNegativeShards(t *testing.T) {
 	}
 }
 
+func TestRunRejectsZeroWindows(t *testing.T) {
+	ol := openLoopCfg{process: "poisson", rate: 0.2, arrivals: 50}
+	if err := run(2, 4, 1, "adaptive", false, "", 1, 0, ol); err == nil {
+		t.Error("-windows 0 accepted")
+	}
+}
+
 func TestRunOpenLoopFaulty(t *testing.T) {
 	ol := openLoopCfg{process: "poisson", rate: 0.2, arrivals: 200, faultP: 0.05, faultSeed: 3}
 	if err := run(4, 8, 7, "ecube-ct", false, "", 2, 4, ol); err != nil {
@@ -160,9 +168,11 @@ func TestRunRejectsBadFaultFlags(t *testing.T) {
 	}
 	ol := openLoopCfg{process: "poisson", rate: 0.2, arrivals: 10}
 	bad := ol
-	bad.faultP = 1.5
-	if err := run(4, 8, 1, "ecube-ct", false, "", 1, 4, bad); err == nil {
-		t.Fatal("-fault-p out of range accepted")
+	for _, p := range []float64{1.5, math.NaN()} {
+		bad.faultP = p
+		if err := run(4, 8, 1, "ecube-ct", false, "", 1, 4, bad); err == nil {
+			t.Fatalf("-fault-p %v accepted", p)
+		}
 	}
 	bad = ol
 	bad.faultBurst = "16:48"

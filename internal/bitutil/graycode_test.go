@@ -135,3 +135,61 @@ func TestTransitionCounts(t *testing.T) {
 		}
 	}
 }
+
+// circularWirelength sums, over the edges of Q_n, the distance along
+// a cycle of 2^n positions between the positions pos assigns the two
+// endpoints.
+func circularWirelength(n int, pos func(v uint32) uint32) int {
+	size := uint32(1) << uint(n)
+	total := 0
+	for v := uint32(0); v < size; v++ {
+		for d := 0; d < n; d++ {
+			if u := v ^ 1<<uint(d); u > v {
+				gap := pos(v) - pos(u)
+				if pos(u) > pos(v) {
+					gap = pos(u) - pos(v)
+				}
+				total += int(min(gap, size-gap))
+			}
+		}
+	}
+	return total
+}
+
+// TestGrayCircularWirelength places node GrayValue(i) at cycle
+// position i and checks the circular wirelength of Q_n against the
+// closed form 3·2^(2n−3) − 2^(n−1) for n = 2..14, the range E1's Gray
+// baseline reaches (4, 20, 88, 368, …, 100,655,104). Liu and Tang
+// (arXiv:2108.08177) prove Gray coding minimizes it; at n = 3 an
+// exhaustive search over all 8! labelings finds no labeling below the
+// Gray value, 20.
+func TestGrayCircularWirelength(t *testing.T) {
+	for n := 2; n <= 14; n++ {
+		got := circularWirelength(n, GrayRank)
+		if want := 3<<uint(2*n-3) - 1<<uint(n-1); got != want {
+			t.Errorf("n=%d: Gray circular wirelength %d, want %d", n, got, want)
+		}
+	}
+	perm := []uint32{0, 1, 2, 3, 4, 5, 6, 7}
+	best := circularWirelength(3, func(v uint32) uint32 { return perm[v] })
+	// Heap's algorithm: each step swaps one pair, visiting all 8! orders.
+	c := make([]int, len(perm))
+	for i := 1; i < len(perm); {
+		if c[i] < i {
+			j := 0
+			if i%2 == 1 {
+				j = c[i]
+			}
+			perm[j], perm[i] = perm[i], perm[j]
+			best = min(best, circularWirelength(3, func(v uint32) uint32 { return perm[v] }))
+			c[i]++
+			i = 1
+		} else {
+			c[i] = 0
+			i++
+		}
+	}
+	if best != 20 {
+		t.Errorf("minimum circular wirelength of Q_3 over all labelings is %d, want 20", best)
+	}
+}

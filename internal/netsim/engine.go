@@ -26,7 +26,7 @@ import "fmt"
 // closed-loop entry point at every shard count), the open loop
 // (openLoop, every open-loop entry point at every shard count) and the
 // wormhole model. Both buffered loops split a run over the Engine's
-// one partition.
+// one partition and run on its one per-position store.
 //
 // An Engine is not safe for concurrent use. Every package-level entry
 // point — Simulate, SimulateFaults, SimulateWormhole, SimulateBatch,
@@ -46,19 +46,33 @@ type Engine struct {
 	// the stamps left by an earlier table pass are stale (denseID).
 	bySparse bool
 
-	// Per-position state, flat across all messages' route hops.
-	// Position p of message i is off[i] + hop.
-	route   []int32 // dense link id crossed at this position
-	posMsg  []int32 // owning message
+	// The numbering pass's output over the run's messages (the open
+	// loop's templates). Position p of message i is off[i] + hop.
+	route  []int32 // dense link id crossed at this position
+	posMsg []int32 // owning message
+	off    []int32
+
+	// Per-position and per-slot state of the buffered loop running: a
+	// slot is a message in the closed-loop kernel and an arena slot in
+	// the open loop. The kernel sizes these with growState; the open
+	// loop truncates them in olReset and appends in olNewSlot.
 	arrived []int   // flits available at the tail of this link
 	crossed []int   // flits that have crossed this link
 	buffer  []int   // store-and-forward: flits pending full buffering
 	queued  []bool  // position currently sits in its link's queue
 	qnext   []int32 // intrusive FIFO next pointer
+	flits   []int   // slot → flits
+	dead    []bool  // slot → failed (set only under faults or a StepLimit)
 
-	// Per-message state.
-	off   []int32
-	flits []int
+	// Views of the running loop's layout, read by the per-link
+	// primitives both loops share (see view). The kernel points them at
+	// the numbering (slotEnd = off[1:], slotMsg nil: its slots are
+	// message ids); the open loop at its arena.
+	posLink []int32 // position → dense link id
+	posSlot []int32 // position → owning slot
+	slotOff []int32 // slot → first position
+	slotEnd []int32 // slot → one past its last position
+	slotMsg []int32 // slot → message id
 
 	// Per-link state.
 	qhead  []int32
@@ -68,10 +82,8 @@ type Engine struct {
 	inWork []bool
 
 	// Fault-path scratch: dense link id → external id for fault
-	// queries, blame and probes; the closed-loop kernel's per-message
-	// dead flags; the kill batch per down link.
+	// queries, blame and probes; the kill batch per down link.
 	ext  []int
-	dead []bool
 	kill []int32
 	// The run's resolved fault set (markFaults): mayFail flags the
 	// dense links whose Status the kernels ask, and faultIDs receives
@@ -86,16 +98,15 @@ type Engine struct {
 	// window, not the injected total. The free stacks are intrusive:
 	// olFreeHead holds each template's top free slot and olFreeNext
 	// links a free slot to the next one below it, so pushing and
-	// popping never allocate. The arena arrays grow by append (the
-	// generic grow() does not preserve contents) and are truncated, not
-	// cleared, between runs; olClaim and olRecycle are the only code
-	// that takes or returns a slot.
+	// popping never allocate. The arena arrays, like the shared state
+	// above, grow by append (the generic grow() does not preserve
+	// contents) and are truncated, not cleared, between runs; olClaim
+	// and olRecycle are the only code that takes or returns a slot.
 	olSlotTmpl []int32 // slot → template index
-	olSlotOff  []int32 // slot → first position in the ol arrays
+	olSlotOff  []int32 // slot → first position
+	olSlotEnd  []int32 // slot → one past its last position
 	olSlotMsg  []int32 // slot → trace message id (-1 when free)
 	olSlotArr  []int   // slot → arrival step of the current occupant
-	olSlotFl   []int   // slot → flits (fixed per template)
-	olSlotDead []bool  // slot → killed this step, freed at step end
 	olFreeNext []int32 // slot → next free slot of its template (-1: bottom)
 	olFreeHead []int32 // template → top free slot (-1: none free)
 	olLive     int     // slots in flight
@@ -103,11 +114,6 @@ type Engine struct {
 	olKilled   []int32 // per-step batch of slots killed by faults
 	olRoute    []int32 // position → dense link id (copied from template)
 	olPosSlot  []int32 // position → owning slot
-	olArrived  []int   // per-position state, as in the closed-loop arrays
-	olCrossed  []int
-	olBuffer   []int
-	olQueued   []bool
-	olQNext    []int32
 	// olKeys is the scratch of the open loop's single-threaded sorts:
 	// the StepLimit sweep's msg<<32 | slot keys and, at two or more
 	// shards, the merged moves and deliveries, sorted with slices.Sort
@@ -219,7 +225,6 @@ func (e *Engine) number(msgs []*Message, total, minID, maxID int) int32 {
 	e.off = grow(e.off, len(msgs)+1)
 	e.route = grow(e.route, total)
 	e.posMsg = grow(e.posMsg, total)
-	e.flits = grow(e.flits, len(msgs))
 
 	useTable := maxID < 0 || (minID >= 0 && maxID < 4*total+1024)
 	e.bySparse = !useTable
@@ -310,6 +315,13 @@ func (e *Engine) growState(total, links int) {
 		e.qlen[l] = 0
 		e.inWork[l] = false
 	}
+}
+
+// view points the views at a run's layout. A run that ends points
+// them at nothing, so no view pins an array that the next numbering
+// pass or arena append replaces.
+func (e *Engine) view(link, slot, off, end, msg []int32) {
+	e.posLink, e.posSlot, e.slotOff, e.slotEnd, e.slotMsg = link, slot, off, end, msg
 }
 
 func grow[T int | int32 | uint32 | uint8 | bool](s []T, n int) []T {

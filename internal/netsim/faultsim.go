@@ -122,26 +122,3 @@ type FaultResult struct {
 func SimulateFaults(msgs []*Message, mode Mode, opts FaultOpts) (*FaultResult, error) {
 	return SimulateFaultsSharded(msgs, mode, opts, 1)
 }
-
-// unlink removes position p from dense link l's intrusive FIFO by
-// walking from the head (queues are short; kills are rare).
-func (e *Engine) unlink(l, p int32) {
-	prev := int32(-1)
-	q := e.qhead[l]
-	for q >= 0 && q != p {
-		prev = q
-		q = e.qnext[q]
-	}
-	if q < 0 { // defensive: position was not queued here
-		return
-	}
-	nx := e.qnext[p]
-	if prev < 0 {
-		e.qhead[l] = nx
-	} else {
-		e.qnext[prev] = nx
-	}
-	if nx < 0 {
-		e.qtail[l] = prev
-	}
-}

@@ -48,7 +48,9 @@ import (
 // per-step, no-recycling model as the golden reference; the fuzzers
 // hold the engine to it at every shard count. The step loop (openLoop)
 // is one loop at every shard count; openloop_sharded.go holds its
-// per-shard transfer and arrival phases.
+// arrival phase. The slot arena's positions live in the Engine's one
+// per-position store, so the loop shares the kernel's transfer,
+// enqueue, landing rule, kill scan and drop (sharded.go).
 
 // Arrival is one open-loop message injection: at the end of Step, a
 // message with template Tmpl (an index into the template slice handed
@@ -232,7 +234,7 @@ func SimulateOpenLoop(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts) (*
 // 255)]. The loop keeps the arrival stream, the leap clock, the
 // StepLimit sweep, the livelock bound, kills, recycling, injections
 // and StepEnd; the transfer and arrival phases run per shard
-// (olTransfer, olArrive): shard 0 on the caller's goroutine, shards 1
+// (transfer, olArrive): shard 0 on the caller's goroutine, shards 1
 // and up on workers, with the loop's single-threaded work between the
 // phases.
 func (e *Engine) openLoop(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts, shards int, wantStats bool) (*OpenLoopResult, []ShardStat, error) {
@@ -335,7 +337,7 @@ func (e *Engine) openLoop(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts
 			} else {
 				base := e.olClaim(t, msg, flits, step)
 				olr.MaxInFlight = max(olr.MaxInFlight, e.olLive)
-				e.olEnqueue(pt.shardOf(e.olRoute[base]), base)
+				e.enqueue(pt.shardOf(e.olRoute[base]), base)
 			}
 			n, ok := src.Next()
 			if ok {
@@ -435,7 +437,7 @@ func (e *Engine) openLoop(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts
 			pt.step = step
 			pt.bar.release()
 		}
-		e.olTransfer(0, step, &opts)
+		e.transfer(0, step, opts.Faults, opts.Probe)
 		if shards > 1 {
 			pt.bar.gather()
 			if probe != nil {
@@ -458,7 +460,11 @@ func (e *Engine) openLoop(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts
 					if opts.Listener != nil {
 						opts.Listener.LinkDown(step, e.ext[l], true)
 					}
-					e.olKillQueued(l, step, &opts, olr)
+					for _, s := range e.killable(l) {
+						if e.olFailSlot(s, step, e.ext[l], &opts, olr) {
+							e.olKilled = append(e.olKilled, s)
+						}
+					}
 				}
 			}
 			killed = len(e.olKilled) > 0
@@ -515,31 +521,35 @@ func (e *Engine) openLoop(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts
 }
 
 // olFinish ends a run: its workers, if any, stop, and the engine drops
-// the copy of the caller's options they read.
+// the copy of the caller's options they read and its views.
 func (e *Engine) olFinish() {
 	e.part.stop()
 	e.olOpts = OpenLoopOpts{}
+	e.view(nil, nil, nil, nil, nil)
 }
 
-// olReset resets the slot arena for a run over ntmpl templates:
-// truncate (capacity survives across runs) and empty every template's
-// free stack.
+// olReset resets the slot arena, with the shared per-position and
+// per-slot arrays, for a run over ntmpl templates: truncate (capacity
+// survives across runs), point the views at the arena and empty every
+// template's free stack.
 func (e *Engine) olReset(ntmpl int) {
 	e.olSlotTmpl = e.olSlotTmpl[:0]
 	e.olSlotOff = e.olSlotOff[:0]
+	e.olSlotEnd = e.olSlotEnd[:0]
 	e.olSlotMsg = e.olSlotMsg[:0]
 	e.olSlotArr = e.olSlotArr[:0]
-	e.olSlotFl = e.olSlotFl[:0]
-	e.olSlotDead = e.olSlotDead[:0]
+	e.flits = e.flits[:0]
+	e.dead = e.dead[:0]
 	e.olFreeNext = e.olFreeNext[:0]
 	e.olKilled = e.olKilled[:0]
 	e.olRoute = e.olRoute[:0]
 	e.olPosSlot = e.olPosSlot[:0]
-	e.olArrived = e.olArrived[:0]
-	e.olCrossed = e.olCrossed[:0]
-	e.olBuffer = e.olBuffer[:0]
-	e.olQueued = e.olQueued[:0]
-	e.olQNext = e.olQNext[:0]
+	e.arrived = e.arrived[:0]
+	e.crossed = e.crossed[:0]
+	e.buffer = e.buffer[:0]
+	e.queued = e.queued[:0]
+	e.qnext = e.qnext[:0]
+	e.view(e.olRoute, e.olPosSlot, e.olSlotOff, e.olSlotEnd, e.olSlotMsg)
 	e.olFreeHead = grow(e.olFreeHead, ntmpl)
 	for t := range e.olFreeHead {
 		e.olFreeHead[t] = -1
@@ -556,12 +566,11 @@ func (e *Engine) olClaim(t, msg int32, flits, step int) int32 {
 	s := e.olFreeHead[t]
 	if s >= 0 {
 		e.olFreeHead[t] = e.olFreeNext[s]
-		base, end := e.olSpan(s)
-		for p := base; p < end; p++ {
-			e.olArrived[p] = 0
-			e.olCrossed[p] = 0
-			e.olBuffer[p] = 0
-			e.olQueued[p] = false
+		for p := e.olSlotOff[s]; p < e.olSlotEnd[s]; p++ {
+			e.arrived[p] = 0
+			e.crossed[p] = 0
+			e.buffer[p] = 0
+			e.queued[p] = false
 		}
 	} else {
 		s = e.olNewSlot(t, flits)
@@ -569,7 +578,7 @@ func (e *Engine) olClaim(t, msg int32, flits, step int) int32 {
 	e.olSlotMsg[s] = msg
 	e.olSlotArr[s] = step
 	base := e.olSlotOff[s]
-	e.olArrived[base] = flits
+	e.arrived[base] = flits
 	e.olLive++
 	e.olInFlight += flits
 	return base
@@ -579,10 +588,10 @@ func (e *Engine) olClaim(t, msg int32, flits, step int) int32 {
 // has seen its dead flag), or swept at a StepLimit — and pushes it on
 // its template's free stack.
 func (e *Engine) olRecycle(s int32) {
-	e.olSlotDead[s] = false
+	e.dead[s] = false
 	e.olSlotMsg[s] = -1
 	e.olLive--
-	e.olInFlight -= e.olSlotFl[s]
+	e.olInFlight -= e.flits[s]
 	t := e.olSlotTmpl[s]
 	e.olFreeNext[s] = e.olFreeHead[t]
 	e.olFreeHead[t] = s
@@ -604,116 +613,46 @@ func (e *Engine) olLiveKeys() []uint64 {
 	return keys
 }
 
-// olSpan returns slot s's position range [base, end) in the arena.
-func (e *Engine) olSpan(s int32) (int32, int32) {
-	base := e.olSlotOff[s]
-	t := e.olSlotTmpl[s]
-	return base, base + (e.off[t+1] - e.off[t])
-}
-
 // olNewSlot appends a fresh slot for template t to the arena, copying
-// the template's dense route once. Append growth (not grow()) because
-// the arena must survive reallocation with contents intact.
+// the template's dense route once, and re-points the views at the
+// arena. Append growth (not grow()) because the arena must survive
+// reallocation with contents intact.
 func (e *Engine) olNewSlot(t int32, flits int) int32 {
 	s := int32(len(e.olSlotTmpl))
 	base := int32(len(e.olRoute))
+	e.olRoute = append(e.olRoute, e.route[e.off[t]:e.off[t+1]]...)
 	e.olSlotTmpl = append(e.olSlotTmpl, t)
 	e.olSlotOff = append(e.olSlotOff, base)
+	e.olSlotEnd = append(e.olSlotEnd, int32(len(e.olRoute)))
 	e.olSlotMsg = append(e.olSlotMsg, -1)
 	e.olSlotArr = append(e.olSlotArr, 0)
-	e.olSlotFl = append(e.olSlotFl, flits)
-	e.olSlotDead = append(e.olSlotDead, false)
+	e.flits = append(e.flits, flits)
+	e.dead = append(e.dead, false)
 	e.olFreeNext = append(e.olFreeNext, -1)
-	e.olRoute = append(e.olRoute, e.route[e.off[t]:e.off[t+1]]...)
 	for range e.olRoute[base:] {
 		e.olPosSlot = append(e.olPosSlot, s)
-		e.olArrived = append(e.olArrived, 0)
-		e.olCrossed = append(e.olCrossed, 0)
-		e.olBuffer = append(e.olBuffer, 0)
-		e.olQueued = append(e.olQueued, false)
-		e.olQNext = append(e.olQNext, -1)
+		e.arrived = append(e.arrived, 0)
+		e.crossed = append(e.crossed, 0)
+		e.buffer = append(e.buffer, 0)
+		e.queued = append(e.queued, false)
+		e.qnext = append(e.qnext, -1)
 	}
+	e.view(e.olRoute, e.olPosSlot, e.olSlotOff, e.olSlotEnd, e.olSlotMsg)
 	return s
 }
 
-// olEnqueue is enqueue over the arena arrays: appends position p to
-// its link's FIFO, updates shard st's peak queue metric, lists the link
-// on st's active list on a probed run, and activates the link on st's
-// worklist if p brings sendable flits. st owns the link.
-func (e *Engine) olEnqueue(st *shardState, p int32) {
-	l := e.olRoute[p]
-	if e.qtail[l] < 0 {
-		e.qhead[l] = p
-	} else {
-		e.olQNext[e.qtail[l]] = p
-	}
-	e.qtail[l] = p
-	e.olQNext[p] = -1
-	e.olQueued[p] = true
-	e.qlen[l]++
-	if e.qlen[l] > st.maxQ {
-		st.maxQ = e.qlen[l]
-	}
-	if e.listing && !e.listed[l] {
-		e.listed[l] = true
-		st.active = append(st.active, l)
-	}
-	if avail := e.olArrived[p] - e.olCrossed[p]; avail > 0 {
-		e.addShardCredit(st, l, avail)
-	}
-}
-
-// olKillQueued fails every slot with a sendable request queued on the
-// permanently-down dense link l (compare failQueued). A slot may be
-// queued on l at two hops (routes can repeat a link); olFailSlot's
-// dead check keeps the kill idempotent.
-func (e *Engine) olKillQueued(l int32, step int, opts *OpenLoopOpts, olr *OpenLoopResult) {
-	e.kill = e.kill[:0]
-	for p := e.qhead[l]; p >= 0; p = e.olQNext[p] {
-		s := e.olPosSlot[p]
-		if e.olArrived[p]-e.olCrossed[p] > 0 && !e.olSlotDead[s] {
-			e.kill = append(e.kill, s)
-		}
-	}
-	blame := e.ext[l]
-	for _, s := range e.kill {
-		if e.olFailSlot(s, step, blame, opts, olr) {
-			e.olKilled = append(e.olKilled, s)
-		}
-	}
-}
-
-// olFailSlot marks slot s failed at step: removes its queued requests
-// from their FIFOs, returns their credits, accounts every not-yet-moved
-// flit-hop as dropped, to the shard owning its link, and reports the
+// olFailSlot marks slot s failed at step, drops it, and reports the
 // failure — blame is the external id of the killing link (-1 for
 // StepLimit sweeps), forwarded to the FaultListener. Runs
 // single-threaded; idempotent per step; the caller recycles the slot
 // once the arrival phase has seen the dead flag. Reports whether this
 // call did the kill.
 func (e *Engine) olFailSlot(s int32, step, blame int, opts *OpenLoopOpts, olr *OpenLoopResult) bool {
-	if e.olSlotDead[s] {
+	if e.dead[s] {
 		return false
 	}
-	e.olSlotDead[s] = true
 	olr.FailedMsgs++
-	flits := e.olSlotFl[s]
-	base, end := e.olSpan(s)
-	dropped := 0
-	for p := base; p < end; p++ {
-		l := e.olRoute[p]
-		d := flits - e.olCrossed[p]
-		dropped += d
-		e.part.shardOf(l).dropped += d
-		if e.olQueued[p] {
-			e.olUnlink(l, p)
-			e.qlen[l]--
-			e.olQueued[p] = false
-			if avail := e.olArrived[p] - e.olCrossed[p]; avail > 0 {
-				e.credit[l] -= avail
-			}
-		}
-	}
+	dropped := e.drop(s)
 	olr.DroppedFlits += dropped
 	msg := e.olSlotMsg[s]
 	if opts.Probe != nil {
@@ -747,27 +686,4 @@ func (e *Engine) olDeliver(s int32, step int, opts *OpenLoopOpts, olr *OpenLoopR
 		opts.PerMessage(msg, arr, step, true)
 	}
 	e.olRecycle(s)
-}
-
-// olUnlink removes position p from dense link l's intrusive FIFO (the
-// arena twin of unlink).
-func (e *Engine) olUnlink(l, p int32) {
-	prev := int32(-1)
-	q := e.qhead[l]
-	for q >= 0 && q != p {
-		prev = q
-		q = e.olQNext[q]
-	}
-	if q < 0 { // defensive: position was not queued here
-		return
-	}
-	nx := e.olQNext[p]
-	if prev < 0 {
-		e.qhead[l] = nx
-	} else {
-		e.olQNext[prev] = nx
-	}
-	if nx < 0 {
-		e.qtail[l] = prev
-	}
 }

@@ -20,7 +20,9 @@ import (
 // FuzzSimulateOpenLoop holds SimulateOpenLoop bit-identical to this
 // model (results, per-message latencies, failures), and the E26
 // benchmark reports the engine's speedup over it. OpenLoopOpts.Probe
-// is ignored here; everything else is honored.
+// is ignored here; everything else is honored, the Listener with the
+// event order and the source re-polling documented on FaultListener
+// and ArrivalSource.
 func SimulateOpenLoopReference(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts) (*OpenLoopResult, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -58,6 +60,16 @@ func SimulateOpenLoopReference(tmpls []*Message, src ArrivalSource, opts OpenLoo
 		msg int32
 		hop int
 	}
+	// rank orders links by first crossing in template order: the order
+	// LinkDown events of one step follow.
+	rank := map[int32]int{}
+	for _, m := range tmpls {
+		for _, l := range m.Route {
+			if _, ok := rank[l]; !ok {
+				rank[l] = len(rank)
+			}
+		}
+	}
 
 	olr := &OpenLoopResult{}
 	queues := map[int32][]want{}
@@ -68,12 +80,21 @@ func SimulateOpenLoopReference(tmpls []*Message, src ArrivalSource, opts OpenLoo
 	if havePending && pending.Step < 0 {
 		return nil, fmt.Errorf("netsim: arrival step %d is negative", pending.Step)
 	}
-	advance := func() (Arrival, bool, error) {
+	lastStep := pending.Step // step of the last arrival pulled
+	pull := func(step int, repoll bool) error {
 		n, ok := src.Next()
-		if ok && n.Step < pending.Step {
-			return n, ok, fmt.Errorf("netsim: arrival %d: steps must be nondecreasing (step %d after %d)", len(msgs), n.Step, pending.Step)
+		if !ok {
+			havePending = false
+			return nil
 		}
-		return n, ok, nil
+		if n.Step < lastStep {
+			return fmt.Errorf("netsim: arrival %d: steps must be nondecreasing (step %d after %d)", len(msgs), n.Step, lastStep)
+		}
+		if repoll && n.Step < step {
+			return fmt.Errorf("netsim: arrival %d: re-polled at step %d for past step %d", len(msgs), step, n.Step)
+		}
+		pending, havePending, lastStep = n, true, n.Step
+		return nil
 	}
 
 	enqueue := func(mi int32, hop int) {
@@ -126,8 +147,27 @@ func SimulateOpenLoopReference(tmpls []*Message, src ArrivalSource, opts OpenLoo
 		enqueue(mi, 0)
 		return nil
 	}
+	// injectDue injects the arrivals due at step. With a listener, an
+	// exhausted source is asked again first: a listener reacting to a
+	// failure may have scheduled a reroute.
+	injectDue := func(step int) error {
+		if !havePending && opts.Listener != nil {
+			if err := pull(step, true); err != nil {
+				return err
+			}
+		}
+		for havePending && pending.Step == step {
+			if err := inject(step); err != nil {
+				return err
+			}
+			if err := pull(step, false); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 
-	fail := func(mi int32, step int) bool {
+	fail := func(mi int32, step, blame int) bool {
 		m := msgs[mi]
 		if m.dead || m.done {
 			return false
@@ -153,34 +193,37 @@ func SimulateOpenLoopReference(tmpls []*Message, src ArrivalSource, opts OpenLoo
 		if opts.PerMessage != nil {
 			opts.PerMessage(mi, m.arrival, step, false)
 		}
+		if opts.Listener != nil {
+			opts.Listener.MsgFailed(step, mi, blame)
+		}
 		live--
 		inFlight -= m.flits
 		return true
-	}
-
-	// Arrivals at step 0 enter before the first simulated step, exactly
-	// as Simulate's initial injection.
-	for havePending && pending.Step == 0 {
-		if err := inject(0); err != nil {
-			return nil, err
-		}
-		var err error
-		if pending, havePending, err = advance(); err != nil {
-			return nil, err
-		}
 	}
 
 	var moved []want
 	var downLinks []int32
 	step := 0
 	lastProgress := 0
-	for live > 0 || havePending {
+	for {
+		// Arrivals at step 0 enter before the first simulated step,
+		// exactly as Simulate's initial injection. A drained network
+		// re-polls a listener's source; with nothing live or pending the
+		// run is over.
+		if live == 0 {
+			if err := injectDue(step); err != nil {
+				return nil, err
+			}
+			if live == 0 && !havePending {
+				break
+			}
+		}
 		step++
 		if graceful && step > opts.StepLimit {
 			olr.TimedOut = true
 			for mi, m := range msgs {
 				if !m.done && !m.dead {
-					fail(int32(mi), opts.StepLimit)
+					fail(int32(mi), opts.StepLimit, -1)
 				}
 			}
 			break
@@ -233,12 +276,16 @@ func SimulateOpenLoopReference(tmpls []*Message, src ArrivalSource, opts OpenLoo
 		}
 		// Kill phase: permanently-down links with sendable requests
 		// fail them, deferred out of the transfer scan exactly as in
-		// the engines. The kill set is order-independent (a down link
-		// moves nothing during the step).
+		// the engines, in first-crossing order. The kill set is
+		// order-independent (a down link moves nothing during the
+		// step); the blame and the event order are not.
 		killed := false
 		if len(downLinks) > 0 {
-			slices.Sort(downLinks)
+			slices.SortFunc(downLinks, func(a, b int32) int { return rank[a] - rank[b] })
 			for _, l := range downLinks {
+				if opts.Listener != nil {
+					opts.Listener.LinkDown(step, int(l), true)
+				}
 				var kills []int32
 				for _, w := range queues[l] {
 					m := msgs[w.msg]
@@ -247,7 +294,7 @@ func SimulateOpenLoopReference(tmpls []*Message, src ArrivalSource, opts OpenLoo
 					}
 				}
 				for _, mi := range kills {
-					if fail(mi, step) {
+					if fail(mi, step, int(l)) {
 						killed = true
 					}
 				}
@@ -304,18 +351,11 @@ func SimulateOpenLoopReference(tmpls []*Message, src ArrivalSource, opts OpenLoo
 				enqueue(w.msg, next)
 			}
 		}
-		injected := false
-		for havePending && pending.Step == step {
-			if err := inject(step); err != nil {
-				return nil, err
-			}
-			injected = true
-			var err error
-			if pending, havePending, err = advance(); err != nil {
-				return nil, err
-			}
+		before := len(msgs)
+		if err := injectDue(step); err != nil {
+			return nil, err
 		}
-		if len(moved) > 0 || killed || injected {
+		if len(moved) > 0 || killed || len(msgs) > before {
 			lastProgress = step
 		}
 	}

@@ -2,11 +2,12 @@ package netsim
 
 import "slices"
 
-// This file holds the per-shard phases of the open-loop step loop
-// (Engine.openLoop) and its sharded entry points. The loop is one loop
-// at every shard count; the dense link space is split into contiguous
-// per-shard ranges exactly as in the closed-loop kernel (partition),
-// and a simulated step is
+// This file holds the open-loop step loop's (Engine.openLoop) arrival
+// phase, its workers and its sharded entry points; its transfer phase
+// is the kernel's transfer (sharded.go), run on the slot arena through
+// the Engine's views. The loop is one loop at every shard count; the
+// dense link space is split into contiguous per-shard ranges exactly
+// as in the closed-loop kernel (partition), and a simulated step is
 //
 //	transfer(k) ∥ …  →  [moves, kills]  →  arrive(k) ∥ …  →  [deliveries, recycling, injections, StepEnd]
 //
@@ -90,108 +91,10 @@ func (e *Engine) olWorker(k int) {
 		if pt.done {
 			return
 		}
-		e.olTransfer(k, pt.step, &e.olOpts)
+		e.transfer(k, pt.step, e.olOpts.Faults, e.olOpts.Probe)
 		pt.bar.wait()
 		e.olArrive(k, pt.step, &e.olOpts, nil)
 	}
-}
-
-// olTransfer is the transfer phase of shard k: per active link the
-// first queued request with an available flit crosses, as in the
-// closed-loop kernel, over the arena arrays. A permanently-down link
-// joins st.down for the loop's kill phase. At one shard every moved
-// flit joins the shard's arrivals and the probe sees each move; at two
-// or more a flit whose next hop another shard owns goes to that
-// shard's ring or spill, and moves are buffered for the loop's merge.
-func (e *Engine) olTransfer(k, step int, opts *OpenLoopOpts) {
-	pt := &e.part
-	st := pt.states[k]
-	inline := pt.n == 1
-	if !inline {
-		for d := range st.spill { // reclaim last step's drained batches
-			st.spill[d] = st.spill[d][:0]
-		}
-	}
-	probe, faults := opts.Probe, opts.Faults
-	cur := st.work
-	st.work = st.scratch[:0]
-	arr := st.arr[:0]
-	down := st.down[:0]
-	for _, l := range cur {
-		if e.credit[l] <= 0 {
-			e.inWork[l] = false
-			continue
-		}
-		if faults != nil && e.mayFail[l] {
-			if dn, perm := faults.Status(e.ext[l], step); dn {
-				if !perm {
-					st.work = append(st.work, l)
-					continue
-				}
-				down = append(down, l)
-				e.inWork[l] = false
-				continue
-			}
-		}
-		prev := int32(-1)
-		p := e.qhead[l]
-		for p >= 0 && e.olArrived[p]-e.olCrossed[p] <= 0 {
-			prev = p
-			p = e.olQNext[p]
-		}
-		if p < 0 { // defensive: credit promised a sendable request
-			e.credit[l] = 0
-			e.inWork[l] = false
-			continue
-		}
-		s := e.olPosSlot[p]
-		e.olCrossed[p]++
-		e.credit[l]--
-		st.moved++
-		if probe != nil {
-			if inline {
-				probe.FlitMoved(step, e.olSlotMsg[s], l)
-			} else {
-				st.pbMove = append(st.pbMove, uint64(uint32(l))<<32|uint64(uint32(e.olSlotMsg[s])))
-			}
-		}
-		if e.olCrossed[p] == e.olSlotFl[s] {
-			nx := e.olQNext[p]
-			if prev < 0 {
-				e.qhead[l] = nx
-			} else {
-				e.olQNext[prev] = nx
-			}
-			if nx < 0 {
-				e.qtail[l] = prev
-			}
-			e.qlen[l]--
-			e.olQueued[p] = false
-		}
-		if e.credit[l] > 0 {
-			st.work = append(st.work, l)
-		} else {
-			e.inWork[l] = false
-		}
-		if inline {
-			arr = append(arr, p)
-			continue
-		}
-		next := p + 1
-		if _, end := e.olSpan(s); next == end {
-			arr = append(arr, p)
-		} else if d := e.olRoute[next]; d >= st.lo && d < st.hi {
-			arr = append(arr, p)
-		} else {
-			st.boundary++
-			o := pt.owner[d]
-			if !st.out[o].push(p) {
-				st.spillTo(o, p)
-			}
-		}
-	}
-	st.arr, st.down = arr, down
-	st.scratch = cur[:0]
 }
 
 // olDoneBit flags a completed message in a buffered final-hop key
@@ -199,50 +102,34 @@ func (e *Engine) olTransfer(k, step int, opts *OpenLoopOpts) {
 // reaches.
 const olDoneBit = 1 << 31
 
-// olArrive is the arrival phase of shard k: at two or more shards it
-// first appends every peer's ring and spill batch destined here to the
-// shard's arrivals, then applies each arrived flit — skipped if its
-// message was killed this step, a delivery on the final hop, otherwise
-// buffering and credits at the next hop, a link this shard owns. New
-// requests are collected as msg<<32 | position keys: a slot's
-// positions ascend with hop, so ascending keys are the documented
-// (message id, hop) FIFO tie-break whatever slots recycling has handed
-// out. At one shard a delivery is reported and its slot recycled at
-// once (olDeliver, into olr); at two or more it is buffered in st.done
-// for the loop's merge, flagged olDoneBit when the message completed,
-// and olr is unused.
+// olArrive is the arrival phase of shard k: after the peers' boundary
+// flits are gathered, each arrived flit is skipped if its message was
+// killed this step, a delivery on the final hop, and otherwise lands at
+// the next hop, a link this shard owns. New requests are collected as
+// msg<<32 | position keys: a slot's positions ascend with hop, so
+// ascending keys are the documented (message id, hop) FIFO tie-break
+// whatever slots recycling has handed out. At one shard a delivery is
+// reported and its slot recycled at once (olDeliver, into olr); at two
+// or more it is buffered in st.done for the loop's merge, flagged
+// olDoneBit when the message completed, and olr is unused.
 func (e *Engine) olArrive(k, step int, opts *OpenLoopOpts, olr *OpenLoopResult) {
 	pt := &e.part
 	st := pt.states[k]
 	inline := pt.n == 1
 	if !inline {
-		for k2, peer := range pt.states[:pt.n] {
-			if k2 == k {
-				continue
-			}
-			r := peer.out[k]
-			for {
-				p, ok := r.pop()
-				if !ok {
-					break
-				}
-				st.arr = append(st.arr, p)
-			}
-			st.arr = append(st.arr, peer.spill[k]...)
-		}
+		pt.gather(k)
 	}
-	probe := opts.Probe
+	probe, mode := opts.Probe, opts.Mode
 	keys := st.enqKey[:0]
 	for _, p := range st.arr {
 		s := e.olPosSlot[p]
-		if e.olSlotDead[s] {
+		if e.dead[s] {
 			continue // killed this step: crossing counted, arrival absorbed
 		}
-		flits := e.olSlotFl[s]
 		msg := e.olSlotMsg[s]
 		next := p + 1
-		if _, end := e.olSpan(s); next == end {
-			done := e.olCrossed[p] == flits
+		if next == e.olSlotEnd[s] {
+			done := e.crossed[p] == e.flits[s]
 			if inline {
 				if probe != nil {
 					probe.FlitDelivered(step, msg)
@@ -257,22 +144,10 @@ func (e *Engine) olArrive(k, step int, opts *OpenLoopOpts, olr *OpenLoopResult) 
 			}
 			continue
 		}
-		switch opts.Mode {
-		case CutThrough:
-			e.olArrived[next]++
-			if e.olQueued[next] {
-				e.addShardCredit(st, e.olRoute[next], 1)
-			}
-		case StoreAndForward:
-			e.olBuffer[next]++
-			if e.olBuffer[next] == flits {
-				e.olArrived[next] = flits
-				if e.olQueued[next] {
-					e.addShardCredit(st, e.olRoute[next], flits-e.olCrossed[next])
-				}
-			}
-		}
-		if !e.olQueued[next] && e.olArrived[next] > 0 {
+		c := e.land(next, e.flits[s], mode)
+		if e.queued[next] {
+			e.addShardCredit(st, e.olRoute[next], c)
+		} else if e.arrived[next] > 0 {
 			keys = append(keys, uint64(msg)<<32|uint64(next))
 		}
 	}
@@ -280,7 +155,7 @@ func (e *Engine) olArrive(k, step int, opts *OpenLoopOpts, olr *OpenLoopResult) 
 		slices.Sort(keys)
 	}
 	for _, key := range keys {
-		e.olEnqueue(st, int32(uint32(key)))
+		e.enqueue(st, int32(uint32(key)))
 	}
 	st.enqKey = keys
 }

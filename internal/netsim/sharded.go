@@ -9,7 +9,10 @@ import (
 // This file is the closed-loop kernel, the one closed loop behind
 // every closed-loop entry point — Simulate, SimulateBatch,
 // SimulateFaults, SimulateProbed and the sharded entry points — at
-// every shard count. The dense contiguous link-id space of a run is
+// every shard count, and the per-link primitives it shares with the
+// open loop (transfer, gather, land, enqueue, unlink, killable, drop),
+// which read either loop's positions through the Engine's views. The
+// dense contiguous link-id space of a run is
 // split into per-shard ranges (partition), each kept by one goroutine
 // that owns the intrusive FIFOs, credit counters, and active-link
 // worklist of exactly its links. A simulation step is
@@ -41,7 +44,7 @@ import (
 // TestSimulateShardedEquivalence and FuzzSimulateSharded over the fuzz
 // corpus, and FuzzSimulate holds the kernel to SimulateReference.
 //
-// One shard runs inline: no worker, no barrier wait, no owner table
+// One shard runs inline: no worker, no barrier wait, no owner test
 // (every next hop is local), and a probe is called at each event —
 // moves in transfer, kills in the kill action, deliveries and StepEnd
 // in arrive, timeout failures after the last StepEnd — instead of
@@ -412,6 +415,7 @@ func getSharded() *sharded {
 func (sh *sharded) release() {
 	sh.msgs, sh.faults, sh.res, sh.fr = nil, nil, nil, nil
 	sh.probe, sh.err = nil, nil
+	sh.e.view(nil, nil, nil, nil, nil)
 	enginePool.put(sh.e)
 }
 
@@ -478,6 +482,7 @@ func (sh *sharded) run(msgs []*Message, mode Mode, opts FaultOpts, faultPath boo
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	e.view(e.route, e.posMsg, e.off, e.off[1:], nil)
 	links := shape.links
 	shards = max(1, min(shards, int(links), 255)) // owner table is uint8
 
@@ -495,6 +500,7 @@ func (sh *sharded) run(msgs []*Message, mode Mode, opts FaultOpts, faultPath boo
 	}
 
 	e.growState(shape.total, int(links))
+	e.flits = grow(e.flits, len(msgs))
 	sh.split(links, shards)
 	for _, st := range sh.states[:shards] {
 		st.enq = slices.Grow(st.enq[:0], int(st.hi-st.lo))
@@ -552,7 +558,7 @@ func (sh *sharded) run(msgs []*Message, mode Mode, opts FaultOpts, faultPath boo
 		}
 		e.arrived[p0] = m.Flits
 		sh.remain++
-		sh.enqueue(sh.shardOf(e.route[p0]), p0)
+		e.enqueue(sh.shardOf(e.route[p0]), p0)
 	}
 	if wantStats {
 		for p := 0; p < shape.total; p++ {
@@ -570,7 +576,7 @@ func (sh *sharded) run(msgs []*Message, mode Mode, opts FaultOpts, faultPath boo
 		sh.bar.gather()
 		for !sh.done {
 			sh.bar.release()
-			sh.transfer(0)
+			e.transfer(0, sh.step, sh.faults, sh.probe)
 			sh.bar.gather()
 			sh.killAction()
 			sh.bar.release()
@@ -601,29 +607,32 @@ func (sh *sharded) worker(k int) {
 		if sh.done {
 			return
 		}
-		sh.transfer(k)
+		sh.e.transfer(k, sh.step, sh.faults, sh.probe)
 		sh.bar.wait()
 		sh.arrive(k)
 	}
 }
 
-// transfer is the transfer phase over this shard's active links: per
-// link, the first queued request with an available flit crosses. Each
-// moved flit goes either to the local arrival batch or across a shard
-// boundary.
-func (sh *sharded) transfer(k int) {
-	e := sh.e
-	st := sh.states[k]
-	for d := range st.spill { // reclaim last step's drained batches
-		st.spill[d] = st.spill[d][:0]
+// transfer is shard k's transfer phase at step, in both buffered
+// loops: per active link, the first queued request with an available
+// flit crosses. A permanently-down link joins st.down for the loop's
+// kill phase. At one shard every moved flit joins the shard's arrivals
+// and probe sees each move; at two or more a flit whose next hop
+// another shard owns goes to that shard's ring or spill, and moves are
+// buffered for the loop's merge.
+func (e *Engine) transfer(k, step int, faults LinkFaults, probe Probe) {
+	pt := &e.part
+	st := pt.states[k]
+	inline := pt.n == 1 // one shard: every next hop is local
+	if !inline {
+		for d := range st.spill { // reclaim last step's drained batches
+			st.spill[d] = st.spill[d][:0]
+		}
 	}
-	inline := sh.n == 1 // one shard: every next hop is local
-	step := sh.step
-	owner, faults, probe := sh.owner, sh.faults, sh.probe
 	cur := st.work
 	work := st.scratch[:0]
 	arr := st.arr[:0]
-	st.down = st.down[:0]
+	down := st.down[:0]
 	for _, l := range cur {
 		if e.credit[l] <= 0 {
 			e.inWork[l] = false
@@ -635,7 +644,7 @@ func (sh *sharded) transfer(k int) {
 					work = append(work, l)
 					continue
 				}
-				st.down = append(st.down, l)
+				down = append(down, l)
 				e.inWork[l] = false
 				continue
 			}
@@ -654,26 +663,20 @@ func (sh *sharded) transfer(k int) {
 		e.crossed[p]++
 		e.credit[l]--
 		st.moved++
-		mi := e.posMsg[p]
+		s := e.posSlot[p]
 		if probe != nil {
+			m := s
+			if e.slotMsg != nil {
+				m = e.slotMsg[s]
+			}
 			if inline {
-				probe.FlitMoved(step, mi, l)
+				probe.FlitMoved(step, m, l)
 			} else {
-				st.pbMove = append(st.pbMove, uint64(uint32(l))<<32|uint64(uint32(mi)))
+				st.pbMove = append(st.pbMove, uint64(uint32(l))<<32|uint64(uint32(m)))
 			}
 		}
-		if e.crossed[p] == e.flits[mi] {
-			nx := e.qnext[p]
-			if prev < 0 {
-				e.qhead[l] = nx
-			} else {
-				e.qnext[prev] = nx
-			}
-			if nx < 0 {
-				e.qtail[l] = prev
-			}
-			e.qlen[l]--
-			e.queued[p] = false
+		if e.crossed[p] == e.flits[s] {
+			e.unlink(l, prev, p)
 		}
 		if e.credit[l] > 0 {
 			work = append(work, l)
@@ -681,66 +684,65 @@ func (sh *sharded) transfer(k int) {
 			e.inWork[l] = false
 		}
 		next := p + 1
-		if inline || next == e.off[mi+1] || owner[e.route[next]] == uint8(k) {
+		if inline || next == e.slotEnd[s] {
+			arr = append(arr, p)
+		} else if d := e.posLink[next]; d >= st.lo && d < st.hi {
 			arr = append(arr, p)
 		} else {
 			st.boundary++
-			d := owner[e.route[next]]
-			if !st.out[d].push(p) {
-				st.spillTo(d, p)
+			o := pt.owner[d]
+			if !st.out[o].push(p) {
+				st.spillTo(o, p)
 			}
 		}
 	}
-	st.work, st.arr = work, arr
+	st.work, st.arr, st.down = work, arr, down
 	st.scratch = cur[:0]
 }
 
 // killAction is the step's work after the transfer phase: fail the
-// sendable queued messages of every permanently-down link found this
-// step, in globally ascending dense-link order (shards own ascending
-// ranges, so iterating shards in order with each batch sorted gives
-// the global order). Runs single-threaded; it may touch any shard's
-// FIFO state.
+// killable messages of every permanently-down link found this step, in
+// globally ascending dense-link order (shards own ascending ranges, so
+// iterating shards in order with each batch sorted gives the global
+// order). Runs single-threaded; it may touch any shard's FIFO state.
 func (sh *sharded) killAction() {
 	if sh.faults == nil {
 		return
 	}
+	e := sh.e
 	for _, st := range sh.states[:sh.n] {
 		if len(st.down) == 0 {
 			continue
 		}
 		slices.Sort(st.down)
 		for _, l := range st.down {
-			sh.remain -= sh.failQueued(l)
+			for _, mi := range e.killable(l) {
+				sh.remain -= sh.failMessage(mi, e.ext[l], sh.step)
+			}
 		}
 	}
 }
 
-// failQueued fails every message that has a sendable request queued on
-// the permanently-down dense link l — each would have contended for
-// the link this step and the link will never carry it. Messages queued
-// on l that are still waiting for upstream flits are left alone; they
-// fail on the later step their flits arrive. Returns the number of
-// messages newly failed.
-func (sh *sharded) failQueued(l int32) int {
-	e := sh.e
+// killable returns, in queue order and in the Engine's kill scratch,
+// the live slots with a sendable request queued on the
+// permanently-down dense link l: each would have contended for the
+// link this step, and the link will never carry it. Slots queued on l
+// that still wait for upstream flits are left alone; they fail on the
+// later step their flits arrive. A slot queued on l at two hops
+// (routes can repeat a link) appears twice; both loops' kills are
+// idempotent.
+func (e *Engine) killable(l int32) []int32 {
 	e.kill = e.kill[:0]
 	for p := e.qhead[l]; p >= 0; p = e.qnext[p] {
-		if e.arrived[p]-e.crossed[p] > 0 && !e.dead[e.posMsg[p]] {
-			e.kill = append(e.kill, e.posMsg[p])
+		if s := e.posSlot[p]; e.arrived[p]-e.crossed[p] > 0 && !e.dead[s] {
+			e.kill = append(e.kill, s)
 		}
 	}
-	n := 0
-	for _, mi := range e.kill {
-		n += sh.failMessage(mi, e.ext[l], sh.step)
-	}
-	return n
+	return e.kill
 }
 
 // failMessage marks message mi failed at step (blaming external link
-// extLink, or -1 for a timeout), removes its queued requests from
-// their FIFOs, returns their credits, and accounts every not-yet-moved
-// flit-hop as dropped, to the shard owning its link. Both callers run
+// extLink, or -1 for a timeout) and drops it. Both callers run
 // single-threaded between phases. Idempotent: returns 1 only on the
 // first kill.
 func (sh *sharded) failMessage(mi int32, extLink, step int) int {
@@ -748,24 +750,9 @@ func (sh *sharded) failMessage(mi int32, extLink, step int) int {
 	if e.dead[mi] {
 		return 0
 	}
-	e.dead[mi] = true
 	sh.fr.Outcomes[mi] = Outcome{Step: step, FailedLink: extLink}
 	sh.fr.FailedMsgs++
-	dropped := 0
-	for p := e.off[mi]; p < e.off[mi+1]; p++ {
-		d := e.flits[mi] - e.crossed[p]
-		dropped += d
-		sh.shardOf(e.route[p]).dropped += d
-		if e.queued[p] {
-			l := e.route[p]
-			e.unlink(l, p)
-			e.qlen[l]--
-			e.queued[p] = false
-			if avail := e.arrived[p] - e.crossed[p]; avail > 0 {
-				e.credit[l] -= avail
-			}
-		}
-	}
+	dropped := e.drop(mi)
 	sh.fr.DroppedFlits += dropped
 	if sh.probe != nil {
 		if sh.n == 1 {
@@ -778,30 +765,45 @@ func (sh *sharded) failMessage(mi int32, extLink, step int) int {
 	return 1
 }
 
-// arrive appends every peer's ring and spill batch destined here to
-// this shard's local arrivals, then applies the arrival rules to each
-// flit in that order: delivery bookkeeping on the final
-// hop, otherwise buffering and credits at the next hop. Every link
-// touched (credit, FIFO enqueue) is owned by this shard, because a
-// position's enqueue target is its own link.
+// drop marks slot s dead, removes its queued requests from their FIFOs,
+// returns their credits, and charges every flit-hop it has not moved to
+// the shard owning the hop's link. Returns the flit-hops dropped. Runs
+// single-threaded between phases, in both loops.
+func (e *Engine) drop(s int32) int {
+	e.dead[s] = true
+	fl := e.flits[s]
+	dropped := 0
+	for p := e.slotOff[s]; p < e.slotEnd[s]; p++ {
+		l := e.posLink[p]
+		d := fl - e.crossed[p]
+		dropped += d
+		e.part.shardOf(l).dropped += d
+		if e.queued[p] { // kills are rare: walk the queue for p's predecessor
+			prev := int32(-1)
+			for q := e.qhead[l]; q != p; q = e.qnext[q] {
+				prev = q
+			}
+			e.unlink(l, prev, p)
+			if avail := e.arrived[p] - e.crossed[p]; avail > 0 {
+				e.credit[l] -= avail
+			}
+		}
+	}
+	return dropped
+}
+
+// arrive is the kernel's arrival phase of shard k: after the peers'
+// boundary flits are gathered, each arrived flit is a delivery on its
+// final hop and otherwise lands at the next hop. Every link touched
+// (credit, FIFO enqueue) is owned by this shard, because a position's
+// enqueue target is its own link.
 func (sh *sharded) arrive(k int) {
 	e := sh.e
 	st := sh.states[k]
-	for s2, peer := range sh.states[:sh.n] {
-		if s2 == k {
-			continue
-		}
-		r := peer.out[k]
-		for {
-			p, ok := r.pop()
-			if !ok {
-				break
-			}
-			st.arr = append(st.arr, p)
-		}
-		st.arr = append(st.arr, peer.spill[k]...)
-	}
 	inline := sh.n == 1
+	if !inline {
+		sh.gather(k)
+	}
 	fr, probe, mode, step := sh.fr, sh.probe, sh.mode, sh.step
 	enq := st.enq[:0]
 	for _, p := range st.arr {
@@ -834,22 +836,10 @@ func (sh *sharded) arrive(k int) {
 			}
 			continue
 		}
-		switch mode {
-		case CutThrough:
-			e.arrived[next]++
-			if e.queued[next] {
-				e.addShardCredit(st, e.route[next], 1)
-			}
-		case StoreAndForward:
-			e.buffer[next]++
-			if e.buffer[next] == e.flits[mi] {
-				e.arrived[next] = e.flits[mi]
-				if e.queued[next] {
-					e.addShardCredit(st, e.route[next], e.flits[mi]-e.crossed[next])
-				}
-			}
-		}
-		if !e.queued[next] && e.arrived[next] > 0 {
+		c := e.land(next, e.flits[mi], mode)
+		if e.queued[next] {
+			e.addShardCredit(st, e.route[next], c)
+		} else if e.arrived[next] > 0 {
 			enq = append(enq, next)
 		}
 	}
@@ -857,7 +847,7 @@ func (sh *sharded) arrive(k int) {
 	// one-shard global sort restricted to this shard's links.
 	slices.Sort(enq)
 	for _, p := range enq {
-		sh.enqueue(st, p)
+		e.enqueue(st, p)
 	}
 	st.enq = enq
 	if probe != nil && inline {
@@ -865,13 +855,54 @@ func (sh *sharded) arrive(k int) {
 	}
 }
 
-// enqueue appends position p to its link's FIFO, updates the owning
-// shard st's peak queue metric, lists the link on st's active list on
-// a probed run, and activates the link on st's worklist if p brings
-// sendable flits.
-func (sh *sharded) enqueue(st *shardState, p int32) {
-	e := sh.e
-	l := e.route[p]
+// gather appends every peer's ring and spill batch destined for shard
+// k to the shard's arrivals, after its own moves, at two or more
+// shards.
+func (pt *partition) gather(k int) {
+	st := pt.states[k]
+	for k2, peer := range pt.states[:pt.n] {
+		if k2 == k {
+			continue
+		}
+		r := peer.out[k]
+		for {
+			p, ok := r.pop()
+			if !ok {
+				break
+			}
+			st.arr = append(st.arr, p)
+		}
+		st.arr = append(st.arr, peer.spill[k]...)
+	}
+}
+
+// land applies the landing rule, in both loops, to one flit arriving
+// at position p, which is not its route's final hop, of a slot of fl
+// flits: under cut-through the flit is sendable at once; under
+// store-and-forward it is buffered until all fl have landed. Returns
+// the flits it makes sendable; the caller credits them to p's link if
+// p is queued, and otherwise enqueues p once it has arrived flits.
+func (e *Engine) land(p int32, fl int, mode Mode) int {
+	switch mode {
+	case CutThrough:
+		e.arrived[p]++
+		return 1
+	case StoreAndForward:
+		e.buffer[p]++
+		if e.buffer[p] == fl {
+			e.arrived[p] = fl
+			return fl - e.crossed[p]
+		}
+	}
+	return 0
+}
+
+// enqueue appends position p to its link's FIFO, in both loops, updates
+// the owning shard st's peak queue metric, lists the link on st's
+// active list on a probed run, and activates the link on st's worklist
+// if p brings sendable flits.
+func (e *Engine) enqueue(st *shardState, p int32) {
+	l := e.posLink[p]
 	if e.qtail[l] < 0 {
 		e.qhead[l] = p
 	} else {
@@ -891,6 +922,22 @@ func (sh *sharded) enqueue(st *shardState, p int32) {
 	if avail := e.arrived[p] - e.crossed[p]; avail > 0 {
 		e.addShardCredit(st, l, avail)
 	}
+}
+
+// unlink removes position p, preceded by prev (-1 when p is the head),
+// from dense link l's intrusive FIFO, in both loops.
+func (e *Engine) unlink(l, prev, p int32) {
+	nx := e.qnext[p]
+	if prev < 0 {
+		e.qhead[l] = nx
+	} else {
+		e.qnext[prev] = nx
+	}
+	if nx < 0 {
+		e.qtail[l] = prev
+	}
+	e.qlen[l]--
+	e.queued[p] = false
 }
 
 // stepEndAction is the step's work after the arrival phase: fold

@@ -65,10 +65,38 @@ func decodeHealSchedule(data []byte, numLinks int) *faults.Schedule {
 	return s
 }
 
+// tapEvent is one FaultListener callback: a LinkDown when msg is -1.
+type tapEvent struct {
+	step, link int
+	msg        int32
+}
+
+// tapListener records the callbacks a session's listener receives and
+// forwards them to it.
+type tapListener struct {
+	netsim.FaultListener
+	ev *[]tapEvent
+}
+
+func (l tapListener) LinkDown(step, link int, permanent bool) {
+	*l.ev = append(*l.ev, tapEvent{step: step, link: link, msg: -1})
+	l.FaultListener.LinkDown(step, link, permanent)
+}
+
+func (l tapListener) MsgFailed(step int, msg int32, link int) {
+	*l.ev = append(*l.ev, tapEvent{step: step, link: link, msg: msg})
+	l.FaultListener.MsgFailed(step, msg, link)
+}
+
 // FuzzSelfHealOpenLoop holds the self-healing session's determinism
 // contract on the Theorem 1 width-3 embedding of Q_4, for random
 // arrival traces × fault schedules × policy configurations:
 //
+//   - golden model: the listener event stream, the Report
+//     (SkippedSteps masked), the per-transfer records, and the latency
+//     multiset on the engine equal those of the same session on
+//     SimulateOpenLoopReference, and so does the error text on the
+//     error paths;
 //   - shard invariance: the Report, the per-transfer records, and the
 //     latency multisets are identical at shard counts {1, 2, 3, 8};
 //   - replay: running the same configuration twice is bit-identical;
@@ -138,7 +166,39 @@ func FuzzSelfHealOpenLoop(f *testing.F) {
 			return &run{rep: rep, perT: perT, sink: sink.vals}, nil
 		}
 
+		// The engine and the golden model, each with the session's
+		// listener events recorded on the way in.
+		var wantEv, refEv []tapEvent
+		openLoop = func(tmpls []*netsim.Message, src netsim.ArrivalSource, opts netsim.OpenLoopOpts, shards int) (*netsim.OpenLoopResult, error) {
+			opts.Listener = tapListener{opts.Listener, &wantEv}
+			return netsim.SimulateOpenLoopSharded(tmpls, src, opts, shards)
+		}
 		want, wantErr := do(1)
+		openLoop = func(tmpls []*netsim.Message, src netsim.ArrivalSource, opts netsim.OpenLoopOpts, _ int) (*netsim.OpenLoopResult, error) {
+			opts.Listener = tapListener{opts.Listener, &refEv}
+			return netsim.SimulateOpenLoopReference(tmpls, src, opts)
+		}
+		ref, refErr := do(1)
+		openLoop = netsim.SimulateOpenLoopSharded
+		if (wantErr == nil) != (refErr == nil) || wantErr != nil && wantErr.Error() != refErr.Error() {
+			t.Fatalf("error %v, golden model %v", wantErr, refErr)
+		}
+		if !reflect.DeepEqual(wantEv, refEv) {
+			t.Fatalf("listener events diverged from the golden model:\n%v\nreference\n%v", wantEv, refEv)
+		}
+		if wantErr == nil {
+			masked := *want.rep
+			masked.Engine.SkippedSteps = 0 // the reference never leaps
+			if !reflect.DeepEqual(&masked, ref.rep) {
+				t.Fatalf("report diverged from the golden model:\n%+v\nreference\n%+v", masked, *ref.rep)
+			}
+			if !reflect.DeepEqual(want.perT, ref.perT) {
+				t.Fatalf("per-transfer records diverged from the golden model")
+			}
+			if !reflect.DeepEqual(want.sink, ref.sink) {
+				t.Fatalf("latency multiset diverged from the golden model: %v vs %v", want.sink, ref.sink)
+			}
+		}
 		for _, shards := range []int{1, 2, 3, 8} {
 			got, err := do(shards)
 			if (wantErr == nil) != (err == nil) {

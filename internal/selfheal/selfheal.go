@@ -397,12 +397,17 @@ func Send(e *core.Embedding, edges []int, arrivals *netsim.Trace, cfg Config) (*
 		Probe:      cfg.Probe,
 		Listener:   s,
 	}
-	olr, err := netsim.SimulateOpenLoopSharded(tmpls, s, opts, cfg.Shards)
+	olr, err := openLoop(tmpls, s, opts, cfg.Shards)
 	if err != nil {
 		return nil, err
 	}
 	return s.finalize(olr), nil
 }
+
+// openLoop runs a session's open loop. Tests point it at netsim's
+// golden model, SimulateOpenLoopReference, to hold a session on the
+// engine to the same session on the reference.
+var openLoop = netsim.SimulateOpenLoopSharded
 
 // Next implements netsim.ArrivalSource: merge the base trace with the
 // retry queue into one nondecreasing arrival stream. A retry whose
